@@ -226,16 +226,6 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig,
     )
 
 
-def median_block_merge_ms(pipeline: PipelineConfig, workload: WorkloadConfig,
-                          repetitions: int) -> float:
-    """Median per-block merge compute time over all blocks of all repetitions."""
-    times: list = []
-    for _ in range(repetitions):
-        outcome = run_single(pipeline, workload)
-        times.extend(1000.0 * b.merge_wall_s for b in outcome.report.blocks)
-    return statistics.median(times) if times else 0.0
-
-
 # ----------------------------------------------------------------------
 # named experiments and table output
 
@@ -264,18 +254,27 @@ def named_experiments(*, scale: float = 1.0, seed: int = 42, mode: str = "crdt")
 
 
 def load_experiment_file(path) -> ExperimentSpec:
-    """Experiment from a JSON file with pipeline/workload field overrides."""
+    """Experiment from a JSON file with pipeline/workload field overrides.
+
+    A top level that is not an object, or a required field that is missing
+    or of the wrong type, raises ValueError naming the file and the field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
+    for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
+        if not isinstance(doc.get(name), kind):
+            raise ValueError(f"{path}: field {name!r} is missing or not a {kind.__name__}")
     pipeline = PipelineConfig()
     for name, value in doc.get("pipeline", {}).items():
         if not hasattr(pipeline, name):
-            raise ValueError(f"unknown pipeline field {name!r}")
+            raise ValueError(f"{path}: unknown pipeline field {name!r}")
         setattr(pipeline, name, value)
     workload = WorkloadConfig()
     for name, value in doc.get("workload", {}).items():
         if not hasattr(workload, name):
-            raise ValueError(f"unknown workload field {name!r}")
+            raise ValueError(f"{path}: unknown workload field {name!r}")
         setattr(workload, name, value)
     return ExperimentSpec(
         name=doc["name"],
@@ -311,14 +310,3 @@ def emit_tables(report: MetricsReport, out_dir) -> list:
                 fh.write(f"{row.sweep_value},{row.error}\n")
         paths.append(path)
     return paths
-
-
-def load_table(path) -> list:
-    """Parse a table written by emit_tables back into (value, metric) pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    rows = []
-    for line in lines[1:]:
-        value, metric = line.split(",", 1)
-        rows.append((value, float(metric)))
-    return rows

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
-from .config import load_config_detail
+from .config import load_config
 from .jsoncrdt import canonical_json_bytes, check_document_shape, init_empty_crdt
 from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_block_log
 from .workload import WorkloadConfig
@@ -58,7 +58,7 @@ def _print_digest(digest: str, fmt: str, fh) -> None:
 
 def _cmd_run(args) -> int:
     if args.config:
-        pipeline, workload, provided = load_config_detail(args.config)
+        pipeline, workload, provided = load_config(args.config)
     else:
         pipeline, workload, provided = PipelineConfig(), WorkloadConfig(), set()
     if args.mode:

@@ -46,15 +46,11 @@ def _load_section(parser: configparser.ConfigParser, name: str, cfg, provided: s
 
 
 def load_config(path) -> tuple:
-    """Read (PipelineConfig, WorkloadConfig) from an INI file."""
-    pipeline, workload, _ = load_config_detail(path)
-    return pipeline, workload
+    """Read (PipelineConfig, WorkloadConfig, provided) from an INI file.
 
-
-def load_config_detail(path) -> tuple:
-    """Like load_config, also returning the set of explicitly provided keys
-    ("section.key"), so callers can apply defaults only where the file was
-    silent."""
+    provided is the set of keys the file set explicitly ("section.key"), so
+    callers can apply defaults only where the file was silent.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

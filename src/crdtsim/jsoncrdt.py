@@ -82,17 +82,6 @@ def check_document_shape(value: JsonValue) -> None:
     raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
 
 
-@dataclass(frozen=True, order=True)
-class LamportTimestamp:
-    counter: int
-
-    def tick(self) -> "LamportTimestamp":
-        return LamportTimestamp(self.counter + 1)
-
-    def text(self) -> str:
-        return canonical_id(self.counter)
-
-
 @dataclass(frozen=True)
 class CursorElement:
     kind: str
@@ -103,28 +92,17 @@ Cursor = tuple  # tuple[CursorElement, ...]
 
 
 @dataclass(frozen=True)
-class Mutation:
-    key: str
-    value: str
-    kind: str = "insert"
-
-
-@dataclass(frozen=True)
 class Operation:
     id: int
     deps: frozenset
     cursor: Cursor
-    mutation: Mutation
-
-    def id_text(self) -> str:
-        return canonical_id(self.id)
+    value: str  # text inserted at the node the cursor addresses
 
 
 @dataclass
 class CrdtNode:
     key: str
     kind: str
-    ids: set = field(default_factory=set)
     children: dict = field(default_factory=dict)
     # op id -> inserted text; registers on leaf nodes, string elements on
     # list nodes.
@@ -138,18 +116,11 @@ class JsonCrdt:
         if not key:
             raise ValueError("CRDT key must be non-empty")
         self.key = key
-        self.clock = LamportTimestamp(0)
+        self.clock = 0  # Lamport counter: greatest operation id generated or applied
         self.root = CrdtNode(key="", kind=MAP)
         self.applied: set = set()
         self.pending: list = []
         self.dedup_list_leaves = dedup_list_leaves
-
-    # ------------------------------------------------------------------
-    # clock
-
-    def tick_clock(self) -> LamportTimestamp:
-        self.clock = self.clock.tick()
-        return self.clock
 
     # ------------------------------------------------------------------
     # merging plain documents
@@ -166,7 +137,7 @@ class JsonCrdt:
             if any(k != BARE_KEY for k in self.root.children):
                 raise StructuralConflictError("bare string merged into a map document")
             deps: set = set()
-            self._emit((CursorElement(LEAF, BARE_KEY),), BARE_KEY, doc, deps)
+            self._emit((CursorElement(LEAF, BARE_KEY),), doc, deps)
             return
         if not isinstance(doc, dict):
             raise DocumentShapeError("top-level document must be a map or a string")
@@ -178,11 +149,11 @@ class JsonCrdt:
 
     def _add_value(self, key: str, value: JsonValue, cursor: Cursor, deps: set) -> None:
         if isinstance(value, str):
-            self._emit(cursor + (CursorElement(LEAF, key),), key, value, deps)
+            self._emit(cursor + (CursorElement(LEAF, key),), value, deps)
         elif isinstance(value, list):
             list_cursor = cursor + (CursorElement(LIST, key),)
             for element in value:
-                self._add_element(key, element, list_cursor, deps)
+                self._add_element(element, list_cursor, deps)
         elif isinstance(value, dict):
             map_cursor = cursor + (CursorElement(MAP, key),)
             for entry_key, entry_value in value.items():
@@ -190,30 +161,30 @@ class JsonCrdt:
         else:
             raise DocumentShapeError(f"unsupported leaf {value!r}")
 
-    def _add_element(self, list_key: str, element: JsonValue, list_cursor: Cursor, deps: set) -> None:
+    def _add_element(self, element: JsonValue, list_cursor: Cursor, deps: set) -> None:
         if self.dedup_list_leaves and self._element_present(list_cursor, element):
             return
         if isinstance(element, str):
-            self._emit(list_cursor, list_key, element, deps)
+            self._emit(list_cursor, element, deps)
         elif isinstance(element, dict):
             # Each container element gets its own subtree keyed by the id of
             # the first insert generated inside it, so elements from distinct
             # merges never collapse into one another.
-            element_key = canonical_id(self.clock.counter + 1)
+            element_key = canonical_id(self.clock + 1)
             element_cursor = list_cursor + (CursorElement(MAP, element_key),)
             for entry_key, entry_value in element.items():
                 self._add_value(entry_key, entry_value, element_cursor, deps)
         elif isinstance(element, list):
-            element_key = canonical_id(self.clock.counter + 1)
+            element_key = canonical_id(self.clock + 1)
             self._add_value(element_key, element, list_cursor, deps)
         else:
             raise DocumentShapeError(f"unsupported leaf {element!r}")
 
-    def _emit(self, cursor: Cursor, key: str, value: str, deps: set) -> None:
-        ts = self.tick_clock()
-        op = Operation(id=ts.counter, deps=frozenset(deps), cursor=cursor, mutation=Mutation(key=key, value=value))
+    def _emit(self, cursor: Cursor, value: str, deps: set) -> None:
+        self.clock += 1
+        op = Operation(id=self.clock, deps=frozenset(deps), cursor=cursor, value=value)
         self.apply_operation(op)
-        deps.add(ts.counter)
+        deps.add(op.id)
 
     def _element_present(self, list_cursor: Cursor, element: JsonValue) -> bool:
         node = self._walk(list_cursor)
@@ -238,7 +209,7 @@ class JsonCrdt:
     def apply_operation(self, op: Operation) -> None:
         """Apply one operation, or queue it until its dependencies arrive."""
         if op.id in self.applied or any(p.id == op.id for p in self.pending):
-            raise DuplicateOperationError(f"operation {op.id_text()} already seen")
+            raise DuplicateOperationError(f"operation {canonical_id(op.id)} already seen")
         if not op.cursor:
             raise ValueError("operation cursor must be non-empty")
         if any(dep >= op.id for dep in op.deps):
@@ -275,18 +246,15 @@ class JsonCrdt:
             raise StructuralConflictError("insert must target a leaf or list node")
 
         node = self.root
-        node.ids.add(op.id)
         for step in op.cursor:
             child = node.children.get(step.key)
             if child is None:
                 child = CrdtNode(key=step.key, kind=step.kind)
                 node.children[step.key] = child
-            child.ids.add(op.id)
             node = child
-        node.values[op.id] = op.mutation.value
+        node.values[op.id] = op.value
         self.applied.add(op.id)
-        if op.id > self.clock.counter:
-            self.clock = LamportTimestamp(op.id)
+        self.clock = max(self.clock, op.id)
 
     # ------------------------------------------------------------------
     # conversion
@@ -321,18 +289,3 @@ def init_empty_crdt(key: str, sample: JsonValue, *, dedup_list_leaves: bool = Fa
     check_document_shape(sample)
     return JsonCrdt(key, dedup_list_leaves=dedup_list_leaves)
 
-
-def tick_clock(crdt: JsonCrdt) -> LamportTimestamp:
-    return crdt.tick_clock()
-
-
-def merge_json(crdt: JsonCrdt, doc: JsonValue) -> None:
-    crdt.merge_json(doc)
-
-
-def apply_operation(crdt: JsonCrdt, op: Operation) -> None:
-    crdt.apply_operation(op)
-
-
-def to_json(crdt: JsonCrdt) -> JsonValue:
-    return crdt.to_json()

@@ -31,13 +31,6 @@ class Version:
     tx_index: int
 
 
-@dataclass(frozen=True)
-class CommitReport:
-    height: int
-    valid_count: int
-    invalid_count: int
-
-
 class Snapshot:
     """Immutable copy-on-read view of the world state at a commit point."""
 
@@ -106,7 +99,7 @@ class BlockLog:
         self._blocks.append(block)
 
 
-def commit_block(ws: WorldState, log: BlockLog, block) -> CommitReport:
+def commit_block(ws: WorldState, log: BlockLog, block) -> None:
     """Apply valid transactions' writes in order and append the whole block.
 
     The block must carry per-transaction validity flags (a ValidatedBlock).
@@ -117,17 +110,12 @@ def commit_block(ws: WorldState, log: BlockLog, block) -> CommitReport:
         raise OrderingViolationError(
             f"cannot commit height {block.height} onto log of length {len(log)}"
         )
-    valid_count = 0
-    invalid_count = 0
     for tx_index, (tx, verdict) in enumerate(zip(block.transactions, block.validity)):
         if not verdict.valid:
-            invalid_count += 1
             continue
-        valid_count += 1
         for write in tx.rwset.writes:
             ws._put(write.key, write.value, Version(block.height, tx_index))
     log.append(block)
-    return CommitReport(height=block.height, valid_count=valid_count, invalid_count=invalid_count)
 
 
 # ----------------------------------------------------------------------

@@ -61,10 +61,6 @@ class DuplicateTransactionError(PipelineError):
     pass
 
 
-class OrdererShutdownError(PipelineError):
-    pass
-
-
 # ----------------------------------------------------------------------
 # domain types
 
@@ -215,14 +211,9 @@ class Orderer:
         self.next_height = first_height
         self._queue: list = []  # (tx, encoded size, enqueue time)
         self._seen_tx_ids: set = set()
-        self._shutdown = False
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def oldest_enqueue_time(self) -> Optional[float]:
-        return self._queue[0][2] if self._queue else None
 
     @property
     def timeout_deadline(self) -> Optional[float]:
@@ -236,16 +227,11 @@ class Orderer:
         return self._queue[0][2] + self.timeout_s if self._queue else None
 
     def submit(self, tx: Transaction, now: Optional[float] = None) -> None:
-        if self._shutdown:
-            raise OrdererShutdownError("orderer is shut down")
         if tx.tx_id in self._seen_tx_ids:
             raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
         self._seen_tx_ids.add(tx.tx_id)
         enqueue_time = tx.submit_time if now is None else now
         self._queue.append((tx, transaction_encoded_size(tx), enqueue_time))
-
-    def shutdown(self) -> None:
-        self._shutdown = True
 
     def cut_block(self, now: float) -> Optional[Block]:
         """Emit at most one block per call; None while no criterion is met."""
@@ -330,59 +316,34 @@ def decode_json_value(value: bytes) -> JsonValue:
 
 def validate_merge_block(block: Block, ws: WorldState, mode: str, policy: EndorsementPolicy,
                          *, dedup_list_leaves: bool = False) -> ValidatedBlock:
-    """Validate one block and, in crdt mode, merge and rewrite CRDT writes."""
-    if mode == FABRIC:
-        return _validate_fabric(block, ws, policy)
-    if mode == CRDT:
-        return _validate_crdt(block, ws, policy, dedup_list_leaves)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Validate one block and, in crdt mode, merge and rewrite CRDT writes.
 
-
-def _validate_fabric(block: Block, ws: WorldState, policy: EndorsementPolicy) -> ValidatedBlock:
+    Fabric mode is crdt mode with merging turned off: no key gets a CRDT, so
+    no write is exempt from MVCC and none is rewritten.
+    """
+    if mode not in (FABRIC, CRDT):
+        raise ValueError(f"unknown mode {mode!r}")
+    merging = mode == CRDT
     endorse_ok = validate_endorsements_block(block, policy)
-    overlay: dict = {}
-    verdicts = []
-    for i, tx in enumerate(block.transactions):
-        if not endorse_ok[i]:
-            verdicts.append(TxVerdict(False, INVALID_ENDORSEMENT))
-            continue
-        if mvcc_validate(tx, ws, overlay):
-            verdicts.append(TxVerdict(True, VALID))
-            for write in tx.rwset.writes:
-                overlay[write.key] = Version(block.height, i)
-        else:
-            verdicts.append(TxVerdict(False, INVALID_MVCC))
-    return ValidatedBlock(block.height, block.transactions, block.cut_reason, tuple(verdicts))
-
-
-def _validate_crdt(block: Block, ws: WorldState, policy: EndorsementPolicy,
-                   dedup_list_leaves: bool) -> ValidatedBlock:
-    endorse_ok = validate_endorsements_block(block, policy)
-    n = len(block.transactions)
-    reasons: list = [None] * n
+    reasons: list = [None if ok else INVALID_ENDORSEMENT for ok in endorse_ok]
     crdts: dict = {}
 
-    # Pass 1: merge CRDT-flagged writes of endorsement-valid transactions in
-    # block order. A decode or merge failure invalidates the offending
-    # transaction and skips its remaining writes; merges already performed
-    # stand (they are visible through other transactions' rewritten values).
+    # Merge CRDT-flagged writes of endorsement-valid transactions in block
+    # order. A decode or merge failure invalidates the offending transaction
+    # and skips its remaining writes; merges already performed stand (they
+    # are visible through other transactions' rewritten values).
     for i, tx in enumerate(block.transactions):
-        if not endorse_ok[i]:
-            reasons[i] = INVALID_ENDORSEMENT
+        if not merging or reasons[i] is not None:
             continue
         for write in tx.rwset.writes:
             if not write.is_crdt:
                 continue
             try:
                 doc = decode_json_value(write.value)
-            except DocumentShapeError:
-                reasons[i] = INVALID_DECODE
-                break
-            crdt = crdts.get(write.key)
-            if crdt is None:
-                crdt = init_empty_crdt(write.key, doc, dedup_list_leaves=dedup_list_leaves)
-                crdts[write.key] = crdt
-            try:
+                crdt = crdts.get(write.key)
+                if crdt is None:
+                    crdt = init_empty_crdt(write.key, doc, dedup_list_leaves=dedup_list_leaves)
+                    crdts[write.key] = crdt
                 crdt.merge_json(doc)
             except StructuralConflictError:
                 reasons[i] = INVALID_STRUCTURAL
@@ -391,28 +352,26 @@ def _validate_crdt(block: Block, ws: WorldState, policy: EndorsementPolicy,
                 reasons[i] = INVALID_DECODE
                 break
 
-    # MVCC on non-CRDT content. Transactions whose writes are all CRDT are
-    # exempt; mixed and plain transactions are checked, skipping reads of
-    # keys they themselves write as CRDT values. Writes of every valid
-    # transaction, CRDT or not, advance the intra-block overlay.
+    # MVCC on non-CRDT content. In crdt mode, transactions whose writes are
+    # all CRDT are exempt; mixed and plain transactions are checked, skipping
+    # reads of keys they themselves write as CRDT values. Writes of every
+    # valid transaction, CRDT or not, advance the intra-block overlay.
     overlay: dict = {}
     for i, tx in enumerate(block.transactions):
         if reasons[i] is not None:
             continue
         writes = tx.rwset.writes
-        crdt_written = frozenset(w.key for w in writes if w.is_crdt)
-        if writes and len(crdt_written) == len(writes):
+        crdt_written = frozenset(w.key for w in writes if w.is_crdt) if merging else frozenset()
+        all_crdt = writes and len(crdt_written) == len(writes)
+        if all_crdt or mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
             reasons[i] = VALID
-        elif mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
-            reasons[i] = VALID
-        else:
-            reasons[i] = INVALID_MVCC
-        if reasons[i] == VALID:
             for write in writes:
                 overlay[write.key] = Version(block.height, i)
+        else:
+            reasons[i] = INVALID_MVCC
 
-    # Pass 2: rewrite every CRDT-flagged write whose key converged to the
-    # canonical merged bytes, so same-key writes are byte-identical.
+    # Rewrite every CRDT-flagged write whose key converged to the canonical
+    # merged bytes, so same-key writes are byte-identical.
     final_txs = []
     for tx in block.transactions:
         new_writes = []
@@ -597,7 +556,6 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
                 break
             settle(block, now)
     fire_timeouts(up_to=None)
-    orderer.shutdown()
     return report
 
 

@@ -9,8 +9,6 @@ Four clients submit at a fixed arrival rate on the simulated clock.
 
 from __future__ import annotations
 
-import csv
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -156,34 +154,3 @@ def read_key_universe(config: WorkloadConfig, proposals: Iterable[Proposal]) -> 
         keys.update(prop_keys[: config.n_read_keys])
     return sorted(keys)
 
-
-# ----------------------------------------------------------------------
-# stream persistence, for replaying an identical workload elsewhere
-
-
-def dump_stream_csv(proposals: Iterable[Proposal], fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["client_id", "submit_time", "keys", "reading"])
-    for prop in proposals:
-        keys, reading = prop.args
-        writer.writerow([
-            prop.client_id,
-            repr(prop.submit_time),
-            ";".join(keys),
-            json.dumps(reading, sort_keys=True),
-        ])
-
-
-def load_stream_csv(fh) -> list:
-    reader = csv.reader(fh)
-    header = next(reader)
-    if header != ["client_id", "submit_time", "keys", "reading"]:
-        raise ValueError("unrecognized stream header")
-    proposals = []
-    for client_id, submit_time, keys, reading in reader:
-        proposals.append(Proposal(
-            client_id=client_id,
-            submit_time=float(submit_time),
-            args=(tuple(keys.split(";")) if keys else (), json.loads(reading)),
-        ))
-    return proposals

@@ -9,8 +9,6 @@ from crdtsim.bench import (
     apply_sweep,
     emit_tables,
     load_experiment_file,
-    load_table,
-    median_block_merge_ms,
     named_experiments,
     populate_world_state,
     run_experiment,
@@ -174,8 +172,12 @@ def test_run_experiment_rejects_unknown_parameter_upfront():
 
 
 def test_median_block_merge_ms_is_positive_for_crdt_merges():
-    value = median_block_merge_ms(PipelineConfig(mode=CRDT), small_workload(), 2)
-    assert value > 0.0
+    report = run_experiment(ExperimentSpec(
+        name="merge", pipeline=PipelineConfig(mode=CRDT), workload=small_workload(),
+        sweep_param="conflict_pct", sweep_values=[100.0], repetitions=2,
+    ))
+    assert [row.error for row in report.rows] == [""]
+    assert report.rows[0].median_block_merge_ms > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +231,28 @@ def test_load_experiment_file_rejects_unknown_fields(tmp_path):
         load_experiment_file(path)
 
 
+VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": [0]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([VALID_EXPERIMENT], "top level"),
+    ({"sweep_param": "conflict_pct", "sweep_values": [0]}, "'name'"),
+    ({**VALID_EXPERIMENT, "name": 7}, "'name'"),
+    ({"name": "x", "sweep_values": [0]}, "'sweep_param'"),
+    ({**VALID_EXPERIMENT, "sweep_param": ["conflict_pct"]}, "'sweep_param'"),
+    ({"name": "x", "sweep_param": "conflict_pct"}, "'sweep_values'"),
+    ({**VALID_EXPERIMENT, "sweep_values": 0}, "'sweep_values'"),
+])
+def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_experiment_file(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert field in message
+
+
 # ----------------------------------------------------------------------
 # tables
 
@@ -244,10 +268,8 @@ def test_emit_tables_one_csv_per_metric(tmp_path):
     assert len(paths) == len(METRIC_COLUMNS)
     names = {p.name for p in paths}
     assert "conflict_crdt_success_count.csv" in names
-    success = load_table(tmp_path / "conflict_crdt_success_count.csv")
-    assert success == [("0.0", 40.0), ("100.0", 40.0)]
-    header = (tmp_path / "conflict_crdt_success_count.csv").read_text().splitlines()[0]
-    assert header == "conflict_pct,success_count"
+    success = (tmp_path / "conflict_crdt_success_count.csv").read_text().splitlines()
+    assert success == ["conflict_pct,success_count", "0.0,40", "100.0,40"]
 
 
 def test_emit_tables_writes_error_rows_separately(tmp_path):
@@ -263,5 +285,5 @@ def test_emit_tables_writes_error_rows_separately(tmp_path):
     content = error_paths[0].read_text().splitlines()
     assert content[0] == "arrival_rate_tps,error"
     assert content[1].startswith("-5.0,")
-    clean = load_table(tmp_path / "rate_crdt_success_count.csv")
-    assert clean == [("100.0", 40.0)]
+    clean = (tmp_path / "rate_crdt_success_count.csv").read_text().splitlines()
+    assert clean == ["arrival_rate_tps,success_count", "100.0,40"]

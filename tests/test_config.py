@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from crdtsim.config import ConfigError, load_config, load_config_detail, write_config
+from crdtsim.config import ConfigError, load_config, write_config
 from crdtsim.txpipeline import PipelineConfig
 from crdtsim.workload import WorkloadConfig
 
@@ -15,15 +17,17 @@ def test_round_trip_preserves_every_field(tmp_path):
                               n_write_keys=2, json_keys=3, json_depth=4,
                               conflict_pct=33.0, crdt_writes=False, seed=5)
     write_config(path, pipeline, workload)
-    loaded_p, loaded_w = load_config(path)
+    loaded_p, loaded_w, provided = load_config(path)
     assert loaded_p == pipeline
     assert loaded_w == workload
+    assert len(provided) == len(fields(PipelineConfig)) + len(fields(WorkloadConfig))
 
 
 def test_missing_sections_fall_back_to_defaults(tmp_path):
     path = tmp_path / "sim.ini"
     path.write_text("[pipeline]\nmode = fabric\n")
-    pipeline, workload = load_config(path)
+    pipeline, workload, provided = load_config(path)
+    assert provided == {"pipeline.mode"}
     assert pipeline.mode == "fabric"
     assert pipeline.max_tx_count == PipelineConfig().max_tx_count
     assert workload == WorkloadConfig()
@@ -32,7 +36,7 @@ def test_missing_sections_fall_back_to_defaults(tmp_path):
 def test_detail_reports_which_keys_were_given(tmp_path):
     path = tmp_path / "sim.ini"
     path.write_text("[pipeline]\nmode = crdt\n[workload]\nseed = 9\n")
-    _, workload, provided = load_config_detail(path)
+    _, workload, provided = load_config(path)
     assert provided == {"pipeline.mode", "workload.seed"}
     assert workload.seed == 9
 
@@ -75,7 +79,7 @@ def test_tuple_and_bool_coercion(tmp_path):
     path.write_text(
         "[pipeline]\norgs = orgA, orgB , orgC\ndedup_list_leaves = true\n"
         "[workload]\ncrdt_writes = false\n")
-    pipeline, workload = load_config(path)
+    pipeline, workload, _ = load_config(path)
     assert pipeline.orgs == ("orgA", "orgB", "orgC")
     assert pipeline.dedup_list_leaves is True
     assert workload.crdt_writes is False

@@ -1,0 +1,164 @@
+"""Golden outputs: state digest, block-log file hash and summary per configuration.
+
+Each case runs the full pipeline on a bootstrapped ledger exactly as
+``crdtsim run --save-blocklog`` does and compares the world-state digest, the
+sha256 of the saved block-log file and the report summary with pinned
+values. A refactor must leave every value unchanged; a deliberate behaviour
+change updates the affected cases and says why.
+
+crdt mode on the fresh snapshot policy stays at 40 transactions: there the
+hot documents grow about 25-fold per block (stored history is re-merged
+under new operation ids), so larger runs are slow.
+"""
+
+import hashlib
+
+import pytest
+
+from crdtsim.bench import run_single
+from crdtsim.txpipeline import PipelineConfig, save_block_log
+from crdtsim.workload import WorkloadConfig
+
+# (id, pipeline fields, workload fields, cut reasons, digest, block-log sha256, summary)
+CASES = [
+    (
+        "crdt-batch-hot", {"mode": "crdt"},
+        {"total_txs": 100, "conflict_pct": 100},
+        ("count",),
+        "2521acbaf6318aec0481bc856c4aa866d7801025b3f1ba889c69f01a6b0202c3",
+        "f63c3dd0bd95d2a54eee2f1a7b167e1cdf6a8ec3f2f4223d7c5c85fea51c72b2",
+        {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
+    ),
+    (
+        "crdt-batch-cold", {"mode": "crdt"},
+        {"total_txs": 100, "conflict_pct": 0},
+        ("count",),
+        "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
+        "fb79aa13b3dc1849eaf6b35ffeb83928095ab68e67580a3c81f7951dc9eb2fe1",
+        {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
+    ),
+    (
+        "crdt-batch-hot-plain", {"mode": "crdt"},
+        {"total_txs": 100, "conflict_pct": 100, "crdt_writes": False},
+        ("count",),
+        "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
+        "40e8b79890b2544657395cfb456aae20576456192ba33955dab038f615fd04c4",
+        {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
+    ),
+    (
+        "crdt-batch-cold-plain", {"mode": "crdt"},
+        {"total_txs": 100, "conflict_pct": 0, "crdt_writes": False},
+        ("count",),
+        "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
+        "ad2bba890f7eca1617a1f98726c603ca9d1b774c38e9b996e0667466aa06cc23",
+        {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
+    ),
+    (
+        "fabric-batch-hot", {"mode": "fabric"},
+        {"total_txs": 100, "conflict_pct": 100},
+        ("count",),
+        "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
+        "ac569d6bfd2eb993204e943c02979e516be935723a431630b3d151cee44c632a",
+        {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
+    ),
+    (
+        "fabric-batch-cold", {"mode": "fabric"},
+        {"total_txs": 100, "conflict_pct": 0},
+        ("count",),
+        "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
+        "fb79aa13b3dc1849eaf6b35ffeb83928095ab68e67580a3c81f7951dc9eb2fe1",
+        {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
+    ),
+    (
+        "crdt-fresh-hot", {"mode": "crdt", "snapshot_policy": "fresh"},
+        {"total_txs": 40, "conflict_pct": 100},
+        ("count", "timeout"),
+        "3121fa1f1c237928a5748bb35b96b73e88b0ba09554856efe471cf4f1feb8474",
+        "10ee68cd4f61b2276aad1106c96e65a2c446f564683e52b1070c24a339822c76",
+        {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
+    ),
+    (
+        "crdt-fresh-cold", {"mode": "crdt", "snapshot_policy": "fresh"},
+        {"total_txs": 40, "conflict_pct": 0},
+        ("count", "timeout"),
+        "d18b766edc25bfd7a38e41ac2669c180b342142eace54b27eebe61459f6ec15d",
+        "7ee4d6f8219d5c81d48d92df2c3c160f11edd720ac46caf6a76589488d2fdfa2",
+        {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
+    ),
+    (
+        "crdt-fresh-hot-plain", {"mode": "crdt", "snapshot_policy": "fresh"},
+        {"total_txs": 40, "conflict_pct": 100, "crdt_writes": False},
+        ("count", "timeout"),
+        "93fc513599824a3e72d424c5d77c832e2b53b5b99a4798f0c704e3da32086ca4",
+        "de59a0f2d373bf3697a328c47453b34fb9c06b6cba14526b8e94872dd11b7c3b",
+        {"throughput_tps": 0.96, "avg_latency_ms": 1040.0, "success_count": 2, "failure_count": 38},
+    ),
+    (
+        "fabric-fresh-hot", {"mode": "fabric", "snapshot_policy": "fresh"},
+        {"total_txs": 100, "conflict_pct": 100},
+        ("count",),
+        "bbeab584ce8adae0c5322ef7d52258c4491e347c2c493b7054339c640ccf774a",
+        "7ddd13328ddbe76890794a489eb1e3918fefa166c9ed6ca7e991fd59d5ff3ba1",
+        {"throughput_tps": 12.121212121212121, "avg_latency_ms": 80.00000000000001, "success_count": 4, "failure_count": 96},
+    ),
+    (
+        "fabric-fresh-mixed-plain", {"mode": "fabric", "snapshot_policy": "fresh"},
+        {"total_txs": 100, "conflict_pct": 30, "crdt_writes": False},
+        ("count",),
+        "09ebf305fd826f6a5a32e40c4c80f21687ecd7fe1be9bd42b64f47bd0074a8cf",
+        "c18b7c80fb6ccabd55b2145ac72c69f7ab9249b33795160f71732ba0d7270851",
+        {"throughput_tps": 224.24242424242422, "avg_latency_ms": 38.82882882882884, "success_count": 74, "failure_count": 26},
+    ),
+    (
+        "crdt-rw3-json2x3", {"mode": "crdt"},
+        {"total_txs": 100, "conflict_pct": 30, "n_read_keys": 3, "n_write_keys": 2, "json_keys": 2, "json_depth": 3},
+        ("count",),
+        "b643954591ee3b4bf26665779046c4cc8c2b9928c33be983d35f62202d782918",
+        "968c29087c04713cfce177e0ea289dc176d1b3f50dd73a229b79809b93ae02a0",
+        {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
+    ),
+    (
+        "fabric-rw3-json2x3", {"mode": "fabric"},
+        {"total_txs": 100, "conflict_pct": 30, "n_read_keys": 3, "n_write_keys": 2, "json_keys": 2, "json_depth": 3},
+        ("count",),
+        "1985aa87cbd1210815e7fbba15c8d136bc298f52ac9573a2e0b43dfc2c672ba2",
+        "537d86a92ab1e464ad863822b014aec6c9e8dca4d5c957c230d643e216ac27df",
+        {"throughput_tps": 215.15151515151513, "avg_latency_ms": 37.230046948356815, "success_count": 71, "failure_count": 29},
+    ),
+    (
+        "crdt-bytes-cut", {"mode": "crdt", "max_tx_count": 25, "max_bytes": 2000},
+        {"total_txs": 60, "conflict_pct": 30, "json_keys": 2, "json_depth": 3},
+        ("bytes", "timeout"),
+        "b4bd9215913ed36c461eed9ea074c94710e847ffe988f6fbf4c2afc4e2e0fe7b",
+        "d015ccdfb839e39e42eee1e27eb3117f40627b89f19e1ba8091fda78cfa66525",
+        {"throughput_tps": 27.480916030534353, "avg_latency_ms": 175.27777777777777, "success_count": 60, "failure_count": 0},
+    ),
+    (
+        "fabric-timeout-cut", {"mode": "fabric", "max_tx_count": 1000, "block_timeout_ms": 50.0},
+        {"total_txs": 60, "conflict_pct": 30},
+        ("timeout",),
+        "6241d070a5d88fbc723e43e1fd62d9c4c3e587de3242901ce9612fcefc0595be",
+        "09a366e92a4978c45a15edd99a785924f74a04a182bb1952bf3ea514622c07cd",
+        {"throughput_tps": 211.4754098360656, "avg_latency_ms": 26.434108527131784, "success_count": 43, "failure_count": 17},
+    ),
+    (
+        "crdt-timeout-cut", {"mode": "crdt", "max_tx_count": 1000, "block_timeout_ms": 50.0},
+        {"total_txs": 60, "conflict_pct": 30},
+        ("timeout",),
+        "ef8065679c0035d8b1b2b4029661e7e45b21064d7cba13587705da5e131bac9b",
+        "1afedd4b1cc4388e143681846773b1280a6261b2088f63ec14ba62015d9b7754",
+        {"throughput_tps": 295.0819672131148, "avg_latency_ms": 26.61111111111111, "success_count": 60, "failure_count": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_golden_outputs_are_unchanged(tmp_path, case):
+    _, pipeline, workload, cuts, digest, log_sha256, summary = case
+    outcome = run_single(PipelineConfig(**pipeline), WorkloadConfig(**workload))
+    path = tmp_path / "blocks.log"
+    save_block_log(outcome.log, path)
+    assert tuple(sorted({b.cut_reason for b in outcome.report.blocks})) == cuts
+    assert outcome.ws.digest() == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == log_sha256
+    assert outcome.report.summary() == summary

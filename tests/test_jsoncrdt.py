@@ -10,8 +10,6 @@ from crdtsim.jsoncrdt import (
     DocumentShapeError,
     DuplicateOperationError,
     IncompleteStateError,
-    LamportTimestamp,
-    Mutation,
     Operation,
     StructuralConflictError,
     canonical_id,
@@ -25,9 +23,8 @@ TX2 = {"tempReadings": [{"temperature": "20"}]}
 MERGED = {"tempReadings": [{"temperature": "15"}, {"temperature": "20"}]}
 
 
-def make_op(op_id, cursor, key, value, deps=()):
-    return Operation(id=op_id, deps=frozenset(deps), cursor=cursor,
-                     mutation=Mutation(key=key, value=value))
+def make_op(op_id, cursor, value, deps=()):
+    return Operation(id=op_id, deps=frozenset(deps), cursor=cursor, value=value)
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +34,7 @@ def make_op(op_id, cursor, key, value, deps=()):
 def test_init_empty_crdt_starts_blank():
     crdt = init_empty_crdt("Device1", TX1)
     assert crdt.key == "Device1"
-    assert crdt.clock == LamportTimestamp(0)
+    assert crdt.clock == 0
     assert crdt.applied == set()
     assert crdt.pending == []
     assert crdt.to_json() == {}
@@ -64,9 +61,10 @@ def test_init_rejects_non_text_leaves():
 
 def test_tick_clock_increments_by_one():
     crdt = init_empty_crdt("k", "s")
-    assert crdt.tick_clock() == LamportTimestamp(1)
-    assert crdt.tick_clock() == LamportTimestamp(2)
-    assert crdt.tick_clock() == LamportTimestamp(3)
+    for expected in (1, 2, 3):
+        crdt.merge_json({f"a{expected}": "v"})
+        assert crdt.clock == expected
+        assert max(crdt.applied) == expected  # the new insert carries the clock value
 
 
 def test_clock_counts_one_tick_per_generated_insert():
@@ -74,13 +72,18 @@ def test_clock_counts_one_tick_per_generated_insert():
     crdt.merge_json(TX1)
     crdt.merge_json(TX2)
     crdt.merge_json({"a": "1", "b": {"c": "2"}, "d": ["x", "y"]})
-    assert crdt.clock.counter == len(crdt.applied) == 6
+    assert crdt.clock == len(crdt.applied) == 6
 
 
 def test_canonical_id_orders_lexicographically():
     ids = [canonical_id(n) for n in (1, 9, 10, 99, 100, 12345)]
     assert ids == sorted(ids)
-    assert LamportTimestamp(41).tick().text() == canonical_id(42)
+
+
+def test_list_container_elements_are_keyed_by_the_next_clock_id():
+    crdt = init_empty_crdt("k", "s")
+    crdt.merge_json({"a": "1", "l": [{"t": "2"}, ["3"]]})
+    assert list(crdt.root.children["l"].children) == [canonical_id(2), canonical_id(3)]
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +93,7 @@ def test_canonical_id_orders_lexicographically():
 def test_merge_single_string_entry_produces_one_op_at_its_key():
     crdt = init_empty_crdt("Device1", {"deviceID": "e23df70a"})
     crdt.merge_json({"deviceID": "e23df70a"})
-    assert crdt.clock.counter == 1
+    assert crdt.clock == 1
     assert crdt.to_json() == {"deviceID": "e23df70a"}
     node = crdt.root.children["deviceID"]
     assert node.kind == LEAF
@@ -222,7 +225,7 @@ def test_multi_key_map_elements_stay_joined():
 
 def test_apply_op_with_no_deps_lands_immediately():
     crdt = init_empty_crdt("k", "s")
-    op = make_op(1, (CursorElement(LEAF, "a"),), "a", "v")
+    op = make_op(1, (CursorElement(LEAF, "a"),), "v")
     crdt.apply_operation(op)
     assert crdt.applied == {1}
     assert crdt.pending == []
@@ -231,12 +234,12 @@ def test_apply_op_with_no_deps_lands_immediately():
 
 def test_apply_queues_until_dependencies_arrive():
     crdt = init_empty_crdt("k", "s")
-    op_b = make_op(2, (CursorElement(LEAF, "b"),), "b", "vb", deps=(1,))
+    op_b = make_op(2, (CursorElement(LEAF, "b"),), "vb", deps=(1,))
     crdt.apply_operation(op_b)
     assert crdt.pending == [op_b]
     assert crdt.applied == set()
     assert crdt.root.children == {}  # nothing observable before deps apply
-    op_a = make_op(1, (CursorElement(LEAF, "a"),), "a", "va")
+    op_a = make_op(1, (CursorElement(LEAF, "a"),), "va")
     crdt.apply_operation(op_a)
     assert crdt.applied == {1, 2}
     assert crdt.pending == []
@@ -245,17 +248,17 @@ def test_apply_queues_until_dependencies_arrive():
 
 def test_pending_chain_drains_in_one_cascade():
     crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(3, (CursorElement(LEAF, "c"),), "c", "3", deps=(2,)))
-    crdt.apply_operation(make_op(2, (CursorElement(LEAF, "b"),), "b", "2", deps=(1,)))
+    crdt.apply_operation(make_op(3, (CursorElement(LEAF, "c"),), "3", deps=(2,)))
+    crdt.apply_operation(make_op(2, (CursorElement(LEAF, "b"),), "2", deps=(1,)))
     assert len(crdt.pending) == 2
-    crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "a", "1"))
+    crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "1"))
     assert crdt.applied == {1, 2, 3}
     assert crdt.pending == []
 
 
 def test_reapplying_an_id_is_rejected_without_state_change():
     crdt = init_empty_crdt("k", "s")
-    op = make_op(1, (CursorElement(LEAF, "a"),), "a", "v")
+    op = make_op(1, (CursorElement(LEAF, "a"),), "v")
     crdt.apply_operation(op)
     before = canonical_json_bytes(crdt.to_json())
     with pytest.raises(DuplicateOperationError):
@@ -266,24 +269,24 @@ def test_reapplying_an_id_is_rejected_without_state_change():
 
 def test_pending_id_counts_as_seen():
     crdt = init_empty_crdt("k", "s")
-    op = make_op(5, (CursorElement(LEAF, "a"),), "a", "v", deps=(1,))
+    op = make_op(5, (CursorElement(LEAF, "a"),), "v", deps=(1,))
     crdt.apply_operation(op)
     with pytest.raises(DuplicateOperationError):
-        crdt.apply_operation(make_op(5, (CursorElement(LEAF, "b"),), "b", "w", deps=(1,)))
+        crdt.apply_operation(make_op(5, (CursorElement(LEAF, "b"),), "w", deps=(1,)))
 
 
 def test_apply_rejects_empty_cursor_and_bad_deps():
     crdt = init_empty_crdt("k", "s")
     with pytest.raises(ValueError):
-        crdt.apply_operation(make_op(1, (), "a", "v"))
+        crdt.apply_operation(make_op(1, (), "v"))
     with pytest.raises(ValueError):
-        crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "a", "v", deps=(1,)))
+        crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "v", deps=(1,)))
 
 
 def test_apply_structural_conflict_leaves_state_untouched():
     crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "a", "v"))
-    bad = make_op(2, (CursorElement(MAP, "a"), CursorElement(LEAF, "b")), "b", "w")
+    crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "v"))
+    bad = make_op(2, (CursorElement(MAP, "a"), CursorElement(LEAF, "b")), "w")
     with pytest.raises(StructuralConflictError):
         crdt.apply_operation(bad)
     assert crdt.applied == {1}
@@ -293,28 +296,32 @@ def test_apply_structural_conflict_leaves_state_untouched():
 def test_insert_cannot_target_a_map_node():
     crdt = init_empty_crdt("k", "s")
     with pytest.raises(StructuralConflictError):
-        crdt.apply_operation(make_op(1, (CursorElement(MAP, "m"),), "m", "v"))
+        crdt.apply_operation(make_op(1, (CursorElement(MAP, "m"),), "v"))
 
 
 def test_remote_op_lifts_the_clock():
     crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(10, (CursorElement(LEAF, "a"),), "a", "v"))
-    assert crdt.clock.counter == 10
+    crdt.apply_operation(make_op(10, (CursorElement(LEAF, "a"),), "v"))
+    assert crdt.clock == 10
     crdt.merge_json({"b": "w"})  # next local insert must not collide
-    assert crdt.clock.counter == 11
+    assert crdt.clock == 11
 
 
-def test_node_ids_recorded_along_the_cursor():
+def test_nodes_created_along_the_cursor():
     crdt = init_empty_crdt("Device1", TX1)
     crdt.merge_json(TX1)
     crdt.merge_json(TX2)
+    assert list(crdt.root.children) == ["tempReadings"]
     list_node = crdt.root.children["tempReadings"]
     assert list_node.kind == LIST
-    assert list_node.ids == {1, 2}
-    assert crdt.root.ids == {1, 2}
-    for node in list_node.children.values():
-        assert node.ids <= {1, 2}
-        assert node.ids  # every node carries its contributing operations
+    assert list_node.values == {}
+    # one map subtree per merged element, keyed by its first insert's id
+    assert list(list_node.children) == [canonical_id(1), canonical_id(2)]
+    for op_id, node in zip((1, 2), list_node.children.values()):
+        assert node.kind == MAP
+        leaf = node.children["temperature"]
+        assert (leaf.kind, list(leaf.values)) == (LEAF, [op_id])
+    assert crdt.to_json() == MERGED
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +334,7 @@ def test_to_json_empty_crdt_is_empty_map():
 
 def test_to_json_refuses_while_pending():
     crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(2, (CursorElement(LEAF, "b"),), "b", "v", deps=(1,)))
+    crdt.apply_operation(make_op(2, (CursorElement(LEAF, "b"),), "v", deps=(1,)))
     with pytest.raises(IncompleteStateError):
         crdt.to_json()
 
@@ -335,9 +342,9 @@ def test_to_json_refuses_while_pending():
 def test_list_elements_emit_in_ascending_op_id_order():
     crdt = init_empty_crdt("k", "s")
     # string elements applied out of numeric order still sort by id
-    crdt.apply_operation(make_op(5, (CursorElement(LIST, "l"),), "l", "late"))
-    crdt.apply_operation(make_op(7, (CursorElement(LIST, "l"),), "l", "later"))
-    crdt.apply_operation(make_op(6, (CursorElement(LIST, "l"),), "l", "mid"))
+    crdt.apply_operation(make_op(5, (CursorElement(LIST, "l"),), "late"))
+    crdt.apply_operation(make_op(7, (CursorElement(LIST, "l"),), "later"))
+    crdt.apply_operation(make_op(6, (CursorElement(LIST, "l"),), "mid"))
     assert crdt.to_json() == {"l": ["late", "mid", "later"]}
 
 
@@ -399,7 +406,7 @@ def test_property_clock_equals_generated_inserts(docs):
         except StructuralConflictError:
             return
         inserts += sum(1 for _ in _iter_leaves(doc))
-    assert crdt.clock.counter == inserts
+    assert crdt.clock == inserts
     assert len(crdt.applied) == inserts
 
 

@@ -96,12 +96,12 @@ def test_commit_skips_invalid_transactions():
     log = BlockLog()
     good = make_tx("good", writes=[Write("a", b"1")])
     bad = make_tx("bad", writes=[Write("b", b"2")])
-    report = commit_block(ws, log, make_validated(
-        0, [good, bad], [TxVerdict(True, None), TxVerdict(False, "mvcc")]))
-    assert report.valid_count == 1
-    assert report.invalid_count == 1
+    block = make_validated(0, [good, bad], [TxVerdict(True, None), TxVerdict(False, "mvcc")])
+    assert commit_block(ws, log, block) is None
     assert ws.get_state("a") == (b"1", Version(0, 0))
     assert ws.get_state("b") is None
+    assert list(ws.keys()) == ["a"]
+    assert list(log) == [block]  # the invalid transaction stays in the logged block
 
 
 def test_commit_versions_use_position_within_block():

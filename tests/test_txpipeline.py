@@ -1,8 +1,12 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crdtsim.bench import run_single
 from crdtsim.jsoncrdt import DocumentShapeError, canonical_json_bytes
 from crdtsim.ledger import BlockLog, Version, WorldState, commit_block
 from crdtsim.txpipeline import (
@@ -19,7 +23,6 @@ from crdtsim.txpipeline import (
     DuplicateTransactionError,
     EndorsementPolicy,
     Orderer,
-    OrdererShutdownError,
     PipelineConfig,
     Proposal,
     ProposalFailureError,
@@ -45,6 +48,7 @@ from crdtsim.txpipeline import (
     validate_endorsements_block,
     validate_merge_block,
 )
+from crdtsim.workload import WorkloadConfig
 
 ORGS = frozenset({"org1", "org2", "org3"})
 POLICY = EndorsementPolicy(1, ORGS)
@@ -209,13 +213,6 @@ def test_orderer_rejects_duplicate_tx_ids():
     orderer.submit(make_tx("t0", writes=[Write("k", b"v")]), now=0.0)
     with pytest.raises(DuplicateTransactionError):
         orderer.submit(make_tx("t0", writes=[Write("k", b"w")]), now=0.0)
-
-
-def test_orderer_rejects_submissions_after_shutdown():
-    orderer = Orderer(max_tx_count=10, max_bytes=1 << 30, timeout_s=10.0)
-    orderer.shutdown()
-    with pytest.raises(OrdererShutdownError):
-        orderer.submit(make_tx("t0", writes=[Write("k", b"v")]), now=0.0)
 
 
 def test_orderer_empty_queue_never_cuts():
@@ -507,6 +504,52 @@ def test_crdt_plain_transactions_behave_as_in_fabric_mode():
 def test_validate_merge_block_rejects_unknown_mode():
     with pytest.raises(ValueError):
         validate_merge_block(Block(0, (), "count"), WorldState(), "other", POLICY)
+
+
+# ----------------------------------------------------------------------
+# one validator for both modes
+
+
+def run_both_modes(pipeline: PipelineConfig, workload: WorkloadConfig) -> tuple:
+    return tuple(run_single(replace(pipeline, mode=mode), workload) for mode in (FABRIC, CRDT))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    conflict_pct=st.integers(0, 100),
+    snapshot_policy=st.sampled_from(["batch", "fresh"]),
+    rw_keys=st.sampled_from([(1, 1), (3, 2), (0, 1)]),
+    block_size=st.integers(1, 12),
+    seed=st.integers(0, 1000),
+)
+def test_property_without_crdt_writes_both_modes_agree(conflict_pct, snapshot_policy, rw_keys,
+                                                       block_size, seed):
+    pipeline = PipelineConfig(max_tx_count=block_size, snapshot_policy=snapshot_policy)
+    workload = WorkloadConfig(total_txs=30, conflict_pct=conflict_pct, crdt_writes=False,
+                              n_read_keys=rw_keys[0], n_write_keys=rw_keys[1], seed=seed)
+    fabric, crdt = run_both_modes(pipeline, workload)
+    assert [t.validity for t in crdt.report.txs] == [t.validity for t in fabric.report.txs]
+    assert list(crdt.log) == list(fabric.log)
+    assert crdt.ws.digest() == fabric.ws.digest()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    snapshot_policy=st.sampled_from(["batch", "fresh"]),
+    json_complexity=st.sampled_from([(1, 1), (2, 3)]),
+    rw_keys=st.sampled_from([(1, 1), (3, 2)]),
+    block_size=st.integers(1, 12),
+    seed=st.integers(0, 1000),
+)
+def test_property_crdt_writes_without_conflict_commit_fabric_state(snapshot_policy, json_complexity,
+                                                                   rw_keys, block_size, seed):
+    pipeline = PipelineConfig(max_tx_count=block_size, snapshot_policy=snapshot_policy)
+    workload = WorkloadConfig(total_txs=30, conflict_pct=0.0, crdt_writes=True,
+                              json_keys=json_complexity[0], json_depth=json_complexity[1],
+                              n_read_keys=rw_keys[0], n_write_keys=rw_keys[1], seed=seed)
+    fabric, crdt = run_both_modes(pipeline, workload)
+    assert crdt.report.success_count == fabric.report.success_count == 30
+    assert crdt.ws.digest() == fabric.ws.digest()
 
 
 # ----------------------------------------------------------------------

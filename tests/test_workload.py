@@ -1,4 +1,3 @@
-import io
 import json
 import random
 
@@ -6,18 +5,15 @@ import pytest
 
 from crdtsim.jsoncrdt import canonical_json_bytes, check_document_shape
 from crdtsim.ledger import Version, WorldState
-from crdtsim.txpipeline import Proposal
 from crdtsim.workload import (
     CLIENT_COUNT,
     WorkloadConfig,
     device_skeleton,
-    dump_stream_csv,
     gen_iot_json,
     gen_stream,
     hot_keys,
     iot_chaincode,
     json_union,
-    load_stream_csv,
     read_key_universe,
 )
 
@@ -256,29 +252,3 @@ def test_read_key_universe_empty_when_no_reads():
 def test_device_skeleton_names_the_device():
     assert device_skeleton("dev-1") == {"deviceID": "dev-1"}
 
-
-# ----------------------------------------------------------------------
-# stream persistence
-
-
-def test_stream_csv_round_trip():
-    config = WorkloadConfig(total_txs=12, conflict_pct=50.0, json_keys=2, json_depth=3)
-    proposals = gen_stream(config)
-    buf = io.StringIO()
-    dump_stream_csv(proposals, buf)
-    buf.seek(0)
-    loaded = load_stream_csv(buf)
-    assert loaded == proposals
-
-
-def test_stream_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        load_stream_csv(io.StringIO("a,b,c\n"))
-
-
-def test_stream_csv_handles_empty_key_tuple():
-    prop = Proposal("client1", 0.5, ((), {"k": "v"}))
-    buf = io.StringIO()
-    dump_stream_csv([prop], buf)
-    buf.seek(0)
-    assert load_stream_csv(buf) == [prop]
