@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .jsoncrdt import canonical_json_bytes
@@ -36,10 +36,8 @@ from .workload import (
 
 # Sweep parameters: either a config field or a composite applying one value
 # to several fields.
-PIPELINE_PARAMS = ("mode", "max_tx_count", "max_bytes", "block_timeout_ms",
-                   "endorsement_k", "snapshot_policy", "dedup_list_leaves")
-WORKLOAD_PARAMS = ("total_txs", "arrival_rate_tps", "n_read_keys", "n_write_keys",
-                   "json_keys", "json_depth", "conflict_pct", "crdt_writes", "seed")
+PIPELINE_PARAMS = tuple(f.name for f in fields(PipelineConfig))
+WORKLOAD_PARAMS = tuple(f.name for f in fields(WorkloadConfig))
 COMPOSITE_PARAMS = {
     "block_size": ("pipeline", ("max_tx_count",)),
     "rw_keys": ("workload", ("n_read_keys", "n_write_keys")),
@@ -103,9 +101,9 @@ def apply_sweep(pipeline: PipelineConfig, workload: WorkloadConfig,
     pipeline = replace(pipeline)
     workload = replace(workload)
     if param in COMPOSITE_PARAMS:
-        target, fields = COMPOSITE_PARAMS[param]
+        target, names = COMPOSITE_PARAMS[param]
         cfg = pipeline if target == "pipeline" else workload
-        for name in fields:
+        for name in names:
             setattr(cfg, name, value)
     elif param in PIPELINE_PARAMS:
         setattr(pipeline, param, value)
@@ -147,8 +145,7 @@ def populate_world_state(ws: WorldState, log: BlockLog, pipeline: PipelineConfig
             for i, key in enumerate(chunk)
         )
         block = Block(height=len(log), transactions=txs, cut_reason="count")
-        vblock = validate_merge_block(block, ws, pipeline.mode, policy,
-                                      dedup_list_leaves=pipeline.dedup_list_leaves)
+        vblock = validate_merge_block(block, ws, pipeline.mode, policy)
         commit_block(ws, log, vblock)
 
 
@@ -256,8 +253,10 @@ def named_experiments(*, scale: float = 1.0, seed: int = 42, mode: str = "crdt")
 def load_experiment_file(path) -> ExperimentSpec:
     """Experiment from a JSON file with pipeline/workload field overrides.
 
-    A top level that is not an object, or a required field that is missing
-    or of the wrong type, raises ValueError naming the file and the field.
+    A top level that is not an object, a required field that is missing or
+    of the wrong type, an override that names no config field, or a
+    repetitions count that is not a positive integer raises ValueError naming
+    the file and the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -266,23 +265,27 @@ def load_experiment_file(path) -> ExperimentSpec:
     for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
         if not isinstance(doc.get(name), kind):
             raise ValueError(f"{path}: field {name!r} is missing or not a {kind.__name__}")
-    pipeline = PipelineConfig()
-    for name, value in doc.get("pipeline", {}).items():
-        if not hasattr(pipeline, name):
-            raise ValueError(f"{path}: unknown pipeline field {name!r}")
-        setattr(pipeline, name, value)
-    workload = WorkloadConfig()
-    for name, value in doc.get("workload", {}).items():
-        if not hasattr(workload, name):
-            raise ValueError(f"{path}: unknown workload field {name!r}")
-        setattr(workload, name, value)
+    pipeline, workload = PipelineConfig(), WorkloadConfig()
+    for section, cfg, names in (("pipeline", pipeline, PIPELINE_PARAMS),
+                                ("workload", workload, WORKLOAD_PARAMS)):
+        overrides = doc.get(section, {})
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{path}: field {section!r} is not an object")
+        for name, value in overrides.items():
+            if name not in names:
+                raise ValueError(f"{path}: unknown {section} field {name!r}")
+            setattr(cfg, name, value)
+    repetitions = doc.get("repetitions", 1)
+    if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
+        raise ValueError(f"{path}: field 'repetitions' must be a positive integer, "
+                         f"not {repetitions!r}")
     return ExperimentSpec(
         name=doc["name"],
         pipeline=pipeline,
         workload=workload,
         sweep_param=doc["sweep_param"],
         sweep_values=doc["sweep_values"],
-        repetitions=doc.get("repetitions", 1),
+        repetitions=repetitions,
     )
 
 

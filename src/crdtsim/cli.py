@@ -106,19 +106,23 @@ def _cmd_bench(args) -> int:
     for mode in modes:
         named = named_experiments(seed=DEFAULT_SEED if explicit_seed is None else explicit_seed,
                                   mode=mode)
-        if args.experiment in named:
-            spec = named[args.experiment]
-        elif Path(args.experiment).is_file():
-            spec = load_experiment_file(args.experiment)
-            spec.pipeline.mode = mode
-            if explicit_seed is not None:
-                spec.workload.seed = explicit_seed
-        else:
-            names = ", ".join(sorted(named))
-            raise ValueError(f"unknown experiment {args.experiment!r}; names: {names}")
-        spec.workload.total_txs = max(1, round(spec.workload.total_txs * args.scale))
-        report = run_experiment(spec)
-        written.extend(emit_tables(report, args.out))
+        # Resolve every experiment before running any, so a bad name fails fast.
+        specs = []
+        for experiment in args.experiment:
+            if experiment in named:
+                spec = named[experiment]
+            elif Path(experiment).is_file():
+                spec = load_experiment_file(experiment)
+                spec.pipeline.mode = mode
+                if explicit_seed is not None:
+                    spec.workload.seed = explicit_seed
+            else:
+                names = ", ".join(sorted(named))
+                raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
+            spec.workload.total_txs = max(1, round(spec.workload.total_txs * args.scale))
+            specs.append(spec)
+        for spec in specs:
+            written.extend(emit_tables(run_experiment(spec), args.out))
     for path in written:
         print(path)
     return 0
@@ -140,7 +144,7 @@ def _cmd_merge_demo(args) -> int:
         docs.append(doc)
     if not docs:
         raise ValueError("no documents given")
-    crdt = init_empty_crdt(args.key, docs[0], dedup_list_leaves=args.dedup)
+    crdt = init_empty_crdt(args.key, docs[0])
     for doc in docs:
         crdt.merge_json(doc)
     sys.stdout.write(canonical_json_bytes(crdt.to_json()).decode("utf-8") + "\n")
@@ -173,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=["csv", "json-lines"], default="csv")
     run.set_defaults(func=_cmd_run)
 
-    bench = sub.add_parser("bench", help="run a named or file-defined experiment sweep")
-    bench.add_argument("--experiment", required=True, help="experiment name or JSON spec file")
+    bench = sub.add_parser("bench", help="run named or file-defined experiment sweeps")
+    bench.add_argument("--experiment", required=True, nargs="+",
+                       help="experiment names or JSON spec files, run in order")
     bench.add_argument("--scale", type=float, default=1.0, help="multiply transaction counts")
     bench.add_argument("--out", default="bench_out", help="directory for metric tables")
     bench.add_argument("--seed", type=int)
@@ -189,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("merge-demo", help="merge JSON documents into one CRDT and print the result")
     demo.add_argument("files", nargs="+", help="JSON document files, merged in order")
     demo.add_argument("--key", default="demo", help="ledger key for the CRDT")
-    demo.add_argument("--dedup", action="store_true", help="skip list elements already present")
     demo.set_defaults(func=_cmd_merge_demo)
     return parser
 

@@ -64,14 +64,3 @@ def load_config(path) -> tuple:
     pipeline.validate()
     workload.validate()
     return pipeline, workload, provided
-
-
-def write_config(path, pipeline: PipelineConfig, workload: WorkloadConfig) -> None:
-    parser = configparser.ConfigParser()
-    parser["pipeline"] = {
-        f.name: ",".join(v) if isinstance(v := getattr(pipeline, f.name), tuple) else str(v)
-        for f in fields(pipeline)
-    }
-    parser["workload"] = {f.name: str(getattr(workload, f.name)) for f in fields(workload)}
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)

@@ -112,7 +112,7 @@ class CrdtNode:
 class JsonCrdt:
     """Single-writer CRDT instance for one ledger key."""
 
-    def __init__(self, key: str, *, dedup_list_leaves: bool = False):
+    def __init__(self, key: str):
         if not key:
             raise ValueError("CRDT key must be non-empty")
         self.key = key
@@ -120,7 +120,6 @@ class JsonCrdt:
         self.root = CrdtNode(key="", kind=MAP)
         self.applied: set = set()
         self.pending: list = []
-        self.dedup_list_leaves = dedup_list_leaves
 
     # ------------------------------------------------------------------
     # merging plain documents
@@ -162,8 +161,6 @@ class JsonCrdt:
             raise DocumentShapeError(f"unsupported leaf {value!r}")
 
     def _add_element(self, element: JsonValue, list_cursor: Cursor, deps: set) -> None:
-        if self.dedup_list_leaves and self._element_present(list_cursor, element):
-            return
         if isinstance(element, str):
             self._emit(list_cursor, element, deps)
         elif isinstance(element, dict):
@@ -185,23 +182,6 @@ class JsonCrdt:
         op = Operation(id=self.clock, deps=frozenset(deps), cursor=cursor, value=value)
         self.apply_operation(op)
         deps.add(op.id)
-
-    def _element_present(self, list_cursor: Cursor, element: JsonValue) -> bool:
-        node = self._walk(list_cursor)
-        if node is None or node.kind != LIST:
-            return False
-        if isinstance(element, str):
-            return element in node.values.values()
-        return any(render_node(child) == element for child in node.children.values())
-
-    def _walk(self, cursor: Cursor):
-        node = self.root
-        for step in cursor:
-            child = node.children.get(step.key)
-            if child is None or child.kind != step.kind:
-                return None
-            node = child
-        return node
 
     # ------------------------------------------------------------------
     # operation delivery
@@ -231,26 +211,26 @@ class JsonCrdt:
                     progressed = True
 
     def _apply(self, op: Operation) -> None:
-        # Dry traversal first so a structural conflict mutates nothing.
-        node = self.root
-        for step in op.cursor:
-            if node.kind == LEAF:
-                raise StructuralConflictError(f"cannot descend through leaf node {node.key!r}")
-            child = node.children.get(step.key)
-            if child is not None and child.kind != step.kind:
-                raise StructuralConflictError(
-                    f"node {step.key!r} is a {child.kind}, operation expects a {step.kind}"
-                )
-            node = child if child is not None else CrdtNode(key=step.key, kind=step.kind)
-        if node.kind == MAP:
+        # The cursor alone rules out descending through a leaf and inserting
+        # into a map. What is left is an existing child of the wrong kind,
+        # and that can only come before the first node this walk creates:
+        # every step after a creation is new. So one walk that creates as it
+        # goes still mutates nothing when it raises.
+        if op.cursor[-1].kind == MAP:
             raise StructuralConflictError("insert must target a leaf or list node")
-
+        for step in op.cursor[:-1]:
+            if step.kind == LEAF:
+                raise StructuralConflictError(f"cannot descend through leaf node {step.key!r}")
         node = self.root
         for step in op.cursor:
             child = node.children.get(step.key)
             if child is None:
                 child = CrdtNode(key=step.key, kind=step.kind)
                 node.children[step.key] = child
+            elif child.kind != step.kind:
+                raise StructuralConflictError(
+                    f"node {step.key!r} is a {child.kind}, operation expects a {step.kind}"
+                )
             node = child
         node.values[op.id] = op.value
         self.applied.add(op.id)
@@ -284,8 +264,8 @@ def render_node(node: CrdtNode) -> JsonValue:
     return [value for _, value in sorted(entries, key=lambda e: e[0])]
 
 
-def init_empty_crdt(key: str, sample: JsonValue, *, dedup_list_leaves: bool = False) -> JsonCrdt:
+def init_empty_crdt(key: str, sample: JsonValue) -> JsonCrdt:
     """Fresh CRDT for a ledger key; sample only validates the JSON shape."""
     check_document_shape(sample)
-    return JsonCrdt(key, dedup_list_leaves=dedup_list_leaves)
+    return JsonCrdt(key)
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from typing import Optional
+
+from .jsoncrdt import canonical_json_bytes
 
 
 class LedgerError(Exception):
@@ -70,7 +71,7 @@ class WorldState:
             key: [base64.b64encode(value).decode("ascii"), version.block_height, version.tx_index]
             for key, (value, version) in self._entries.items()
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        return canonical_json_bytes(doc)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()

@@ -155,7 +155,6 @@ class PipelineConfig:
     endorsement_k: int = 1
     orgs: tuple = ("org1", "org2", "org3")
     snapshot_policy: str = "batch"  # batch | fresh
-    dedup_list_leaves: bool = False
 
     def validate(self) -> None:
         if self.mode not in (FABRIC, CRDT):
@@ -314,8 +313,8 @@ def decode_json_value(value: bytes) -> JsonValue:
     return doc
 
 
-def validate_merge_block(block: Block, ws: WorldState, mode: str, policy: EndorsementPolicy,
-                         *, dedup_list_leaves: bool = False) -> ValidatedBlock:
+def validate_merge_block(block: Block, ws: WorldState, mode: str,
+                         policy: EndorsementPolicy) -> ValidatedBlock:
     """Validate one block and, in crdt mode, merge and rewrite CRDT writes.
 
     Fabric mode is crdt mode with merging turned off: no key gets a CRDT, so
@@ -342,7 +341,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str, policy: Endors
                 doc = decode_json_value(write.value)
                 crdt = crdts.get(write.key)
                 if crdt is None:
-                    crdt = init_empty_crdt(write.key, doc, dedup_list_leaves=dedup_list_leaves)
+                    crdt = init_empty_crdt(write.key, doc)
                     crdts[write.key] = crdt
                 crdt.merge_json(doc)
             except StructuralConflictError:
@@ -504,8 +503,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
 
     def settle(block: Block, now: float) -> None:
         start = perf_counter()
-        vblock = validate_merge_block(block, ws, config.mode, policy,
-                                      dedup_list_leaves=config.dedup_list_leaves)
+        vblock = validate_merge_block(block, ws, config.mode, policy)
         merge_wall = perf_counter() - start
         commit_block(ws, log, vblock)
         report.blocks.append(BlockRecord(vblock.height, len(vblock.transactions),

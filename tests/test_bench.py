@@ -242,6 +242,12 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "sweep_param": ["conflict_pct"]}, "'sweep_param'"),
     ({"name": "x", "sweep_param": "conflict_pct"}, "'sweep_values'"),
     ({**VALID_EXPERIMENT, "sweep_values": 0}, "'sweep_values'"),
+    ({**VALID_EXPERIMENT, "pipeline": {"policy": 3}}, "'policy'"),
+    ({**VALID_EXPERIMENT, "workload": {"validate": 1}}, "'validate'"),
+    ({**VALID_EXPERIMENT, "pipeline": ["mode"]}, "'pipeline'"),
+    ({**VALID_EXPERIMENT, "repetitions": "3"}, "'repetitions'"),
+    ({**VALID_EXPERIMENT, "repetitions": 0}, "'repetitions'"),
+    ({**VALID_EXPERIMENT, "repetitions": True}, "'repetitions'"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"

@@ -172,6 +172,16 @@ def test_bench_both_modes(capsys, tmp_path):
     assert "conflict_pct_fabric_success_count.csv" in names
 
 
+def test_bench_runs_several_experiments_in_order(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "bench", "--experiment", "conflict_pct", "block_size",
+                           "--scale", "0.01", "--out", str(tmp_path), "--mode", "both")
+    assert code == 0
+    names = [p.rsplit("/", 1)[-1] for p in out.splitlines()]
+    prefixes = [name.split("_success_count")[0] for name in names if "_success_count" in name]
+    assert prefixes == ["conflict_pct_crdt", "block_size_crdt",
+                        "conflict_pct_fabric", "block_size_fabric"]
+
+
 def test_bench_experiment_file(capsys, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({
@@ -192,6 +202,13 @@ def test_bench_unknown_experiment_fails(capsys, tmp_path):
                            "--out", str(tmp_path))
     assert code == 1
     assert "unknown experiment" in err
+    # A bad name after a good one fails before any experiment runs.
+    out_dir = tmp_path / "tables"
+    code, _, err = run_cli(capsys, "bench", "--experiment", "conflict_pct", "warp",
+                           "--scale", "0.01", "--out", str(out_dir))
+    assert code == 1
+    assert "'warp'" in err
+    assert not out_dir.exists()
 
 
 # ----------------------------------------------------------------------
@@ -212,15 +229,6 @@ def test_merge_demo_merges_in_order(capsys, tmp_path):
     assert json.loads(out) == {
         "tempReadings": [{"temperature": "15"}, {"temperature": "20"}]}
     assert out.strip() == canonical_json_bytes(json.loads(out)).decode()
-
-
-def test_merge_demo_dedup_flag(capsys, tmp_path):
-    a = write_doc(tmp_path, "a.json", {"r": ["7"]})
-    b = write_doc(tmp_path, "b.json", {"r": ["7"]})
-    _, plain, _ = run_cli(capsys, "merge-demo", a, b)
-    assert json.loads(plain) == {"r": ["7", "7"]}
-    _, deduped, _ = run_cli(capsys, "merge-demo", a, b, "--dedup")
-    assert json.loads(deduped) == {"r": ["7"]}
 
 
 def test_merge_demo_rejects_numeric_leaves(capsys, tmp_path):

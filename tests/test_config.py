@@ -2,21 +2,26 @@ from dataclasses import fields
 
 import pytest
 
-from crdtsim.config import ConfigError, load_config, write_config
+from crdtsim.config import ConfigError, load_config
 from crdtsim.txpipeline import PipelineConfig
 from crdtsim.workload import WorkloadConfig
 
 
 def test_round_trip_preserves_every_field(tmp_path):
     path = tmp_path / "sim.ini"
+    path.write_text(
+        "[pipeline]\nmode = fabric\nmax_tx_count = 50\nmax_bytes = 1024\n"
+        "block_timeout_ms = 500.0\nendorsement_k = 2\norgs = orgA,orgB\n"
+        "snapshot_policy = fresh\n"
+        "[workload]\ntotal_txs = 77\narrival_rate_tps = 150.0\nn_read_keys = 2\n"
+        "n_write_keys = 2\njson_keys = 3\njson_depth = 4\nconflict_pct = 33.0\n"
+        "crdt_writes = False\nseed = 5\n")
     pipeline = PipelineConfig(mode="fabric", max_tx_count=50, max_bytes=1024,
                               block_timeout_ms=500.0, endorsement_k=2,
-                              orgs=("orgA", "orgB"), snapshot_policy="fresh",
-                              dedup_list_leaves=True)
+                              orgs=("orgA", "orgB"), snapshot_policy="fresh")
     workload = WorkloadConfig(total_txs=77, arrival_rate_tps=150.0, n_read_keys=2,
                               n_write_keys=2, json_keys=3, json_depth=4,
                               conflict_pct=33.0, crdt_writes=False, seed=5)
-    write_config(path, pipeline, workload)
     loaded_p, loaded_w, provided = load_config(path)
     assert loaded_p == pipeline
     assert loaded_w == workload
@@ -77,9 +82,8 @@ def test_semantic_validation_still_applies(tmp_path):
 def test_tuple_and_bool_coercion(tmp_path):
     path = tmp_path / "sim.ini"
     path.write_text(
-        "[pipeline]\norgs = orgA, orgB , orgC\ndedup_list_leaves = true\n"
+        "[pipeline]\norgs = orgA, orgB , orgC\n"
         "[workload]\ncrdt_writes = false\n")
     pipeline, workload, _ = load_config(path)
     assert pipeline.orgs == ("orgA", "orgB", "orgC")
-    assert pipeline.dedup_list_leaves is True
     assert workload.crdt_writes is False

@@ -188,13 +188,6 @@ def test_duplicate_list_values_are_kept_by_default():
     assert crdt.to_json() == {"readings": ["7", "7"]}
 
 
-def test_dedup_flag_skips_equal_list_elements():
-    crdt = init_empty_crdt("k", TX1, dedup_list_leaves=True)
-    crdt.merge_json({"readings": ["7"], "maps": [{"a": "1"}]})
-    crdt.merge_json({"readings": ["7", "8"], "maps": [{"a": "1"}, {"a": "2"}]})
-    assert crdt.to_json() == {"readings": ["7", "8"], "maps": [{"a": "1"}, {"a": "2"}]}
-
-
 def test_merge_chains_dependencies_per_top_level_key():
     crdt = init_empty_crdt("k", TX1)
     crdt.merge_json({"room": [{"v": "1"}, {"v": "2"}], "other": "x"})
@@ -291,6 +284,18 @@ def test_apply_structural_conflict_leaves_state_untouched():
         crdt.apply_operation(bad)
     assert crdt.applied == {1}
     assert crdt.to_json() == {"a": "v"}
+
+
+@pytest.mark.parametrize("cursor", [
+    (CursorElement(LEAF, "a"), CursorElement(LEAF, "b")),
+    (CursorElement(MAP, "m"), CursorElement(MAP, "n")),
+])
+def test_apply_conflict_past_a_missing_node_leaves_state_untouched(cursor):
+    crdt = init_empty_crdt("k", "s")
+    with pytest.raises(StructuralConflictError):
+        crdt.apply_operation(make_op(1, cursor, "v"))
+    assert crdt.root.children == {}
+    assert crdt.applied == set()
 
 
 def test_insert_cannot_target_a_map_node():

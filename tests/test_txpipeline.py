@@ -478,19 +478,6 @@ def test_crdt_valid_transactions_bump_overlay_for_later_plain_readers():
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC]
 
 
-def test_crdt_dedup_flag_reaches_the_merge():
-    ws = WorldState()
-    doc = {"readings": ["7"]}
-    block = Block(0, (
-        make_tx("t1", writes=[Write("k", jbytes(doc), True)]),
-        make_tx("t2", writes=[Write("k", jbytes(doc), True)]),
-    ), "count")
-    plain = validate_merge_block(block, ws, CRDT, POLICY)
-    assert json.loads(plain.transactions[0].rwset.writes[0].value) == {"readings": ["7", "7"]}
-    deduped = validate_merge_block(block, ws, CRDT, POLICY, dedup_list_leaves=True)
-    assert json.loads(deduped.transactions[0].rwset.writes[0].value) == {"readings": ["7"]}
-
-
 def test_crdt_plain_transactions_behave_as_in_fabric_mode():
     ws = WorldState()
     block = Block(0, (
