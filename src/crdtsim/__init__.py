@@ -4,10 +4,7 @@ merge path alongside classic MVCC validation."""
 from .jsoncrdt import (
     CrdtError,
     DocumentShapeError,
-    DuplicateOperationError,
-    IncompleteStateError,
     JsonCrdt,
-    Operation,
     StructuralConflictError,
     canonical_json_bytes,
     init_empty_crdt,
@@ -43,11 +40,8 @@ __all__ = [
     "ChaincodeSpec",
     "CrdtError",
     "DocumentShapeError",
-    "DuplicateOperationError",
     "EndorsementPolicy",
-    "IncompleteStateError",
     "JsonCrdt",
-    "Operation",
     "Orderer",
     "PipelineConfig",
     "Proposal",

@@ -250,16 +250,32 @@ def named_experiments(*, scale: float = 1.0, seed: int = 42, mode: str = "crdt")
     }
 
 
+def _fits(value, default) -> bool:
+    """Whether value may set a field whose default is default: its type, an
+    int for a float, or a list for a tuple, but never a bool for a number."""
+    kind = type(default)
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:
+        return isinstance(value, (list, tuple))
+    return isinstance(value, kind)
+
+
 def load_experiment_file(path) -> ExperimentSpec:
     """Experiment from a JSON file with pipeline/workload field overrides.
 
-    A top level that is not an object, a required field that is missing or
-    of the wrong type, an override that names no config field, or a
-    repetitions count that is not a positive integer raises ValueError naming
-    the file and the field.
+    Malformed JSON, a missing or ill-typed field, an unknown override or
+    sweep parameter, an override or sweep value that does not fit its
+    field's type, or a bad repetitions count raises ValueError naming the
+    file and the field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
     for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
@@ -274,7 +290,20 @@ def load_experiment_file(path) -> ExperimentSpec:
         for name, value in overrides.items():
             if name not in names:
                 raise ValueError(f"{path}: unknown {section} field {name!r}")
+            default = getattr(cfg, name)
+            if not _fits(value, default):
+                raise ValueError(f"{path}: {section} field {name!r} must be a "
+                                 f"{type(default).__name__}, not {value!r}")
             setattr(cfg, name, value)
+    param = doc["sweep_param"]
+    swept = COMPOSITE_PARAMS[param][1][0] if param in COMPOSITE_PARAMS else param
+    if swept not in PIPELINE_PARAMS + WORKLOAD_PARAMS:
+        raise ValueError(f"{path}: field 'sweep_param' names no parameter: {param!r}")
+    default = getattr(PipelineConfig() if swept in PIPELINE_PARAMS else WorkloadConfig(), swept)
+    for value in doc["sweep_values"]:
+        if not _fits(value, default):
+            raise ValueError(f"{path}: field 'sweep_values' holds {value!r}, not a "
+                             f"{type(default).__name__} for {param!r}")
     repetitions = doc.get("repetitions", 1)
     if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
         raise ValueError(f"{path}: field 'repetitions' must be a positive integer, "
@@ -283,7 +312,7 @@ def load_experiment_file(path) -> ExperimentSpec:
         name=doc["name"],
         pipeline=pipeline,
         workload=workload,
-        sweep_param=doc["sweep_param"],
+        sweep_param=param,
         sweep_values=doc["sweep_values"],
         repetitions=repetitions,
     )

@@ -1,12 +1,15 @@
-"""Operation-based JSON CRDT with insert-only mutations.
+"""Single-writer JSON CRDT with insert-only mutations.
 
 Documents are plain JSON values restricted to text leaves: a document is a
 string, a list of documents, or a map from non-empty text keys to documents.
-Merging a document generates one insert operation per text leaf; operations
-carry a Lamport-clock id, a dependency set, and a cursor describing the path
-from the root of the internal tree to the node receiving the value. Applying
-the same operation stream to two instances yields byte-identical canonical
-output, which is what the block validator relies on.
+Merging a document generates one insert per text leaf. Each insert carries a
+Lamport-clock id and a cursor, the path from the root of the internal tree
+to the leaf receiving the value, and is applied as soon as it is generated.
+The validator merges a block's writes in block order inside one replica, so
+ids only grow: a leaf keeps its latest value, and a list keeps its elements
+in insertion order, which is id order. Merging the same documents in the
+same order into two instances yields byte-identical canonical output, which
+is what the block validator relies on.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ MAP = "map"
 LIST = "list"
 LEAF = "leaf"
 
-# Zero-padded width for canonical operation-id text. Lexicographic order of
-# padded ids must equal numeric order; 12 digits cover any realistic run.
+# Zero-padded width for canonical insert-id text, so that lexicographic order
+# equals numeric order; 12 digits cover any realistic run.
 ID_PAD = 12
 
 # Root child key reserved for bare-string documents.
@@ -38,16 +41,8 @@ class DocumentShapeError(CrdtError, TypeError):
     """The value is not a supported JSON shape (text leaves only)."""
 
 
-class DuplicateOperationError(CrdtError):
-    """An operation id was applied or enqueued twice."""
-
-
 class StructuralConflictError(CrdtError):
     """A cursor addresses an existing node of an incompatible kind."""
-
-
-class IncompleteStateError(CrdtError):
-    """Conversion requested while operations are still pending."""
 
 
 def canonical_id(counter: int) -> str:
@@ -91,22 +86,12 @@ class CursorElement:
 Cursor = tuple  # tuple[CursorElement, ...]
 
 
-@dataclass(frozen=True)
-class Operation:
-    id: int
-    deps: frozenset
-    cursor: Cursor
-    value: str  # text inserted at the node the cursor addresses
-
-
 @dataclass
 class CrdtNode:
-    key: str
     kind: str
+    # map key or list-element id -> CrdtNode; empty on leaf nodes
     children: dict = field(default_factory=dict)
-    # op id -> inserted text; registers on leaf nodes, string elements on
-    # list nodes.
-    values: dict = field(default_factory=dict)
+    value: str = ""  # leaf text; each insert overwrites it, so the latest wins
 
 
 class JsonCrdt:
@@ -116,152 +101,79 @@ class JsonCrdt:
         if not key:
             raise ValueError("CRDT key must be non-empty")
         self.key = key
-        self.clock = 0  # Lamport counter: greatest operation id generated or applied
-        self.root = CrdtNode(key="", kind=MAP)
+        self.clock = 0  # Lamport counter: id of the latest generated insert
+        self.root = CrdtNode(kind=MAP)
         self.applied: set = set()
-        self.pending: list = []
-
-    # ------------------------------------------------------------------
-    # merging plain documents
 
     def merge_json(self, doc: JsonValue) -> None:
-        """Merge a plain document: one insert per text leaf, applied in order.
+        """Merge a plain document: one insert per text leaf, each applied as
+        it is generated.
 
-        The document must be a map or a bare string. Each top-level entry gets
-        a fresh cursor and a fresh dependency set; every insert generated under
-        that entry depends on all earlier inserts of the same entry.
+        The document must be a map or a bare string.
         """
         check_document_shape(doc)
         if isinstance(doc, str):
             if any(k != BARE_KEY for k in self.root.children):
                 raise StructuralConflictError("bare string merged into a map document")
-            deps: set = set()
-            self._emit((CursorElement(LEAF, BARE_KEY),), doc, deps)
+            self._insert((CursorElement(LEAF, BARE_KEY),), doc)
             return
         if not isinstance(doc, dict):
             raise DocumentShapeError("top-level document must be a map or a string")
         if BARE_KEY in self.root.children:
             raise StructuralConflictError("map document merged into a bare string")
         for key, value in doc.items():
-            deps = set()
-            self._add_value(key, value, (), deps)
+            self._add_value(key, value, ())
 
-    def _add_value(self, key: str, value: JsonValue, cursor: Cursor, deps: set) -> None:
+    def _add_value(self, key: str, value: JsonValue, cursor: Cursor) -> None:
         if isinstance(value, str):
-            self._emit(cursor + (CursorElement(LEAF, key),), value, deps)
+            self._insert(cursor + (CursorElement(LEAF, key),), value)
         elif isinstance(value, list):
             list_cursor = cursor + (CursorElement(LIST, key),)
             for element in value:
-                self._add_element(element, list_cursor, deps)
-        elif isinstance(value, dict):
+                # Each element is a child keyed by the id of the first insert
+                # generated inside it: ids order the elements, and elements
+                # from distinct merges never collapse into one another.
+                self._add_value(canonical_id(self.clock + 1), element, list_cursor)
+        else:
             map_cursor = cursor + (CursorElement(MAP, key),)
             for entry_key, entry_value in value.items():
-                self._add_value(entry_key, entry_value, map_cursor, deps)
-        else:
-            raise DocumentShapeError(f"unsupported leaf {value!r}")
+                self._add_value(entry_key, entry_value, map_cursor)
 
-    def _add_element(self, element: JsonValue, list_cursor: Cursor, deps: set) -> None:
-        if isinstance(element, str):
-            self._emit(list_cursor, element, deps)
-        elif isinstance(element, dict):
-            # Each container element gets its own subtree keyed by the id of
-            # the first insert generated inside it, so elements from distinct
-            # merges never collapse into one another.
-            element_key = canonical_id(self.clock + 1)
-            element_cursor = list_cursor + (CursorElement(MAP, element_key),)
-            for entry_key, entry_value in element.items():
-                self._add_value(entry_key, entry_value, element_cursor, deps)
-        elif isinstance(element, list):
-            element_key = canonical_id(self.clock + 1)
-            self._add_value(element_key, element, list_cursor, deps)
-        else:
-            raise DocumentShapeError(f"unsupported leaf {element!r}")
+    def _insert(self, cursor: Cursor, value: str) -> None:
+        """Tick the clock and write value at the leaf the cursor ends in,
+        creating missing nodes on the way.
 
-    def _emit(self, cursor: Cursor, value: str, deps: set) -> None:
+        The only conflict, an existing child of the wrong kind, can only come
+        before the walk's first creation, so an insert that raises changes
+        nothing but the clock.
+        """
         self.clock += 1
-        op = Operation(id=self.clock, deps=frozenset(deps), cursor=cursor, value=value)
-        self.apply_operation(op)
-        deps.add(op.id)
-
-    # ------------------------------------------------------------------
-    # operation delivery
-
-    def apply_operation(self, op: Operation) -> None:
-        """Apply one operation, or queue it until its dependencies arrive."""
-        if op.id in self.applied or any(p.id == op.id for p in self.pending):
-            raise DuplicateOperationError(f"operation {canonical_id(op.id)} already seen")
-        if not op.cursor:
-            raise ValueError("operation cursor must be non-empty")
-        if any(dep >= op.id for dep in op.deps):
-            raise ValueError("dependencies must be numerically smaller than the operation id")
-        if not set(op.deps) <= self.applied:
-            self.pending.append(op)
-            return
-        self._apply(op)
-        self._drain_pending()
-
-    def _drain_pending(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for op in list(self.pending):
-                if set(op.deps) <= self.applied:
-                    self.pending.remove(op)
-                    self._apply(op)
-                    progressed = True
-
-    def _apply(self, op: Operation) -> None:
-        # The cursor alone rules out descending through a leaf and inserting
-        # into a map. What is left is an existing child of the wrong kind,
-        # and that can only come before the first node this walk creates:
-        # every step after a creation is new. So one walk that creates as it
-        # goes still mutates nothing when it raises.
-        if op.cursor[-1].kind == MAP:
-            raise StructuralConflictError("insert must target a leaf or list node")
-        for step in op.cursor[:-1]:
-            if step.kind == LEAF:
-                raise StructuralConflictError(f"cannot descend through leaf node {step.key!r}")
         node = self.root
-        for step in op.cursor:
+        for step in cursor:
             child = node.children.get(step.key)
             if child is None:
-                child = CrdtNode(key=step.key, kind=step.kind)
-                node.children[step.key] = child
+                child = node.children[step.key] = CrdtNode(kind=step.kind)
             elif child.kind != step.kind:
                 raise StructuralConflictError(
-                    f"node {step.key!r} is a {child.kind}, operation expects a {step.kind}"
+                    f"node {step.key!r} is a {child.kind}, insert expects a {step.kind}"
                 )
             node = child
-        node.values[op.id] = op.value
-        self.applied.add(op.id)
-        self.clock = max(self.clock, op.id)
-
-    # ------------------------------------------------------------------
-    # conversion
+        node.value = value
+        self.applied.add(self.clock)
 
     def to_json(self) -> JsonValue:
         """Strip metadata and return the plain document."""
-        if self.pending:
-            raise IncompleteStateError(f"{len(self.pending)} operations still pending")
-        if BARE_KEY in self.root.children:
-            if len(self.root.children) > 1:
-                raise StructuralConflictError("bare string mixed with map entries")
-            return render_node(self.root.children[BARE_KEY])
-        return render_node(self.root)
+        # A bare-string document is the leaf under BARE_KEY, alone in the root.
+        return render_node(self.root.children.get(BARE_KEY, self.root))
 
 
 def render_node(node: CrdtNode) -> JsonValue:
     if node.kind == LEAF:
-        # Last writer wins: greatest operation id.
-        return node.values[max(node.values)]
+        return node.value
     if node.kind == MAP:
-        return {child.key: render_node(child) for child in node.children.values()}
-    # List: string elements sit in values keyed by op id, container elements
-    # are child subtrees keyed by the id of their first insert. Ascending
-    # numeric id order interleaves both.
-    entries = [(op_id, value) for op_id, value in node.values.items()]
-    entries += [(int(child.key), render_node(child)) for child in node.children.values()]
-    return [value for _, value in sorted(entries, key=lambda e: e[0])]
+        return {key: render_node(child) for key, child in node.children.items()}
+    # Ids only grow, so insertion order is id order.
+    return [render_node(child) for child in node.children.values()]
 
 
 def init_empty_crdt(key: str, sample: JsonValue) -> JsonCrdt:

@@ -174,7 +174,7 @@ class PipelineConfig:
 
 
 def simulate_proposal(cc: ChaincodeSpec, args: tuple, snap) -> ReadWriteSet:
-    """Run the chaincode against a frozen snapshot; never mutates state."""
+    """Run the chaincode against a state view; never mutates state."""
     try:
         return cc.fn(args, snap)
     except Exception as exc:
@@ -529,7 +529,9 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     for prop in sorted(proposals, key=lambda p: p.submit_time):
         now = prop.submit_time
         fire_timeouts(up_to=now)
-        snap = batch_snap if batch_snap is not None else ws.snapshot()
+        # Nothing commits while a chaincode runs, so under the fresh policy
+        # the live state is the snapshot.
+        snap = batch_snap if batch_snap is not None else ws
         tx_id = f"{prop.client_id}-{counter:06d}"
         counter += 1
         record = TxRecord(tx_id, prop.client_id, now, None, "", None)

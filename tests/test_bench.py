@@ -207,17 +207,20 @@ def test_load_experiment_file_applies_overrides(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
         "name": "custom",
-        "pipeline": {"mode": "fabric", "max_tx_count": 10},
-        "workload": {"total_txs": 20, "conflict_pct": 0.0},
+        "pipeline": {"mode": "fabric", "max_tx_count": 10, "orgs": ["org1", "org2"]},
+        "workload": {"total_txs": 20, "conflict_pct": 0},
         "sweep_param": "arrival_rate_tps",
-        "sweep_values": [100, 200],
+        "sweep_values": [100, 200.5],
         "repetitions": 2,
     }))
     spec = load_experiment_file(path)
     assert spec.name == "custom"
     assert spec.pipeline.mode == "fabric"
     assert spec.pipeline.max_tx_count == 10
+    assert list(spec.pipeline.orgs) == ["org1", "org2"]  # a list may set a tuple field
     assert spec.workload.total_txs == 20
+    assert spec.workload.conflict_pct == 0  # an int may set a float field
+    assert spec.sweep_values == [100, 200.5]
     assert spec.repetitions == 2
 
 
@@ -248,10 +251,23 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "repetitions": "3"}, "'repetitions'"),
     ({**VALID_EXPERIMENT, "repetitions": 0}, "'repetitions'"),
     ({**VALID_EXPERIMENT, "repetitions": True}, "'repetitions'"),
+    pytest.param(b'{"name": "x",\n', "Expecting", id="truncated-json"),
+    pytest.param(b'{"name": "\xff"}', "can't decode", id="not-utf8"),
+    ({**VALID_EXPERIMENT, "pipeline": {"max_tx_count": "5"}}, "'max_tx_count'"),
+    ({**VALID_EXPERIMENT, "pipeline": {"max_tx_count": True}}, "'max_tx_count'"),
+    ({**VALID_EXPERIMENT, "pipeline": {"orgs": "org1"}}, "'orgs'"),
+    ({**VALID_EXPERIMENT, "workload": {"conflict_pct": "5"}}, "'conflict_pct'"),
+    ({**VALID_EXPERIMENT, "workload": {"crdt_writes": 1}}, "'crdt_writes'"),
+    ({**VALID_EXPERIMENT, "sweep_param": "warp"}, "'sweep_param'"),
+    ({**VALID_EXPERIMENT, "sweep_values": ["a"]}, "'sweep_values'"),
+    ({**VALID_EXPERIMENT, "sweep_param": "max_tx_count", "sweep_values": [5, True]},
+     "'sweep_values'"),
+    ({**VALID_EXPERIMENT, "sweep_param": "json_complexity", "sweep_values": [1.5]},
+     "'sweep_values'"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
     with pytest.raises(ValueError) as info:
         load_experiment_file(path)
     message = str(info.value)

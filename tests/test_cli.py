@@ -197,6 +197,24 @@ def test_bench_experiment_file(capsys, tmp_path):
     assert "tiny_crdt_success_count.csv" in names
 
 
+@pytest.mark.parametrize("content", [
+    b'{"name": "tiny", "sweep_param": "conflict_pct",\n',
+    json.dumps({"name": "tiny", "pipeline": {"max_tx_count": "5"},
+                "sweep_param": "conflict_pct", "sweep_values": [0]}).encode(),
+    json.dumps({"name": "tiny", "sweep_param": "conflict_pct",
+                "sweep_values": ["a"]}).encode(),
+], ids=["truncated", "string-override", "string-sweep-value"])
+def test_bench_malformed_experiment_file_fails_naming_it(capsys, tmp_path, content):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_bytes(content)
+    out_dir = tmp_path / "tables"
+    code, out, err = run_cli(capsys, "bench", "--experiment", str(spec_file),
+                             "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {spec_file}: ")
+    assert not out_dir.exists()
+
+
 def test_bench_unknown_experiment_fails(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bench", "--experiment", "warp",
                            "--out", str(tmp_path))

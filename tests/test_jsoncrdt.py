@@ -6,11 +6,7 @@ from crdtsim.jsoncrdt import (
     LEAF,
     LIST,
     MAP,
-    CursorElement,
     DocumentShapeError,
-    DuplicateOperationError,
-    IncompleteStateError,
-    Operation,
     StructuralConflictError,
     canonical_id,
     canonical_json_bytes,
@@ -23,10 +19,6 @@ TX2 = {"tempReadings": [{"temperature": "20"}]}
 MERGED = {"tempReadings": [{"temperature": "15"}, {"temperature": "20"}]}
 
 
-def make_op(op_id, cursor, value, deps=()):
-    return Operation(id=op_id, deps=frozenset(deps), cursor=cursor, value=value)
-
-
 # ----------------------------------------------------------------------
 # construction and clock
 
@@ -36,7 +28,7 @@ def test_init_empty_crdt_starts_blank():
     assert crdt.key == "Device1"
     assert crdt.clock == 0
     assert crdt.applied == set()
-    assert crdt.pending == []
+    assert (crdt.root.kind, crdt.root.children) == (MAP, {})
     assert crdt.to_json() == {}
 
 
@@ -96,8 +88,7 @@ def test_merge_single_string_entry_produces_one_op_at_its_key():
     assert crdt.clock == 1
     assert crdt.to_json() == {"deviceID": "e23df70a"}
     node = crdt.root.children["deviceID"]
-    assert node.kind == LEAF
-    assert node.values == {1: "e23df70a"}
+    assert (node.kind, node.value, node.children) == (LEAF, "e23df70a", {})
 
 
 def test_merge_listing_pair_converges_to_both_readings():
@@ -160,9 +151,32 @@ def test_bare_string_and_map_documents_conflict():
 
 def test_same_map_key_string_resolves_last_writer_wins():
     crdt = init_empty_crdt("k", TX1)
-    crdt.merge_json({"deviceID": "first"})
-    crdt.merge_json({"deviceID": "second"})
-    assert crdt.to_json() == {"deviceID": "second"}
+    crdt.merge_json({"deviceID": "first", "room": {"t": "1"}})
+    crdt.merge_json({"deviceID": "second", "room": {"t": "2"}})
+    assert crdt.to_json() == {"deviceID": "second", "room": {"t": "2"}}
+    assert crdt.root.children["deviceID"].value == "second"  # one value per leaf
+
+
+def test_merge_conflict_part_way_keeps_earlier_inserts():
+    crdt = init_empty_crdt("k", "s")
+    crdt.merge_json({"a": "v"})
+    with pytest.raises(StructuralConflictError):
+        crdt.merge_json({"b": "w", "a": {"c": "x"}, "d": "y"})
+    # "b" landed before the conflict; the conflicting insert made no node and
+    # ticked the clock without joining applied; "d" was never generated.
+    assert crdt.clock == 3
+    assert crdt.applied == {1, 2}
+    assert list(crdt.root.children) == ["a", "b"]
+    assert crdt.root.children["a"].children == {}
+    assert crdt.to_json() == {"a": "v", "b": "w"}
+
+
+def test_insert_cannot_target_a_map_node():
+    crdt = init_empty_crdt("k", "s")
+    crdt.merge_json({"m": {"n": "1"}})
+    with pytest.raises(StructuralConflictError):
+        crdt.merge_json({"m": "v"})
+    assert crdt.to_json() == {"m": {"n": "1"}}
 
 
 def test_leaf_reused_as_container_is_a_structural_conflict():
@@ -188,14 +202,6 @@ def test_duplicate_list_values_are_kept_by_default():
     assert crdt.to_json() == {"readings": ["7", "7"]}
 
 
-def test_merge_chains_dependencies_per_top_level_key():
-    crdt = init_empty_crdt("k", TX1)
-    crdt.merge_json({"room": [{"v": "1"}, {"v": "2"}], "other": "x"})
-    ops = {op_id: None for op_id in sorted(crdt.applied)}
-    assert list(ops) == [1, 2, 3]
-    # within "room" the second insert depends on the first; "other" starts fresh
-
-
 def test_nested_lists_round_trip():
     doc = {"grid": [["1", "2"], ["3"]], "mixed": ["a", {"b": "c"}, ["d"]]}
     crdt = init_empty_crdt("k", doc)
@@ -212,106 +218,6 @@ def test_multi_key_map_elements_stay_joined():
     assert crdt.to_json() == {"k": [{"a": "1", "b": "2"}, {"a": "3"}]}
 
 
-# ----------------------------------------------------------------------
-# apply_operation
-
-
-def test_apply_op_with_no_deps_lands_immediately():
-    crdt = init_empty_crdt("k", "s")
-    op = make_op(1, (CursorElement(LEAF, "a"),), "v")
-    crdt.apply_operation(op)
-    assert crdt.applied == {1}
-    assert crdt.pending == []
-    assert crdt.to_json() == {"a": "v"}
-
-
-def test_apply_queues_until_dependencies_arrive():
-    crdt = init_empty_crdt("k", "s")
-    op_b = make_op(2, (CursorElement(LEAF, "b"),), "vb", deps=(1,))
-    crdt.apply_operation(op_b)
-    assert crdt.pending == [op_b]
-    assert crdt.applied == set()
-    assert crdt.root.children == {}  # nothing observable before deps apply
-    op_a = make_op(1, (CursorElement(LEAF, "a"),), "va")
-    crdt.apply_operation(op_a)
-    assert crdt.applied == {1, 2}
-    assert crdt.pending == []
-    assert crdt.to_json() == {"a": "va", "b": "vb"}
-
-
-def test_pending_chain_drains_in_one_cascade():
-    crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(3, (CursorElement(LEAF, "c"),), "3", deps=(2,)))
-    crdt.apply_operation(make_op(2, (CursorElement(LEAF, "b"),), "2", deps=(1,)))
-    assert len(crdt.pending) == 2
-    crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "1"))
-    assert crdt.applied == {1, 2, 3}
-    assert crdt.pending == []
-
-
-def test_reapplying_an_id_is_rejected_without_state_change():
-    crdt = init_empty_crdt("k", "s")
-    op = make_op(1, (CursorElement(LEAF, "a"),), "v")
-    crdt.apply_operation(op)
-    before = canonical_json_bytes(crdt.to_json())
-    with pytest.raises(DuplicateOperationError):
-        crdt.apply_operation(op)
-    assert canonical_json_bytes(crdt.to_json()) == before
-    assert crdt.applied == {1}
-
-
-def test_pending_id_counts_as_seen():
-    crdt = init_empty_crdt("k", "s")
-    op = make_op(5, (CursorElement(LEAF, "a"),), "v", deps=(1,))
-    crdt.apply_operation(op)
-    with pytest.raises(DuplicateOperationError):
-        crdt.apply_operation(make_op(5, (CursorElement(LEAF, "b"),), "w", deps=(1,)))
-
-
-def test_apply_rejects_empty_cursor_and_bad_deps():
-    crdt = init_empty_crdt("k", "s")
-    with pytest.raises(ValueError):
-        crdt.apply_operation(make_op(1, (), "v"))
-    with pytest.raises(ValueError):
-        crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "v", deps=(1,)))
-
-
-def test_apply_structural_conflict_leaves_state_untouched():
-    crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(1, (CursorElement(LEAF, "a"),), "v"))
-    bad = make_op(2, (CursorElement(MAP, "a"), CursorElement(LEAF, "b")), "w")
-    with pytest.raises(StructuralConflictError):
-        crdt.apply_operation(bad)
-    assert crdt.applied == {1}
-    assert crdt.to_json() == {"a": "v"}
-
-
-@pytest.mark.parametrize("cursor", [
-    (CursorElement(LEAF, "a"), CursorElement(LEAF, "b")),
-    (CursorElement(MAP, "m"), CursorElement(MAP, "n")),
-])
-def test_apply_conflict_past_a_missing_node_leaves_state_untouched(cursor):
-    crdt = init_empty_crdt("k", "s")
-    with pytest.raises(StructuralConflictError):
-        crdt.apply_operation(make_op(1, cursor, "v"))
-    assert crdt.root.children == {}
-    assert crdt.applied == set()
-
-
-def test_insert_cannot_target_a_map_node():
-    crdt = init_empty_crdt("k", "s")
-    with pytest.raises(StructuralConflictError):
-        crdt.apply_operation(make_op(1, (CursorElement(MAP, "m"),), "v"))
-
-
-def test_remote_op_lifts_the_clock():
-    crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(10, (CursorElement(LEAF, "a"),), "v"))
-    assert crdt.clock == 10
-    crdt.merge_json({"b": "w"})  # next local insert must not collide
-    assert crdt.clock == 11
-
-
 def test_nodes_created_along_the_cursor():
     crdt = init_empty_crdt("Device1", TX1)
     crdt.merge_json(TX1)
@@ -319,13 +225,12 @@ def test_nodes_created_along_the_cursor():
     assert list(crdt.root.children) == ["tempReadings"]
     list_node = crdt.root.children["tempReadings"]
     assert list_node.kind == LIST
-    assert list_node.values == {}
     # one map subtree per merged element, keyed by its first insert's id
     assert list(list_node.children) == [canonical_id(1), canonical_id(2)]
-    for op_id, node in zip((1, 2), list_node.children.values()):
-        assert node.kind == MAP
+    for value, node in zip(("15", "20"), list_node.children.values()):
+        assert (node.kind, list(node.children)) == (MAP, ["temperature"])
         leaf = node.children["temperature"]
-        assert (leaf.kind, list(leaf.values)) == (LEAF, [op_id])
+        assert (leaf.kind, leaf.value, leaf.children) == (LEAF, value, {})
     assert crdt.to_json() == MERGED
 
 
@@ -337,20 +242,15 @@ def test_to_json_empty_crdt_is_empty_map():
     assert init_empty_crdt("k", "s").to_json() == {}
 
 
-def test_to_json_refuses_while_pending():
-    crdt = init_empty_crdt("k", "s")
-    crdt.apply_operation(make_op(2, (CursorElement(LEAF, "b"),), "v", deps=(1,)))
-    with pytest.raises(IncompleteStateError):
-        crdt.to_json()
-
-
 def test_list_elements_emit_in_ascending_op_id_order():
-    crdt = init_empty_crdt("k", "s")
-    # string elements applied out of numeric order still sort by id
-    crdt.apply_operation(make_op(5, (CursorElement(LIST, "l"),), "late"))
-    crdt.apply_operation(make_op(7, (CursorElement(LIST, "l"),), "later"))
-    crdt.apply_operation(make_op(6, (CursorElement(LIST, "l"),), "mid"))
-    assert crdt.to_json() == {"l": ["late", "mid", "later"]}
+    doc = {"l": ["a", {"b": "c"}, "d", ["e"]]}
+    crdt = init_empty_crdt("k", doc)
+    crdt.merge_json(doc)
+    crdt.merge_json(doc)
+    # string and container elements alike are leaf or subtree children keyed
+    # by their first insert's id, in merge order
+    assert list(crdt.root.children["l"].children) == [canonical_id(n) for n in range(1, 9)]
+    assert crdt.to_json() == {"l": ["a", {"b": "c"}, "d", ["e"]] * 2}
 
 
 def test_canonical_json_bytes_sorts_map_keys():
