@@ -34,14 +34,17 @@ from .workload import (
     read_key_universe,
 )
 
-# Sweep parameters: either a config field or a composite applying one value
-# to several fields.
-PIPELINE_PARAMS = tuple(f.name for f in fields(PipelineConfig))
-WORKLOAD_PARAMS = tuple(f.name for f in fields(WorkloadConfig))
+# Sweep parameters: (config, fields) for each config field and for each
+# composite applying one value to several fields.
 COMPOSITE_PARAMS = {
     "block_size": ("pipeline", ("max_tx_count",)),
     "rw_keys": ("workload", ("n_read_keys", "n_write_keys")),
     "json_complexity": ("workload", ("json_keys", "json_depth")),
+}
+SWEEP_PARAMS = {
+    **{f.name: ("pipeline", (f.name,)) for f in fields(PipelineConfig)},
+    **{f.name: ("workload", (f.name,)) for f in fields(WorkloadConfig)},
+    **COMPOSITE_PARAMS,
 }
 
 METRIC_COLUMNS = (
@@ -66,12 +69,20 @@ class ExperimentSpec:
     sweep_values: list
     repetitions: int = 1
 
-    def validate(self) -> None:
+    def validate(self) -> list:
+        """Check the spec and build every sweep point as (value, pipeline,
+        workload); the base configs are checked too, even where the sweep
+        replaces a field."""
         if not self.sweep_values:
-            raise ValueError("sweep_values must be non-empty")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        apply_sweep(self.pipeline, self.workload, self.sweep_param, self.sweep_values[0])
+            raise ValueError("field 'sweep_values' must be non-empty")
+        if (isinstance(self.repetitions, bool) or not isinstance(self.repetitions, int)
+                or self.repetitions < 1):
+            raise ValueError(f"field 'repetitions' must be a positive integer, "
+                             f"not {self.repetitions!r}")
+        self.pipeline.validate()
+        self.workload.validate()
+        return [(value, *apply_sweep(self.pipeline, self.workload, self.sweep_param, value))
+                for value in self.sweep_values]
 
 
 @dataclass
@@ -84,7 +95,6 @@ class PointMetrics:
     successful_throughput_tps: float
     avg_success_latency_ms: float
     median_block_merge_ms: float
-    error: str = ""
 
 
 @dataclass
@@ -95,23 +105,38 @@ class MetricsReport:
     rows: list = field(default_factory=list)
 
 
+def set_field(cfg, name: str, value) -> None:
+    """Set one config field. The value must fit the type of the field's
+    default: its type, an int for a float, or a list for a tuple, but never a
+    bool for a number."""
+    if name not in {f.name for f in fields(cfg)}:
+        raise ValueError(f"{name!r} is not a {type(cfg).__name__} field")
+    kind = type(getattr(cfg, name))
+    accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"field {name!r} must be a {kind.__name__}, not {value!r}")
+    setattr(cfg, name, value)
+
+
 def apply_sweep(pipeline: PipelineConfig, workload: WorkloadConfig,
                 param: str, value) -> tuple:
-    """Fresh config copies with one sweep value applied."""
-    pipeline = replace(pipeline)
-    workload = replace(workload)
-    if param in COMPOSITE_PARAMS:
-        target, names = COMPOSITE_PARAMS[param]
-        cfg = pipeline if target == "pipeline" else workload
+    """Fresh config copies with one sweep value applied, both validated.
+
+    A value that does not fit its field or leaves either config invalid
+    raises ValueError naming the sweep point.
+    """
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"field 'sweep_param' names no parameter: {param!r}")
+    target, names = SWEEP_PARAMS[param]
+    configs = {"pipeline": replace(pipeline), "workload": replace(workload)}
+    try:
         for name in names:
-            setattr(cfg, name, value)
-    elif param in PIPELINE_PARAMS:
-        setattr(pipeline, param, value)
-    elif param in WORKLOAD_PARAMS:
-        setattr(workload, param, value)
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    return pipeline, workload
+            set_field(configs[target], name, value)
+        for cfg in configs.values():
+            cfg.validate()
+    except ValueError as exc:
+        raise ValueError(f"'sweep_values' point {param}={value!r}: {exc}") from exc
+    return configs["pipeline"], configs["workload"]
 
 
 # ----------------------------------------------------------------------
@@ -149,14 +174,12 @@ def populate_world_state(ws: WorldState, log: BlockLog, pipeline: PipelineConfig
         commit_block(ws, log, vblock)
 
 
-def run_single(pipeline: PipelineConfig, workload: WorkloadConfig,
-               *, populate: bool = True) -> RunOutcome:
+def run_single(pipeline: PipelineConfig, workload: WorkloadConfig) -> RunOutcome:
     """One full pipeline run on a fresh ledger."""
     ws = WorldState()
     log = BlockLog()
     stream = gen_stream(workload)
-    if populate:
-        populate_world_state(ws, log, pipeline, read_key_universe(workload, stream))
+    populate_world_state(ws, log, pipeline, read_key_universe(workload, stream))
     report = run_pipeline(pipeline, stream, iot_chaincode(workload), ws=ws, log=log)
     return RunOutcome(report=report, ws=ws, log=log)
 
@@ -168,25 +191,14 @@ def run_single(pipeline: PipelineConfig, workload: WorkloadConfig,
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     """Run every sweep value x repetition; medians across repetitions.
 
-    Counts must be identical across repetitions (same seeds); a pipeline
-    error aborts only its sweep point and is recorded on the row.
+    Every sweep point is built and checked before the first one runs.
+    Counts must be identical across repetitions (same seeds).
     """
-    spec.validate()
+    points = spec.validate()
     report = MetricsReport(experiment=spec.name, mode=spec.pipeline.mode,
                            sweep_param=spec.sweep_param)
-    for value in spec.sweep_values:
-        pipeline, workload = apply_sweep(spec.pipeline, spec.workload, spec.sweep_param, value)
-        try:
-            report.rows.append(_run_point(value, pipeline, workload, spec.repetitions))
-        except BenchError:
-            raise
-        except Exception as exc:
-            report.rows.append(PointMetrics(
-                sweep_value=value, total_txs=workload.total_txs,
-                success_count=0, failure_count=0, endorsement_rejections=0,
-                successful_throughput_tps=0.0, avg_success_latency_ms=0.0,
-                median_block_merge_ms=0.0, error=f"{type(exc).__name__}: {exc}",
-            ))
+    for value, pipeline, workload in points:
+        report.rows.append(_run_point(value, pipeline, workload, spec.repetitions))
     return report
 
 
@@ -227,15 +239,15 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig,
 # named experiments and table output
 
 
-def named_experiments(*, scale: float = 1.0, seed: int = 42, mode: str = "crdt") -> dict:
-    """The standard sweep suite at desk scale (1,000 txs per point by default)."""
-    total = max(1, round(1000 * scale))
+def named_experiments() -> dict:
+    """The standard sweep suite at desk scale (the WorkloadConfig defaults:
+    1,000 txs per point, seed 42)."""
 
     def spec(name, param, values, *, repetitions=1) -> ExperimentSpec:
         return ExperimentSpec(
             name=name,
-            pipeline=PipelineConfig(mode=mode),
-            workload=WorkloadConfig(total_txs=total, seed=seed),
+            pipeline=PipelineConfig(),
+            workload=WorkloadConfig(),
             sweep_param=param,
             sweep_values=values,
             repetitions=repetitions,
@@ -250,72 +262,38 @@ def named_experiments(*, scale: float = 1.0, seed: int = 42, mode: str = "crdt")
     }
 
 
-def _fits(value, default) -> bool:
-    """Whether value may set a field whose default is default: its type, an
-    int for a float, or a list for a tuple, but never a bool for a number."""
-    kind = type(default)
-    if isinstance(value, bool) and kind is not bool:
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    if kind is tuple:
-        return isinstance(value, (list, tuple))
-    return isinstance(value, kind)
-
-
 def load_experiment_file(path) -> ExperimentSpec:
     """Experiment from a JSON file with pipeline/workload field overrides.
 
-    Malformed JSON, a missing or ill-typed field, an unknown override or
-    sweep parameter, an override or sweep value that does not fit its
-    field's type, or a bad repetitions count raises ValueError naming the
-    file and the field.
+    Malformed JSON, a missing or ill-typed field, an override that set_field
+    refuses, or a spec that fails ExperimentSpec.validate (at any sweep
+    point) raises ValueError naming the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
-    for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
-        if not isinstance(doc.get(name), kind):
-            raise ValueError(f"{path}: field {name!r} is missing or not a {kind.__name__}")
-    pipeline, workload = PipelineConfig(), WorkloadConfig()
-    for section, cfg, names in (("pipeline", pipeline, PIPELINE_PARAMS),
-                                ("workload", workload, WORKLOAD_PARAMS)):
-        overrides = doc.get(section, {})
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{path}: field {section!r} is not an object")
-        for name, value in overrides.items():
-            if name not in names:
-                raise ValueError(f"{path}: unknown {section} field {name!r}")
-            default = getattr(cfg, name)
-            if not _fits(value, default):
-                raise ValueError(f"{path}: {section} field {name!r} must be a "
-                                 f"{type(default).__name__}, not {value!r}")
-            setattr(cfg, name, value)
-    param = doc["sweep_param"]
-    swept = COMPOSITE_PARAMS[param][1][0] if param in COMPOSITE_PARAMS else param
-    if swept not in PIPELINE_PARAMS + WORKLOAD_PARAMS:
-        raise ValueError(f"{path}: field 'sweep_param' names no parameter: {param!r}")
-    default = getattr(PipelineConfig() if swept in PIPELINE_PARAMS else WorkloadConfig(), swept)
-    for value in doc["sweep_values"]:
-        if not _fits(value, default):
-            raise ValueError(f"{path}: field 'sweep_values' holds {value!r}, not a "
-                             f"{type(default).__name__} for {param!r}")
-    repetitions = doc.get("repetitions", 1)
-    if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
-        raise ValueError(f"{path}: field 'repetitions' must be a positive integer, "
-                         f"not {repetitions!r}")
-    return ExperimentSpec(
-        name=doc["name"],
-        pipeline=pipeline,
-        workload=workload,
-        sweep_param=param,
-        sweep_values=doc["sweep_values"],
-        repetitions=repetitions,
-    )
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError(f"top level must be a JSON object, not {type(doc).__name__}")
+        for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
+            if not isinstance(doc.get(name), kind):
+                raise ValueError(f"field {name!r} is missing or not a {kind.__name__}")
+        spec = ExperimentSpec(name=doc["name"], pipeline=PipelineConfig(),
+                              workload=WorkloadConfig(), sweep_param=doc["sweep_param"],
+                              sweep_values=doc["sweep_values"],
+                              repetitions=doc.get("repetitions", 1))
+        for section in ("pipeline", "workload"):
+            overrides = doc.get(section, {})
+            if not isinstance(overrides, dict):
+                raise ValueError(f"field {section!r} is not an object")
+            for name, value in overrides.items():
+                set_field(getattr(spec, section), name, value)
+        spec.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return spec
 
 
 def emit_tables(report: MetricsReport, out_dir) -> list:
@@ -329,16 +307,6 @@ def emit_tables(report: MetricsReport, out_dir) -> list:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{report.sweep_param},{metric}\n")
             for row in report.rows:
-                if row.error:
-                    continue
                 fh.write(f"{row.sweep_value},{getattr(row, metric)!r}\n")
-        paths.append(path)
-    errors = [row for row in report.rows if row.error]
-    if errors:
-        path = out / f"{report.experiment}_{report.mode}_errors.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{report.sweep_param},error\n")
-            for row in errors:
-                fh.write(f"{row.sweep_value},{row.error}\n")
         paths.append(path)
     return paths

@@ -20,7 +20,6 @@ from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_b
 from .workload import WorkloadConfig
 
 SEED_ENV = "CRDTSIM_SEED"
-DEFAULT_SEED = 42
 
 
 def _env_seed():
@@ -100,29 +99,29 @@ def _write_report(report, fmt: str, fh) -> None:
 
 
 def _cmd_bench(args) -> int:
-    explicit_seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed if args.seed is not None else _env_seed()
     modes = ["crdt", "fabric"] if args.mode == "both" else [args.mode]
-    written = []
+    # Resolve and check every experiment, in every mode, before running any.
+    specs = []
     for mode in modes:
-        named = named_experiments(seed=DEFAULT_SEED if explicit_seed is None else explicit_seed,
-                                  mode=mode)
-        # Resolve every experiment before running any, so a bad name fails fast.
-        specs = []
+        named = named_experiments()
         for experiment in args.experiment:
             if experiment in named:
                 spec = named[experiment]
             elif Path(experiment).is_file():
                 spec = load_experiment_file(experiment)
-                spec.pipeline.mode = mode
-                if explicit_seed is not None:
-                    spec.workload.seed = explicit_seed
             else:
                 names = ", ".join(sorted(named))
                 raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
+            spec.pipeline.mode = mode
+            if seed is not None:
+                spec.workload.seed = seed
             spec.workload.total_txs = max(1, round(spec.workload.total_txs * args.scale))
+            spec.validate()
             specs.append(spec)
-        for spec in specs:
-            written.extend(emit_tables(run_experiment(spec), args.out))
+    written = []
+    for spec in specs:
+        written.extend(emit_tables(run_experiment(spec), args.out))
     for path in written:
         print(path)
     return 0

@@ -131,17 +131,22 @@ def write_record_file(path, records) -> None:
 
 
 def read_record_file(path) -> list:
+    """Records of a length-prefixed file; a truncated record raises
+    LedgerError naming the file, the record index and its byte offset."""
     records = []
+    offset = 0
     with open(path, "rb") as fh:
         while True:
             header = fh.read(4)
             if not header:
                 break
+            where = f"{path}: record {len(records)} at byte {offset}"
             if len(header) != 4:
-                raise LedgerError("truncated record header")
+                raise LedgerError(f"{where}: truncated header ({len(header)} of 4 bytes)")
             (length,) = struct.unpack(">I", header)
             record = fh.read(length)
             if len(record) != length:
-                raise LedgerError("truncated record body")
+                raise LedgerError(f"{where}: truncated body ({len(record)} of {length} bytes)")
             records.append(record)
+            offset += 4 + length
     return records

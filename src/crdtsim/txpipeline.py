@@ -32,7 +32,15 @@ from .jsoncrdt import (
     check_document_shape,
     init_empty_crdt,
 )
-from .ledger import BlockLog, Version, WorldState, commit_block, read_record_file, write_record_file
+from .ledger import (
+    BlockLog,
+    LedgerError,
+    Version,
+    WorldState,
+    commit_block,
+    read_record_file,
+    write_record_file,
+)
 
 FABRIC = "fabric"
 CRDT = "crdt"
@@ -107,7 +115,8 @@ class EndorsementPolicy:
 
     def __post_init__(self):
         if not 1 <= self.required_orgs <= len(self.known_orgs):
-            raise ValueError("policy requires 1 <= k <= n")
+            raise ValueError(f"policy requires 1 <= k <= n, not k={self.required_orgs!r} "
+                             f"of n={len(self.known_orgs)} orgs")
 
 
 @dataclass(frozen=True)
@@ -161,9 +170,10 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.snapshot_policy not in ("batch", "fresh"):
             raise ValueError(f"unknown snapshot policy {self.snapshot_policy!r}")
-        if self.max_tx_count < 1 or self.max_bytes < 1 or self.block_timeout_ms <= 0:
-            raise ValueError("block cutting limits must be positive")
-        EndorsementPolicy(self.endorsement_k, frozenset(self.orgs))
+        for name in ("max_tx_count", "max_bytes", "block_timeout_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+        self.policy()
 
     def policy(self) -> EndorsementPolicy:
         return EndorsementPolicy(self.endorsement_k, frozenset(self.orgs))
@@ -225,12 +235,12 @@ class Orderer:
         """
         return self._queue[0][2] + self.timeout_s if self._queue else None
 
-    def submit(self, tx: Transaction, now: Optional[float] = None) -> None:
+    def submit(self, tx: Transaction) -> None:
+        """Enqueue tx at its submit time."""
         if tx.tx_id in self._seen_tx_ids:
             raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
         self._seen_tx_ids.add(tx.tx_id)
-        enqueue_time = tx.submit_time if now is None else now
-        self._queue.append((tx, transaction_encoded_size(tx), enqueue_time))
+        self._queue.append((tx, transaction_encoded_size(tx), tx.submit_time))
 
     def cut_block(self, now: float) -> Optional[Block]:
         """Emit at most one block per call; None while no criterion is met."""
@@ -549,7 +559,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
         if tx is None:
             record.validity = REJECTED_ENDORSEMENT
             continue
-        orderer.submit(tx, now=now)
+        orderer.submit(tx)
         while True:
             block = orderer.cut_block(now)
             if block is None:
@@ -619,7 +629,15 @@ def save_block_log(log: BlockLog, path) -> None:
 
 
 def load_block_log(path) -> list:
-    return [block_from_jsonable(json.loads(record)) for record in read_record_file(path)]
+    """Blocks from a saved log; a record that does not decode raises
+    LedgerError naming the file and the record index."""
+    blocks = []
+    for index, record in enumerate(read_record_file(path)):
+        try:
+            blocks.append(block_from_jsonable(json.loads(record)))
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
+    return blocks
 
 
 def replay_block_log(blocks: Iterable[ValidatedBlock]) -> tuple:

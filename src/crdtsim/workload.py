@@ -40,15 +40,17 @@ class WorkloadConfig:
 
     def validate(self) -> None:
         if self.total_txs <= 0:
-            raise ValueError("total_txs must be positive")
+            raise ValueError(f"total_txs must be positive, not {self.total_txs!r}")
         if self.json_depth < 1 or self.json_keys < 1:
-            raise ValueError("json_keys and json_depth must be at least 1")
+            raise ValueError(f"json_keys and json_depth must be at least 1, "
+                             f"not {self.json_keys!r} and {self.json_depth!r}")
         if self.arrival_rate_tps <= 0:
-            raise ValueError("arrival_rate_tps must be positive")
+            raise ValueError(f"arrival_rate_tps must be positive, not {self.arrival_rate_tps!r}")
         if not 0 <= self.conflict_pct <= 100:
-            raise ValueError("conflict_pct must be within [0, 100]")
+            raise ValueError(f"conflict_pct must be within [0, 100], not {self.conflict_pct!r}")
         if self.n_read_keys < 0 or self.n_write_keys < 1:
-            raise ValueError("need n_read_keys >= 0 and n_write_keys >= 1")
+            raise ValueError(f"need n_read_keys >= 0 and n_write_keys >= 1, "
+                             f"not {self.n_read_keys!r} and {self.n_write_keys!r}")
 
 
 def gen_iot_json(keys: int, depth: int, rng: random.Random) -> JsonValue:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crdtsim import bench
 from crdtsim.bench import (
     COMPOSITE_PARAMS,
     METRIC_COLUMNS,
@@ -98,12 +99,6 @@ def test_run_single_fabric_admits_one_conflicting_writer():
     assert outcome.report.failure_count == 39
 
 
-def test_run_single_without_populate_reads_absent_keys():
-    outcome = run_single(PipelineConfig(mode=CRDT), small_workload(), populate=False)
-    assert outcome.report.success_count == 40
-    assert len(outcome.log) == outcome.report.blocks[-1].height + 1
-
-
 def test_run_single_classifies_trailing_partial_block():
     # 12 txs in blocks of 5 leave a 2-tx tail whose timeout deadline lands on
     # a fractional instant; the final drain must still classify it
@@ -139,18 +134,35 @@ def test_run_experiment_sweeps_and_accounts():
     assert failures == sorted(failures)
     for row in report.rows:
         assert row.success_count + row.failure_count + row.endorsement_rejections == 40
-        assert row.error == ""
 
 
-def test_run_experiment_records_point_errors_and_continues():
+@pytest.fixture
+def runs(monkeypatch):
+    """The sweep points run_experiment runs, with run_single stubbed out."""
+    calls = []
+    monkeypatch.setattr(bench, "run_single", lambda pipeline, workload: calls.append(workload))
+    return calls
+
+
+def test_run_experiment_checks_every_point_before_running_any(runs):
     spec = ExperimentSpec(
         name="rate", pipeline=PipelineConfig(),
         workload=small_workload(), sweep_param="arrival_rate_tps",
         sweep_values=[100.0, -1.0, 300.0],
     )
-    report = run_experiment(spec)
-    assert report.rows[1].error != ""
-    assert report.rows[0].error == "" and report.rows[2].error == ""
+    with pytest.raises(ValueError, match=r"point arrival_rate_tps=-1\.0: arrival_rate_tps must"):
+        run_experiment(spec)
+    assert runs == []
+
+
+def test_run_experiment_rejects_a_bad_last_point_before_running_any(runs):
+    spec = ExperimentSpec(
+        name="blocks", pipeline=PipelineConfig(),
+        workload=small_workload(), sweep_param="block_size", sweep_values=[5, 0],
+    )
+    with pytest.raises(ValueError, match="point block_size=0: max_tx_count must be positive, not 0"):
+        run_experiment(spec)
+    assert runs == []
 
 
 def test_run_experiment_rejects_empty_sweep():
@@ -176,7 +188,6 @@ def test_median_block_merge_ms_is_positive_for_crdt_merges():
         name="merge", pipeline=PipelineConfig(mode=CRDT), workload=small_workload(),
         sweep_param="conflict_pct", sweep_values=[100.0], repetitions=2,
     ))
-    assert [row.error for row in report.rows] == [""]
     assert report.rows[0].median_block_merge_ms > 0.0
 
 
@@ -185,22 +196,18 @@ def test_median_block_merge_ms_is_positive_for_crdt_merges():
 
 
 def test_named_experiments_cover_the_standard_sweeps():
-    experiments = named_experiments(scale=0.05, seed=3, mode=FABRIC)
+    experiments = named_experiments()
     assert set(experiments) == {
         "block_size", "rw_keys", "json_complexity", "arrival_rate", "conflict_pct"}
     for spec in experiments.values():
-        assert spec.workload.total_txs == 50
-        assert spec.workload.seed == 3
-        assert spec.pipeline.mode == FABRIC
-        spec.validate()
+        assert spec.workload.total_txs == 1000
+        assert spec.workload.seed == 42
+        assert spec.pipeline.mode == CRDT
+        assert len(spec.validate()) == len(spec.sweep_values)
     assert experiments["json_complexity"].repetitions == 5
     assert experiments["conflict_pct"].sweep_values == [0, 20, 40, 60, 80, 100]
     assert experiments["block_size"].sweep_values == [25, 100, 400, 1000]
-
-
-def test_named_experiments_scale_floors_at_one():
-    experiments = named_experiments(scale=0.0001)
-    assert all(spec.workload.total_txs == 1 for spec in experiments.values())
+    assert named_experiments()["block_size"] is not experiments["block_size"]
 
 
 def test_load_experiment_file_applies_overrides(tmp_path):
@@ -264,6 +271,14 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
      "'sweep_values'"),
     ({**VALID_EXPERIMENT, "sweep_param": "json_complexity", "sweep_values": [1.5]},
      "'sweep_values'"),
+    ({**VALID_EXPERIMENT, "workload": {"conflict_pct": 500}},
+     "conflict_pct must be within [0, 100], not 500"),
+    ({**VALID_EXPERIMENT, "sweep_param": "max_tx_count", "sweep_values": [5, 0]},
+     "'sweep_values' point max_tx_count=0: max_tx_count must be positive, not 0"),
+    ({**VALID_EXPERIMENT, "sweep_param": "arrival_rate_tps", "sweep_values": [-1]},
+     "'sweep_values' point arrival_rate_tps=-1: arrival_rate_tps must be positive, not -1"),
+    ({**VALID_EXPERIMENT, "sweep_values": []}, "'sweep_values'"),
+    ({**VALID_EXPERIMENT, "pipeline": {"endorsement_k": 4}}, "k=4 of n=3"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"
@@ -292,20 +307,3 @@ def test_emit_tables_one_csv_per_metric(tmp_path):
     assert "conflict_crdt_success_count.csv" in names
     success = (tmp_path / "conflict_crdt_success_count.csv").read_text().splitlines()
     assert success == ["conflict_pct,success_count", "0.0,40", "100.0,40"]
-
-
-def test_emit_tables_writes_error_rows_separately(tmp_path):
-    spec = ExperimentSpec(
-        name="rate", pipeline=PipelineConfig(),
-        workload=small_workload(), sweep_param="arrival_rate_tps",
-        sweep_values=[100.0, -5.0],
-    )
-    report = run_experiment(spec)
-    paths = emit_tables(report, tmp_path)
-    error_paths = [p for p in paths if p.name.endswith("_errors.csv")]
-    assert len(error_paths) == 1
-    content = error_paths[0].read_text().splitlines()
-    assert content[0] == "arrival_rate_tps,error"
-    assert content[1].startswith("-5.0,")
-    clean = (tmp_path / "rate_crdt_success_count.csv").read_text().splitlines()
-    assert clean == ["arrival_rate_tps,success_count", "100.0,40"]

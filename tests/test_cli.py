@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,16 @@ def test_replay_json_lines_format(capsys, tmp_path):
     assert "digest" in json.loads(out.strip())
 
 
+def test_replay_truncated_log_fails_naming_the_file(capsys, tmp_path):
+    blocklog = tmp_path / "blocks.log"
+    run_cli(capsys, "run", "--txs", "4", "--save-blocklog", str(blocklog))
+    blocklog.write_bytes(blocklog.read_bytes()[:-1])
+    code, _, err = run_cli(capsys, "replay", str(blocklog))
+    assert code == 1
+    assert err.startswith(f"error: {blocklog}: record ")
+    assert "truncated body" in err
+
+
 def test_replay_missing_file_fails(capsys, tmp_path):
     code, _, err = run_cli(capsys, "replay", str(tmp_path / "absent.log"))
     assert code == 1
@@ -213,6 +224,44 @@ def test_bench_malformed_experiment_file_fails_naming_it(capsys, tmp_path, conte
     assert code == 1 and out == ""
     assert err.startswith(f"error: {spec_file}: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"workload": {"conflict_pct": 500}}, "conflict_pct must be within [0, 100], not 500"),
+    ({"sweep_param": "max_tx_count", "sweep_values": [5, 0]},
+     "point max_tx_count=0: max_tx_count must be positive, not 0"),
+    ({"sweep_param": "arrival_rate_tps", "sweep_values": [-1]},
+     "point arrival_rate_tps=-1: arrival_rate_tps must be positive, not -1"),
+], ids=["conflict-override", "zero-block-size", "negative-rate"])
+def test_bench_out_of_range_experiment_fails_before_any_runs(capsys, tmp_path, overrides,
+                                                             message):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_text(json.dumps({"name": "bad", "sweep_param": "conflict_pct",
+                                     "sweep_values": [0], **overrides}))
+    out_dir = tmp_path / "tables"
+    code, out, err = run_cli(capsys, "bench", "--experiment", "conflict_pct", str(spec_file),
+                             "--scale", "0.01", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {spec_file}: ")
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_bench_scale_floors_at_one_tx_per_point(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "bench", "--experiment", "block_size", "rw_keys",
+                           "json_complexity", "arrival_rate", "conflict_pct",
+                           "--scale", "0.0001", "--out", str(tmp_path))
+    assert code == 0
+
+    def column(path):
+        return [int(line.split(",")[1]) for line in Path(path).read_text().splitlines()[1:]]
+
+    tables = [path for path in out.splitlines() if path.endswith("_success_count.csv")]
+    assert len(tables) == 5
+    for path in tables:
+        success = column(path)
+        failure = column(path.replace("_success_count", "_failure_count"))
+        assert [s + f for s, f in zip(success, failure)] == [1] * len(success)
 
 
 def test_bench_unknown_experiment_fails(capsys, tmp_path):

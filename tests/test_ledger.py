@@ -210,11 +210,21 @@ def test_record_file_round_trips_frames(tmp_path):
 
 def test_record_file_rejects_truncation(tmp_path):
     path = tmp_path / "records.bin"
-    write_record_file(path, [b"abcdef"])
+    write_record_file(path, [b"abc", b"defgh"])
     raw = path.read_bytes()
     path.write_bytes(raw[:-2])
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError) as info:
         read_record_file(path)
+    assert str(info.value) == f"{path}: record 1 at byte 7: truncated body (3 of 5 bytes)"
+
+
+def test_record_file_rejects_a_truncated_header(tmp_path):
+    path = tmp_path / "records.bin"
+    write_record_file(path, [b"abc", b"defgh"])
+    path.write_bytes(path.read_bytes() + b"\x00\x00")
+    with pytest.raises(LedgerError) as info:
+        read_record_file(path)
+    assert str(info.value) == f"{path}: record 2 at byte 16: truncated header (2 of 4 bytes)"
 
 
 def test_snapshot_type_is_plain_mapping_view():

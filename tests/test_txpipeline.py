@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from crdtsim.bench import run_single
 from crdtsim.jsoncrdt import DocumentShapeError, canonical_json_bytes
-from crdtsim.ledger import BlockLog, Version, WorldState, commit_block
+from crdtsim.ledger import (BlockLog, LedgerError, Version, WorldState, commit_block,
+                            write_record_file)
 from crdtsim.txpipeline import (
     CRDT,
     FABRIC,
@@ -146,7 +147,7 @@ def test_pipeline_config_validation():
 def test_orderer_cuts_on_count():
     orderer = Orderer(max_tx_count=3, max_bytes=1 << 30, timeout_s=10.0)
     for i in range(4):
-        orderer.submit(make_tx(f"t{i}", writes=[Write("k", b"v")]), now=0.0)
+        orderer.submit(make_tx(f"t{i}", writes=[Write("k", b"v")]))
     block = orderer.cut_block(0.0)
     assert block is not None
     assert block.cut_reason == "count"
@@ -160,9 +161,9 @@ def test_orderer_cuts_on_bytes_with_longest_prefix():
     t1 = make_tx("t1", writes=[Write("k", b"v")])
     budget = transaction_encoded_size(t0) + transaction_encoded_size(t1)
     orderer = Orderer(max_tx_count=100, max_bytes=budget, timeout_s=10.0)
-    orderer.submit(t0, now=0.0)
+    orderer.submit(t0)
     assert orderer.cut_block(0.0) is None
-    orderer.submit(t1, now=0.0)
+    orderer.submit(t1)
     block = orderer.cut_block(0.0)
     assert block.cut_reason == "bytes"
     assert [tx.tx_id for tx in block.transactions] == ["t0", "t1"]
@@ -170,8 +171,8 @@ def test_orderer_cuts_on_bytes_with_longest_prefix():
 
 def test_orderer_oversized_transaction_forms_singleton_block():
     orderer = Orderer(max_tx_count=100, max_bytes=1, timeout_s=10.0)
-    orderer.submit(make_tx("big", writes=[Write("k", b"v" * 100)]), now=0.0)
-    orderer.submit(make_tx("next", writes=[Write("k", b"v")]), now=0.0)
+    orderer.submit(make_tx("big", writes=[Write("k", b"v" * 100)]))
+    orderer.submit(make_tx("next", writes=[Write("k", b"v")]))
     block = orderer.cut_block(0.0)
     assert block.cut_reason == "bytes"
     assert [tx.tx_id for tx in block.transactions] == ["big"]
@@ -180,8 +181,8 @@ def test_orderer_oversized_transaction_forms_singleton_block():
 
 def test_orderer_cuts_all_queued_on_timeout():
     orderer = Orderer(max_tx_count=100, max_bytes=1 << 30, timeout_s=2.0)
-    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]), now=1.0)
-    orderer.submit(make_tx("t1", writes=[Write("k", b"v")]), now=2.5)
+    orderer.submit(make_tx("t0", writes=[Write("k", b"v")], submit_time=1.0))
+    orderer.submit(make_tx("t1", writes=[Write("k", b"v")], submit_time=2.5))
     assert orderer.cut_block(2.9) is None
     block = orderer.cut_block(3.0)
     assert block.cut_reason == "timeout"
@@ -195,24 +196,24 @@ def test_orderer_timeout_deadline_is_cuttable_despite_rounding():
     enqueue = 3 / 300
     assert (enqueue + 2.0) - enqueue < 2.0
     orderer = Orderer(max_tx_count=100, max_bytes=1 << 30, timeout_s=2.0)
-    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]), now=enqueue)
+    orderer.submit(make_tx("t0", writes=[Write("k", b"v")], submit_time=enqueue))
     assert orderer.timeout_deadline == enqueue + 2.0
     assert orderer.cut_block(orderer.timeout_deadline).cut_reason == "timeout"
 
 
 def test_orderer_heights_are_sequential():
     orderer = Orderer(max_tx_count=1, max_bytes=1 << 30, timeout_s=10.0, first_height=5)
-    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]), now=0.0)
-    orderer.submit(make_tx("t1", writes=[Write("k", b"v")]), now=0.0)
+    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]))
+    orderer.submit(make_tx("t1", writes=[Write("k", b"v")]))
     assert orderer.cut_block(0.0).height == 5
     assert orderer.cut_block(0.0).height == 6
 
 
 def test_orderer_rejects_duplicate_tx_ids():
     orderer = Orderer(max_tx_count=10, max_bytes=1 << 30, timeout_s=10.0)
-    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]), now=0.0)
+    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]))
     with pytest.raises(DuplicateTransactionError):
-        orderer.submit(make_tx("t0", writes=[Write("k", b"w")]), now=0.0)
+        orderer.submit(make_tx("t0", writes=[Write("k", b"w")]))
 
 
 def test_orderer_empty_queue_never_cuts():
@@ -710,3 +711,21 @@ def test_save_load_replay_reproduces_state(tmp_path):
     assert len(replayed_log) == len(log)
     again_ws, _ = replay_block_log(load_block_log(path))
     assert again_ws.canonical_bytes() == replayed_ws.canonical_bytes()
+
+
+@pytest.mark.parametrize("damage, error", [
+    (lambda record: record.replace(b'"height":', b'"height"'),
+     "JSONDecodeError: Expecting ':' delimiter"),
+    (lambda record: record.replace(b'"height"', b'"heigth"'), "KeyError: 'height'"),
+    (lambda record: record.replace(b'"validity":[[true', b'"validity":[[true,1'),
+     "ValueError: too many values to unpack"),
+], ids=["not-json", "no-height", "bad-verdict"])
+def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
+    block = ValidatedBlock(0, (make_tx("t1", writes=[Write("k", b"v")]),), "count",
+                           (TxVerdict(True, VALID),))
+    record = canonical_json_bytes(block_to_jsonable(block))
+    path = tmp_path / "blocks.log"
+    write_record_file(path, [record, damage(record)])
+    with pytest.raises(LedgerError) as info:
+        load_block_log(path)
+    assert str(info.value).startswith(f"{path}: record 1: {error}")
