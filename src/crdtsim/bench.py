@@ -9,11 +9,11 @@ metric, summarized as a median across the blocks of all repetitions.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .config import apply_overrides, read_json_object, set_field
 from .jsoncrdt import canonical_json_bytes
 from .ledger import BlockLog, WorldState, commit_block
 from .txpipeline import (
@@ -35,14 +35,15 @@ from .workload import (
 )
 
 # Sweep parameters: (config, fields) for each config field and for each
-# composite applying one value to several fields.
+# composite applying one value to several fields. mode is left out: tables
+# are named by the spec's mode, and `bench --mode both` runs each mode.
 COMPOSITE_PARAMS = {
     "block_size": ("pipeline", ("max_tx_count",)),
     "rw_keys": ("workload", ("n_read_keys", "n_write_keys")),
     "json_complexity": ("workload", ("json_keys", "json_depth")),
 }
 SWEEP_PARAMS = {
-    **{f.name: ("pipeline", (f.name,)) for f in fields(PipelineConfig)},
+    **{f.name: ("pipeline", (f.name,)) for f in fields(PipelineConfig) if f.name != "mode"},
     **{f.name: ("workload", (f.name,)) for f in fields(WorkloadConfig)},
     **COMPOSITE_PARAMS,
 }
@@ -103,19 +104,6 @@ class MetricsReport:
     mode: str
     sweep_param: str
     rows: list = field(default_factory=list)
-
-
-def set_field(cfg, name: str, value) -> None:
-    """Set one config field. The value must fit the type of the field's
-    default: its type, an int for a float, or a list for a tuple, but never a
-    bool for a number."""
-    if name not in {f.name for f in fields(cfg)}:
-        raise ValueError(f"{name!r} is not a {type(cfg).__name__} field")
-    kind = type(getattr(cfg, name))
-    accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"field {name!r} must be a {kind.__name__}, not {value!r}")
-    setattr(cfg, name, value)
 
 
 def apply_sweep(pipeline: PipelineConfig, workload: WorkloadConfig,
@@ -269,14 +257,8 @@ def load_experiment_file(path) -> ExperimentSpec:
     refuses, or a spec that fails ExperimentSpec.validate (at any sweep
     point) raises ValueError naming the file and the field.
     """
+    doc = read_json_object(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
-    try:
-        if not isinstance(doc, dict):
-            raise ValueError(f"top level must be a JSON object, not {type(doc).__name__}")
         for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
             if not isinstance(doc.get(name), kind):
                 raise ValueError(f"field {name!r} is missing or not a {kind.__name__}")
@@ -284,12 +266,7 @@ def load_experiment_file(path) -> ExperimentSpec:
                               workload=WorkloadConfig(), sweep_param=doc["sweep_param"],
                               sweep_values=doc["sweep_values"],
                               repetitions=doc.get("repetitions", 1))
-        for section in ("pipeline", "workload"):
-            overrides = doc.get(section, {})
-            if not isinstance(overrides, dict):
-                raise ValueError(f"field {section!r} is not an object")
-            for name, value in overrides.items():
-                set_field(getattr(spec, section), name, value)
+        apply_overrides(doc, spec.pipeline, spec.workload)
         spec.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

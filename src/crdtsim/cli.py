@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
@@ -32,18 +34,6 @@ def _env_seed():
         raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _resolve_seed(flag_seed, config_had_seed: bool, config_seed: int) -> int:
-    """Precedence: flag, then config file, then environment, then default."""
-    if flag_seed is not None:
-        return flag_seed
-    if config_had_seed:
-        return config_seed
-    env = _env_seed()
-    if env is not None:
-        return env
-    return config_seed
-
-
 def _print_digest(digest: str, fmt: str, fh) -> None:
     if fmt == "json-lines":
         fh.write(json.dumps({"digest": digest}) + "\n")
@@ -56,25 +46,20 @@ def _print_digest(digest: str, fmt: str, fh) -> None:
 
 
 def _cmd_run(args) -> int:
+    """Precedence: flag, then config file, then environment (seed only),
+    then default. Sources apply from lowest to highest, each overriding the
+    ones before it."""
+    pipeline, workload = PipelineConfig(), WorkloadConfig()
+    env_seed = _env_seed()
+    if env_seed is not None:
+        workload.seed = env_seed
     if args.config:
-        pipeline, workload, provided = load_config(args.config)
-    else:
-        pipeline, workload, provided = PipelineConfig(), WorkloadConfig(), set()
-    if args.mode:
-        pipeline.mode = args.mode
-    if args.block_size is not None:
-        pipeline.max_tx_count = args.block_size
-    if args.block_timeout_ms is not None:
-        pipeline.block_timeout_ms = args.block_timeout_ms
-    if args.snapshot_policy:
-        pipeline.snapshot_policy = args.snapshot_policy
-    if args.txs is not None:
-        workload.total_txs = args.txs
-    if args.conflict_pct is not None:
-        workload.conflict_pct = args.conflict_pct
-    if args.arrival_rate is not None:
-        workload.arrival_rate_tps = args.arrival_rate
-    workload.seed = _resolve_seed(args.seed, "workload.seed" in provided, workload.seed)
+        load_config(args.config, pipeline, workload)
+    flags = vars(args)
+    for cfg in (pipeline, workload):
+        for f in fields(cfg):
+            if flags.get(f.name) is not None:
+                setattr(cfg, f.name, flags[f.name])
     pipeline.validate()
     workload.validate()
 
@@ -154,6 +139,17 @@ def _cmd_merge_demo(args) -> int:
 # parser
 
 
+def _positive_scale(text: str) -> float:
+    """argparse type for --scale: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crdtsim",
@@ -162,12 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one pipeline over a generated workload")
-    run.add_argument("--config", help="INI file with [pipeline] and [workload] sections")
+    # Each config flag's dest is its field name; _cmd_run applies those set.
+    run.add_argument("--config",
+                     help='JSON file of {"pipeline": {...}, "workload": {...}} field overrides')
     run.add_argument("--mode", choices=["fabric", "crdt"])
-    run.add_argument("--txs", type=int, help="total transactions")
+    run.add_argument("--txs", type=int, dest="total_txs", metavar="TXS", help="total transactions")
     run.add_argument("--conflict-pct", type=float, dest="conflict_pct")
-    run.add_argument("--arrival-rate", type=float, dest="arrival_rate")
-    run.add_argument("--block-size", type=int, dest="block_size", help="max transactions per block")
+    run.add_argument("--arrival-rate", type=float, dest="arrival_rate_tps", metavar="ARRIVAL_RATE")
+    run.add_argument("--block-size", type=int, dest="max_tx_count", metavar="BLOCK_SIZE",
+                     help="max transactions per block")
     run.add_argument("--block-timeout-ms", type=float, dest="block_timeout_ms")
     run.add_argument("--snapshot-policy", choices=["batch", "fresh"], dest="snapshot_policy")
     run.add_argument("--seed", type=int)
@@ -179,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run named or file-defined experiment sweeps")
     bench.add_argument("--experiment", required=True, nargs="+",
                        help="experiment names or JSON spec files, run in order")
-    bench.add_argument("--scale", type=float, default=1.0, help="multiply transaction counts")
+    bench.add_argument("--scale", type=_positive_scale, default=1.0,
+                       help="multiply transaction counts (a positive finite number)")
     bench.add_argument("--out", default="bench_out", help="directory for metric tables")
     bench.add_argument("--seed", type=int)
     bench.add_argument("--mode", choices=["fabric", "crdt", "both"], default="crdt")

@@ -1,66 +1,67 @@
-"""INI config file with [pipeline] and [workload] sections.
+"""JSON config files: `{"pipeline": {...}, "workload": {...}}` field overrides.
 
-Every field is optional and defaults to the dataclass default; unknown keys
-are rejected so typos fail loudly.
+The same two sections configure `crdtsim run --config` and the base configs
+of an experiment spec file. Every field is optional and keeps the value it
+had; set_field is the one type rule for a field value read from a file, so
+typos and ill-typed values fail loudly, naming the file.
 """
 
 from __future__ import annotations
 
-import configparser
+import json
 from dataclasses import fields
 
-from .txpipeline import PipelineConfig
-from .workload import WorkloadConfig
+SECTIONS = ("pipeline", "workload")
 
 
-class ConfigError(Exception):
-    pass
+def set_field(cfg, name: str, value) -> None:
+    """Set one config field. The value must fit the type of the field's
+    default: its type, an int for a float, or a list of strings for a tuple
+    (stored as a tuple), but never a bool for a number."""
+    if name not in {f.name for f in fields(cfg)}:
+        raise ValueError(f"{name!r} is not a {type(cfg).__name__} field")
+    kind = type(getattr(cfg, name))
+    accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
+    if (not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool)
+            or (kind is tuple and not all(isinstance(item, str) for item in value))):
+        raise ValueError(f"field {name!r} must be a {kind.__name__}, not {value!r}")
+    setattr(cfg, name, tuple(value) if kind is tuple else value)
 
 
-def _coerce(section, name: str, kind):
-    if kind is bool:
-        return section.getboolean(name)
-    if kind is int:
-        return section.getint(name)
-    if kind is float:
-        return section.getfloat(name)
-    if kind is tuple:
-        return tuple(part.strip() for part in section.get(name).split(",") if part.strip())
-    return section.get(name)
+def read_json_object(path) -> dict:
+    """The JSON object in path; malformed JSON or another top-level type
+    raises ValueError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
-def _load_section(parser: configparser.ConfigParser, name: str, cfg, provided: set):
-    if not parser.has_section(name):
-        return cfg
-    section = parser[name]
-    known = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in [{name}]")
-        try:
-            setattr(cfg, key, _coerce(section, key, known[key]))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
-        provided.add(f"{name}.{key}")
-    return cfg
+def apply_overrides(doc: dict, pipeline, workload) -> None:
+    """Set each field of doc's "pipeline" and "workload" objects, where
+    present, on the matching config through set_field."""
+    for section, cfg in zip(SECTIONS, (pipeline, workload)):
+        overrides = doc.get(section, {})
+        if not isinstance(overrides, dict):
+            raise ValueError(f"field {section!r} is not an object")
+        for name, value in overrides.items():
+            set_field(cfg, name, value)
 
 
-def load_config(path) -> tuple:
-    """Read (PipelineConfig, WorkloadConfig, provided) from an INI file.
-
-    provided is the set of keys the file set explicitly ("section.key"), so
-    callers can apply defaults only where the file was silent.
-    """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    for section in parser.sections():
-        if section not in ("pipeline", "workload"):
-            raise ConfigError(f"unknown section [{section}]")
-    provided: set = set()
-    pipeline = _load_section(parser, "pipeline", PipelineConfig(), provided)
-    workload = _load_section(parser, "workload", WorkloadConfig(), provided)
-    pipeline.validate()
-    workload.validate()
-    return pipeline, workload, provided
+def load_config(path, pipeline, workload) -> None:
+    """Apply a config file's overrides onto pipeline and workload, then
+    validate both. Every error raises ValueError starting with the path."""
+    doc = read_json_object(path)
+    try:
+        for section in doc:
+            if section not in SECTIONS:
+                raise ValueError(f"unknown section {section!r}; sections: {', '.join(SECTIONS)}")
+        apply_overrides(doc, pipeline, workload)
+        pipeline.validate()
+        workload.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

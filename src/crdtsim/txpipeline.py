@@ -218,7 +218,8 @@ class Orderer:
         self.max_bytes = max_bytes
         self.timeout_s = timeout_s
         self.next_height = first_height
-        self._queue: list = []  # (tx, encoded size, enqueue time)
+        self._queue: list = []  # (tx, encoded size), enqueued at tx.submit_time
+        self._queued_bytes = 0
         self._seen_tx_ids: set = set()
 
     def __len__(self) -> int:
@@ -233,23 +234,24 @@ class Orderer:
         is never refused by rounding (now - oldest >= timeout can be false
         by one ulp when now was computed as oldest + timeout).
         """
-        return self._queue[0][2] + self.timeout_s if self._queue else None
+        return self._queue[0][0].submit_time + self.timeout_s if self._queue else None
 
     def submit(self, tx: Transaction) -> None:
         """Enqueue tx at its submit time."""
         if tx.tx_id in self._seen_tx_ids:
             raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
         self._seen_tx_ids.add(tx.tx_id)
-        self._queue.append((tx, transaction_encoded_size(tx), tx.submit_time))
+        size = transaction_encoded_size(tx)
+        self._queue.append((tx, size))
+        self._queued_bytes += size
 
     def cut_block(self, now: float) -> Optional[Block]:
         """Emit at most one block per call; None while no criterion is met."""
         if not self._queue:
             return None
-        queued_bytes = sum(size for _, size, _ in self._queue)
         if len(self._queue) >= self.max_tx_count:
             return self._emit(self.max_tx_count, "count")
-        if queued_bytes >= self.max_bytes:
+        if self._queued_bytes >= self.max_bytes:
             return self._emit(self._byte_prefix(), "bytes")
         if now >= self.timeout_deadline:
             return self._emit(len(self._queue), "timeout")
@@ -257,24 +259,24 @@ class Orderer:
 
     def _byte_prefix(self) -> int:
         # Longest prefix within the byte budget; a single oversized
-        # transaction still forms a (singleton) block.
+        # transaction still forms a (singleton) block. The count cut runs
+        # first, so the queue here is shorter than max_tx_count.
         total = 0
         count = 0
-        for _, size, _ in self._queue:
+        for _, size in self._queue:
             if count > 0 and total + size > self.max_bytes:
                 break
             total += size
             count += 1
-            if count == self.max_tx_count:
-                break
         return count
 
     def _emit(self, count: int, reason: str) -> Block:
         taken = self._queue[:count]
         del self._queue[:count]
+        self._queued_bytes -= sum(size for _, size in taken)
         block = Block(
             height=self.next_height,
-            transactions=tuple(tx for tx, _, _ in taken),
+            transactions=tuple(tx for tx, _ in taken),
             cut_reason=reason,
         )
         self.next_height += 1

@@ -279,6 +279,8 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
      "'sweep_values' point arrival_rate_tps=-1: arrival_rate_tps must be positive, not -1"),
     ({**VALID_EXPERIMENT, "sweep_values": []}, "'sweep_values'"),
     ({**VALID_EXPERIMENT, "pipeline": {"endorsement_k": 4}}, "k=4 of n=3"),
+    ({**VALID_EXPERIMENT, "sweep_param": "mode", "sweep_values": ["fabric"]}, "'mode'"),
+    ({**VALID_EXPERIMENT, "pipeline": {"orgs": ["org1", 2]}}, "'orgs'"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"

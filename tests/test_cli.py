@@ -97,8 +97,8 @@ def test_flag_seed_beats_env(capsys, monkeypatch):
 
 
 def test_config_seed_beats_env(capsys, monkeypatch, tmp_path):
-    cfg = tmp_path / "sim.ini"
-    cfg.write_text("[workload]\nseed = 5\n")
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"workload": {"seed": 5}}))
     monkeypatch.setenv(SEED_ENV, "99")
     _, out, _ = run_cli(capsys, "run", "--txs", "6", "--config", str(cfg))
     monkeypatch.delenv(SEED_ENV)
@@ -107,12 +107,34 @@ def test_config_seed_beats_env(capsys, monkeypatch, tmp_path):
 
 
 def test_flag_overrides_config_file(capsys, tmp_path):
-    cfg = tmp_path / "sim.ini"
-    cfg.write_text("[pipeline]\nmode = fabric\n[workload]\ntotal_txs = 10\n")
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"pipeline": {"mode": "fabric"}, "workload": {"total_txs": 10}}))
     _, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--mode", "crdt")
     summary = [l for l in out.splitlines() if l.startswith("summary,")][0]
     assert summary.split(",")[3] == "10"  # crdt mode commits all ten
     assert summary.split(",")[4] == "0"
+
+
+@pytest.mark.parametrize("content, field", [
+    (b'{"workload": {"seed": 5}', "not a UTF-8 JSON file"),
+    (b'[{"workload": {"seed": 5}}]', "top level must be a JSON object"),
+    (b'{"visualization": {}}', "unknown section 'visualization'"),
+    (b'{"pipeline": {"warp": 9}}', "'warp'"),
+    (b'{"pipeline": {"max_tx_count": "soon"}}', "'max_tx_count'"),
+    (b'{"pipeline": {"max_tx_count": true}}', "'max_tx_count'"),
+    (b'{"workload": {"crdt_writes": 1}}', "'crdt_writes'"),
+    (b'{"pipeline": {"orgs": "org1"}}', "'orgs'"),
+    (b'{"workload": {"conflict_pct": 500}}', "conflict_pct must be within [0, 100], not 500"),
+    (b'{"pipeline": {"orgs": []}}', "not k=1 of n=0 orgs"),
+], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
+        "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs"])
+def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
+    cfg = tmp_path / "sim.json"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(capsys, "run", "--txs", "4", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg}: ")
+    assert field in err
 
 
 def test_bad_env_seed_fails_cleanly(capsys, monkeypatch):
@@ -262,6 +284,17 @@ def test_bench_scale_floors_at_one_tx_per_point(capsys, tmp_path):
         success = column(path)
         failure = column(path.replace("_success_count", "_failure_count"))
         assert [s + f for s, f in zip(success, failure)] == [1] * len(success)
+
+
+@pytest.mark.parametrize("scale", ["0", "-3", "nan", "inf"])
+def test_bench_rejects_a_non_positive_or_non_finite_scale(capsys, tmp_path, scale):
+    out_dir = tmp_path / "tables"
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--experiment", "conflict_pct", "--scale", scale, "--out", str(out_dir)])
+    assert info.value.code == 2
+    assert f"argument --scale: must be a positive finite number, not '{scale}'" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bench_unknown_experiment_fails(capsys, tmp_path):

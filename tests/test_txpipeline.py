@@ -169,6 +169,17 @@ def test_orderer_cuts_on_bytes_with_longest_prefix():
     assert [tx.tx_id for tx in block.transactions] == ["t0", "t1"]
 
 
+def test_orderer_byte_cut_remainder_below_budget_waits():
+    txs = [make_tx(f"t{i}", writes=[Write("k", b"v")]) for i in range(3)]
+    budget = transaction_encoded_size(txs[0]) + transaction_encoded_size(txs[1])
+    orderer = Orderer(max_tx_count=100, max_bytes=budget, timeout_s=10.0)
+    for tx in txs:
+        orderer.submit(tx)
+    assert [tx.tx_id for tx in orderer.cut_block(0.0).transactions] == ["t0", "t1"]
+    assert orderer.cut_block(0.0) is None  # t2 alone is below the budget
+    assert len(orderer) == 1
+
+
 def test_orderer_oversized_transaction_forms_singleton_block():
     orderer = Orderer(max_tx_count=100, max_bytes=1, timeout_s=10.0)
     orderer.submit(make_tx("big", writes=[Write("k", b"v" * 100)]))
