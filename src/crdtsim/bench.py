@@ -92,7 +92,6 @@ class PointMetrics:
     total_txs: int
     success_count: int
     failure_count: int
-    endorsement_rejections: int
     successful_throughput_tps: float
     avg_success_latency_ms: float
     median_block_merge_ms: float
@@ -198,7 +197,7 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig,
     for _ in range(repetitions):
         outcome = run_single(pipeline, workload)
         rep = outcome.report
-        rep_counts = (rep.success_count, rep.failure_count, rep.endorsement_rejections)
+        rep_counts = (rep.success_count, rep.failure_count)
         if counts is None:
             counts = rep_counts
         elif counts != rep_counts:
@@ -216,7 +215,6 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig,
         total_txs=workload.total_txs,
         success_count=counts[0],
         failure_count=counts[1],
-        endorsement_rejections=counts[2],
         successful_throughput_tps=throughput,
         avg_success_latency_ms=latency,
         median_block_merge_ms=statistics.median(merge_ms) if merge_ms else 0.0,

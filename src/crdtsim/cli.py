@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
 from .config import load_config
-from .jsoncrdt import canonical_json_bytes, check_document_shape, init_empty_crdt
-from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_block_log
+from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes
+from .txpipeline import (PipelineConfig, decode_json_value, load_block_log, replay_block_log,
+                         save_block_log)
 from .workload import WorkloadConfig
 
 SEED_ENV = "CRDTSIM_SEED"
@@ -101,7 +102,11 @@ def _cmd_bench(args) -> int:
             spec.pipeline.mode = mode
             if seed is not None:
                 spec.workload.seed = seed
-            spec.workload.total_txs = max(1, round(spec.workload.total_txs * args.scale))
+            scaled = spec.workload.total_txs * args.scale
+            if not math.isfinite(scaled):
+                raise ValueError(f"--scale {args.scale!r} gives experiment {experiment!r} "
+                                 f"an infinite transaction count")
+            spec.workload.total_txs = max(1, round(scaled))
             spec.validate()
             specs.append(spec)
     written = []
@@ -120,17 +125,12 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_merge_demo(args) -> int:
-    docs = []
+    crdt = JsonCrdt("demo")  # the key changes no output
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        check_document_shape(doc)
-        docs.append(doc)
-    if not docs:
-        raise ValueError("no documents given")
-    crdt = init_empty_crdt(args.key, docs[0])
-    for doc in docs:
-        crdt.merge_json(doc)
+        try:
+            crdt.merge_json(decode_json_value(Path(path).read_bytes()))
+        except CrdtError as exc:
+            raise CrdtError(f"{path}: {exc}") from exc
     sys.stdout.write(canonical_json_bytes(crdt.to_json()).decode("utf-8") + "\n")
     return 0
 
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("merge-demo", help="merge JSON documents into one CRDT and print the result")
     demo.add_argument("files", nargs="+", help="JSON document files, merged in order")
-    demo.add_argument("--key", default="demo", help="ledger key for the CRDT")
     demo.set_defaults(func=_cmd_merge_demo)
     return parser
 

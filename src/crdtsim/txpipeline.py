@@ -1,8 +1,9 @@
 """Execute-order-validate transaction pipeline with two validation modes.
 
 Proposals are simulated against a state snapshot to produce read-write sets,
-endorsed by counting responding organizations, totally ordered and batched
-into blocks (count, byte, and timeout cuts), then validated and committed.
+endorsed by every configured organization, totally ordered and batched into
+blocks (count, byte, and timeout cuts), then validated and committed.
+Validation checks each transaction's endorsements against the policy first.
 In fabric mode every transaction passes multi-version concurrency control:
 each read's version must match the committed state overlaid with the writes
 of preceding valid transactions of the same block. In crdt mode writes
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Iterable, Optional
@@ -50,7 +52,8 @@ INVALID_MVCC = "mvcc"
 INVALID_ENDORSEMENT = "endorsement"
 INVALID_DECODE = "decode"
 INVALID_STRUCTURAL = "structural"
-REJECTED_ENDORSEMENT = "endorsement_rejected"
+# Outcomes of proposals that never form a transaction.
+PROPOSAL_FAILURE = "proposal_failure"  # the chaincode raised
 READ_ONLY = "read_only"
 
 # Verdicts of transactions that reached a block but must not commit.
@@ -59,10 +62,6 @@ INVALID_REASONS = (INVALID_MVCC, INVALID_ENDORSEMENT, INVALID_DECODE, INVALID_ST
 
 class PipelineError(Exception):
     pass
-
-
-class ProposalFailureError(PipelineError):
-    """Chaincode raised during simulation; no transaction is formed."""
 
 
 class DuplicateTransactionError(PipelineError):
@@ -180,29 +179,6 @@ class PipelineConfig:
 
 
 # ----------------------------------------------------------------------
-# execution phase
-
-
-def simulate_proposal(cc: ChaincodeSpec, args: tuple, snap) -> ReadWriteSet:
-    """Run the chaincode against a state view; never mutates state."""
-    try:
-        return cc.fn(args, snap)
-    except Exception as exc:
-        raise ProposalFailureError(f"chaincode {cc.name!r} failed: {exc}") from exc
-
-
-def endorse(rwset: ReadWriteSet, policy: EndorsementPolicy, responding_orgs: frozenset,
-            *, tx_id: str, submit_time: float) -> Optional[Transaction]:
-    """Form a transaction when enough organizations respond, else None."""
-    responding = frozenset(responding_orgs)
-    if not responding <= policy.known_orgs:
-        raise ValueError("responding orgs must be known to the policy")
-    if len(responding) < policy.required_orgs:
-        return None
-    return Transaction(tx_id=tx_id, rwset=rwset, endorsements=responding, submit_time=submit_time)
-
-
-# ----------------------------------------------------------------------
 # ordering phase
 
 
@@ -308,11 +284,6 @@ def mvcc_validate(tx: Transaction, ws: WorldState, intra_block_writes: dict,
     return True
 
 
-def validate_endorsements_block(block: Block, policy: EndorsementPolicy) -> list:
-    """Per-transaction endorsement flags; failures never reach MVCC or merging."""
-    return [len(tx.endorsements) >= policy.required_orgs for tx in block.transactions]
-
-
 def decode_json_value(value: bytes) -> JsonValue:
     """Decode write bytes into a supported JSON document or raise."""
     try:
@@ -335,54 +306,52 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     if mode not in (FABRIC, CRDT):
         raise ValueError(f"unknown mode {mode!r}")
     merging = mode == CRDT
-    endorse_ok = validate_endorsements_block(block, policy)
-    reasons: list = [None if ok else INVALID_ENDORSEMENT for ok in endorse_ok]
+    reasons: list = []
     crdts: dict = {}
+    overlay: dict = {}
 
-    # Merge CRDT-flagged writes of endorsement-valid transactions in block
-    # order. A decode or merge failure invalidates the offending transaction
-    # and skips its remaining writes; merges already performed stand (they
-    # are visible through other transactions' rewritten values).
-    for i, tx in enumerate(block.transactions):
-        if not merging or reasons[i] is not None:
-            continue
-        for write in tx.rwset.writes:
-            if not write.is_crdt:
-                continue
-            try:
-                doc = decode_json_value(write.value)
-                crdt = crdts.get(write.key)
-                if crdt is None:
-                    crdt = init_empty_crdt(write.key, doc)
-                    crdts[write.key] = crdt
-                crdt.merge_json(doc)
-            except StructuralConflictError:
-                reasons[i] = INVALID_STRUCTURAL
-                break
-            except DocumentShapeError:
-                reasons[i] = INVALID_DECODE
-                break
-
-    # MVCC on non-CRDT content. In crdt mode, transactions whose writes are
-    # all CRDT are exempt; mixed and plain transactions are checked, skipping
+    # One verdict per transaction, in block order. A transaction short of the
+    # policy is neither merged nor checked. In crdt mode its CRDT-flagged
+    # writes merge next; a decode or merge failure invalidates it and skips
+    # its remaining writes, but merges already performed stand (they are
+    # visible through other transactions' rewritten values). MVCC checks the
+    # rest: transactions whose writes are all CRDT are exempt, others skip
     # reads of keys they themselves write as CRDT values. Writes of every
     # valid transaction, CRDT or not, advance the intra-block overlay.
-    overlay: dict = {}
     for i, tx in enumerate(block.transactions):
-        if reasons[i] is not None:
-            continue
         writes = tx.rwset.writes
+        reason = None if len(tx.endorsements) >= policy.required_orgs else INVALID_ENDORSEMENT
         crdt_written = frozenset(w.key for w in writes if w.is_crdt) if merging else frozenset()
-        all_crdt = writes and len(crdt_written) == len(writes)
-        if all_crdt or mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
-            reasons[i] = VALID
+        if merging and reason is None:
             for write in writes:
-                overlay[write.key] = Version(block.height, i)
-        else:
-            reasons[i] = INVALID_MVCC
+                if not write.is_crdt:
+                    continue
+                try:
+                    doc = decode_json_value(write.value)
+                    crdt = crdts.get(write.key)
+                    if crdt is None:
+                        crdt = init_empty_crdt(write.key, doc)
+                        crdts[write.key] = crdt
+                    crdt.merge_json(doc)
+                except StructuralConflictError:
+                    reason = INVALID_STRUCTURAL
+                    break
+                except DocumentShapeError:
+                    reason = INVALID_DECODE
+                    break
+        if reason is None:
+            all_crdt = writes and len(crdt_written) == len(writes)
+            if all_crdt or mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
+                reason = VALID
+                for write in writes:
+                    overlay[write.key] = Version(block.height, i)
+            else:
+                reason = INVALID_MVCC
+        reasons.append(reason)
 
-    # Rewrite every CRDT-flagged write whose key converged to the canonical
-    # merged bytes, so same-key writes are byte-identical.
+    # Only once every merge is done, rewrite every CRDT-flagged write whose
+    # key converged to the canonical merged bytes, so same-key writes are
+    # byte-identical.
     final_txs = []
     for tx in block.transactions:
         new_writes = []
@@ -444,10 +413,6 @@ class RunReport:
         return sum(1 for t in self.txs if t.validity in INVALID_REASONS)
 
     @property
-    def endorsement_rejections(self) -> int:
-        return sum(1 for t in self.txs if t.validity == REJECTED_ENDORSEMENT)
-
-    @property
     def throughput_tps(self) -> float:
         """Successful transactions per simulated second, start to last commit."""
         commits = [t.commit_time for t in self.txs if t.validity == VALID]
@@ -497,7 +462,7 @@ class RunReport:
 
 def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincode: ChaincodeSpec,
                  *, ws: Optional[WorldState] = None, log: Optional[BlockLog] = None) -> RunReport:
-    """Drive endorse, order, validate, commit until the stream drains.
+    """Drive execute, order, validate, commit until the stream drains.
 
     Single-threaded and deterministic: proposals are processed in submit-time
     order, timeout cuts fire at their exact simulated instant, and count or
@@ -508,6 +473,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     ws = ws if ws is not None else WorldState()
     log = log if log is not None else BlockLog()
     policy = config.policy()
+    endorsers = frozenset(config.orgs)
     timeout_s = config.block_timeout_ms / 1000.0
     orderer = Orderer(config.max_tx_count, config.max_bytes, timeout_s, first_height=len(log))
     report = RunReport()
@@ -526,48 +492,34 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
             record.validity = verdict.reason
             record.block_height = vblock.height
 
-    def fire_timeouts(up_to: Optional[float]) -> None:
-        while len(orderer):
+    def fire_timeouts(up_to: float) -> None:
+        # A non-empty queue always cuts at its own deadline.
+        while len(orderer) and orderer.timeout_deadline <= up_to:
             cut_at = orderer.timeout_deadline
-            if up_to is not None and cut_at > up_to:
-                return
-            block = orderer.cut_block(cut_at)
-            if block is None:
-                return
-            settle(block, cut_at)
+            settle(orderer.cut_block(cut_at), cut_at)
 
-    batch_snap = ws.snapshot() if config.snapshot_policy == "batch" else None
-    counter = 0
-    for prop in sorted(proposals, key=lambda p: p.submit_time):
+    # Nothing commits while a chaincode runs, so under the fresh policy the
+    # live state is the snapshot.
+    snap = ws.snapshot() if config.snapshot_policy == "batch" else ws
+    for counter, prop in enumerate(sorted(proposals, key=lambda p: p.submit_time)):
         now = prop.submit_time
-        fire_timeouts(up_to=now)
-        # Nothing commits while a chaincode runs, so under the fresh policy
-        # the live state is the snapshot.
-        snap = batch_snap if batch_snap is not None else ws
+        fire_timeouts(now)
         tx_id = f"{prop.client_id}-{counter:06d}"
-        counter += 1
         record = TxRecord(tx_id, prop.client_id, now, None, "", None)
         report.txs.append(record)
         by_tx_id[tx_id] = record
         try:
-            rwset = simulate_proposal(chaincode, prop.args, snap)
-        except ProposalFailureError:
-            record.validity = "proposal_failure"
+            rwset = chaincode.fn(prop.args, snap)
+        except Exception:
+            record.validity = PROPOSAL_FAILURE
             continue
         if not rwset.writes:
             record.validity = READ_ONLY  # nothing to order
             continue
-        tx = endorse(rwset, policy, frozenset(config.orgs), tx_id=tx_id, submit_time=now)
-        if tx is None:
-            record.validity = REJECTED_ENDORSEMENT
-            continue
-        orderer.submit(tx)
-        while True:
-            block = orderer.cut_block(now)
-            if block is None:
-                break
+        orderer.submit(Transaction(tx_id, rwset, endorsers, now))
+        while (block := orderer.cut_block(now)) is not None:
             settle(block, now)
-    fire_timeouts(up_to=None)
+    fire_timeouts(math.inf)
     return report
 
 

@@ -105,7 +105,7 @@ def test_run_single_classifies_trailing_partial_block():
     outcome = run_single(PipelineConfig(mode=CRDT, max_tx_count=5),
                          small_workload(total_txs=12, conflict_pct=0.0, seed=3))
     rep = outcome.report
-    assert rep.success_count + rep.failure_count + rep.endorsement_rejections == 12
+    assert rep.success_count + rep.failure_count == 12
     assert rep.blocks[-1].cut_reason == "timeout"
 
 
@@ -133,7 +133,7 @@ def test_run_experiment_sweeps_and_accounts():
     assert failures[0] == 0
     assert failures == sorted(failures)
     for row in report.rows:
-        assert row.success_count + row.failure_count + row.endorsement_rejections == 40
+        assert row.success_count + row.failure_count == 40
 
 
 @pytest.fixture

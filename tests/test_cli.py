@@ -297,6 +297,15 @@ def test_bench_rejects_a_non_positive_or_non_finite_scale(capsys, tmp_path, scal
     assert not out_dir.exists()
 
 
+def test_bench_rejects_a_scale_that_overflows_the_transaction_count(capsys, tmp_path):
+    out_dir = tmp_path / "tables"
+    code, out, err = run_cli(capsys, "bench", "--experiment", "conflict_pct",
+                             "--scale", "1e308", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert "--scale 1e+308" in err and "'conflict_pct'" in err
+    assert not out_dir.exists()
+
+
 def test_bench_unknown_experiment_fails(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bench", "--experiment", "warp",
                            "--out", str(tmp_path))
@@ -332,10 +341,19 @@ def test_merge_demo_merges_in_order(capsys, tmp_path):
 
 
 def test_merge_demo_rejects_numeric_leaves(capsys, tmp_path):
-    bad = write_doc(tmp_path, "bad.json", {"temperature": 25})
-    code, _, err = run_cli(capsys, "merge-demo", bad)
-    assert code == 1
-    assert err.startswith("error:")
+    good = write_doc(tmp_path, "good.json", {"temperature": "15"})
+    bad = tmp_path / "bad.json"
+    for text, message in [
+        ('{"temperature": 25}', "unsupported leaf 25"),
+        ('{"temperature": "15"', "not a JSON document"),
+        ('[{"temperature": "15"}]', "top-level document must be a map or a string"),
+        ('{"temperature": ["15"]}', "is a leaf"),  # structural conflict with good.json
+    ]:
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "merge-demo", good, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: ")
+        assert message in err
 
 
 def test_cli_requires_a_subcommand(capsys):

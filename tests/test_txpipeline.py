@@ -17,6 +17,7 @@ from crdtsim.txpipeline import (
     INVALID_ENDORSEMENT,
     INVALID_MVCC,
     INVALID_STRUCTURAL,
+    PROPOSAL_FAILURE,
     READ_ONLY,
     VALID,
     Block,
@@ -26,7 +27,6 @@ from crdtsim.txpipeline import (
     Orderer,
     PipelineConfig,
     Proposal,
-    ProposalFailureError,
     Read,
     ReadWriteSet,
     Transaction,
@@ -36,17 +36,14 @@ from crdtsim.txpipeline import (
     block_from_jsonable,
     block_to_jsonable,
     decode_json_value,
-    endorse,
     load_block_log,
     mvcc_validate,
     replay_block_log,
     run_pipeline,
     save_block_log,
-    simulate_proposal,
     transaction_encoded_size,
     transaction_from_jsonable,
     transaction_to_jsonable,
-    validate_endorsements_block,
     validate_merge_block,
 )
 from crdtsim.workload import WorkloadConfig
@@ -86,46 +83,11 @@ def test_rwset_rejects_duplicate_write_keys():
         ReadWriteSet(writes=(Write("k", b"a"), Write("k", b"b")))
 
 
-def test_endorse_forms_transaction_at_threshold():
-    rwset = ReadWriteSet(writes=(Write("k", b"v"),))
-    tx = endorse(rwset, EndorsementPolicy(2, ORGS), frozenset({"org1", "org3"}),
-                 tx_id="t", submit_time=1.5)
-    assert tx is not None
-    assert tx.endorsements == {"org1", "org3"}
-    assert tx.submit_time == 1.5
-
-
-def test_endorse_returns_none_below_threshold():
-    rwset = ReadWriteSet(writes=(Write("k", b"v"),))
-    assert endorse(rwset, EndorsementPolicy(2, ORGS), frozenset({"org2"}),
-                   tx_id="t", submit_time=0.0) is None
-
-
-def test_endorse_rejects_unknown_org():
-    rwset = ReadWriteSet(writes=(Write("k", b"v"),))
-    with pytest.raises(ValueError):
-        endorse(rwset, POLICY, frozenset({"intruder"}), tx_id="t", submit_time=0.0)
-
-
 def test_policy_bounds():
     with pytest.raises(ValueError):
         EndorsementPolicy(0, ORGS)
     with pytest.raises(ValueError):
         EndorsementPolicy(4, ORGS)
-
-
-def test_validate_endorsements_block_counts_per_tx():
-    block = Block(0, (make_tx("a", writes=[Write("k", b"v")], orgs=("org1", "org2")),
-                      make_tx("b", writes=[Write("k", b"v")], orgs=("org3",))), "count")
-    assert validate_endorsements_block(block, EndorsementPolicy(2, ORGS)) == [True, False]
-
-
-def test_simulate_proposal_wraps_chaincode_errors():
-    def boom(args, snap):
-        raise RuntimeError("nope")
-
-    with pytest.raises(ProposalFailureError):
-        simulate_proposal(ChaincodeSpec("cc", boom), (), WorldState().snapshot())
 
 
 def test_pipeline_config_validation():
@@ -361,6 +323,14 @@ def test_fabric_endorsement_failure_blocks_mvcc():
     assert vblock.validity[0].reason == INVALID_ENDORSEMENT
 
 
+@pytest.mark.parametrize("mode", [FABRIC, CRDT])
+def test_policy_counts_each_transactions_endorsements(mode):
+    block = Block(0, (make_tx("a", writes=[Write("k", b"v")], orgs=("org1", "org2")),
+                      make_tx("b", writes=[Write("k", b"v")], orgs=("org3",))), "count")
+    vblock = validate_merge_block(block, WorldState(), mode, EndorsementPolicy(2, ORGS))
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT]
+
+
 def test_fabric_disjoint_writers_all_commit():
     ws = WorldState()
     block = Block(0, tuple(
@@ -430,6 +400,22 @@ def test_crdt_decode_failure_invalidates_only_the_offender():
     vblock = validate_merge_block(block, ws, CRDT, POLICY)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_DECODE, VALID]
     assert json.loads(vblock.transactions[0].rwset.writes[0].value) == MERGED_DOC
+
+
+def test_crdt_decode_failure_precedes_mvcc_and_leaves_the_overlay():
+    # t1's read of s is stale, but its undecodable CRDT write decides its
+    # verdict first; its plain write of k must not reach the intra-block
+    # overlay, so t2's read of k at the committed version stands.
+    ws = WorldState()
+    ws._put("k", b"v", Version(0, 0))
+    ws._put("s", b"v", Version(0, 1))
+    block = Block(1, (
+        make_tx("t1", reads=[Read("s", None)],
+                writes=[Write("Device1", b"not json", True), Write("k", b"x")]),
+        make_tx("t2", reads=[Read("k", Version(0, 0))], writes=[Write("m", b"y")]),
+    ), "count")
+    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    assert [v.reason for v in vblock.validity] == [INVALID_DECODE, VALID]
 
 
 def test_crdt_structural_conflict_invalidates_the_later_writer():
@@ -629,7 +615,7 @@ def test_run_pipeline_records_proposal_failures():
         raise KeyError("missing")
     config = PipelineConfig(mode=CRDT, max_tx_count=1)
     report = run_pipeline(config, [Proposal("client1", 0.0, ())], ChaincodeSpec("cc", fn))
-    assert report.txs[0].validity == "proposal_failure"
+    assert report.txs[0].validity == PROPOSAL_FAILURE == "proposal_failure"
     assert report.failure_count == 0  # never reached a block
 
 
