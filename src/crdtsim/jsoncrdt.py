@@ -1,36 +1,19 @@
-"""Single-writer JSON CRDT with insert-only mutations.
+"""Single-writer JSON CRDT whose state is the merged document itself.
 
-Documents are plain JSON values restricted to text leaves: a document is a
-string, a list of documents, or a map from non-empty text keys to documents.
-Merging a document generates one insert per text leaf. Each insert carries a
-Lamport-clock id and a cursor, the path from the root of the internal tree
-to the leaf receiving the value, and is applied as soon as it is generated.
-The validator merges a block's writes in block order inside one replica, so
-ids only grow: a leaf keeps its latest value, and a list keeps its elements
-in insertion order, which is id order. Merging the same documents in the
-same order into two instances yields byte-identical canonical output, which
-is what the block validator relies on.
+Documents are text leaves, lists of documents, and maps from non-empty text
+keys to documents. The block validator merges a key's writes in block order
+inside one replica, so no per-insert ids or cursors are kept (they make
+concurrent replicas' operations commute, arXiv:1608.03960). A merge is an
+in-place union: maps merge per key, lists append, a text leaf keeps its latest
+value, and containers holding no text leaf are dropped. A merge that meets a
+key holding another kind of value raises and changes nothing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Union
 
-JsonValue = Union[str, list, dict]
-
-# Node and cursor-element kinds.
-MAP = "map"
-LIST = "list"
-LEAF = "leaf"
-
-# Zero-padded width for canonical insert-id text, so that lexicographic order
-# equals numeric order; 12 digits cover any realistic run.
-ID_PAD = 12
-
-# Root child key reserved for bare-string documents.
-BARE_KEY = ""
+JsonValue = str | list | dict
 
 
 class CrdtError(Exception):
@@ -42,11 +25,7 @@ class DocumentShapeError(CrdtError, TypeError):
 
 
 class StructuralConflictError(CrdtError):
-    """A cursor addresses an existing node of an incompatible kind."""
-
-
-def canonical_id(counter: int) -> str:
-    return f"{counter:0{ID_PAD}d}"
+    """A merge meets a key that holds another kind of value."""
 
 
 def canonical_json_bytes(value: JsonValue) -> bytes:
@@ -55,43 +34,62 @@ def canonical_json_bytes(value: JsonValue) -> bytes:
 
 
 def check_document_shape(value: JsonValue) -> None:
-    """Raise DocumentShapeError unless value is text / list / map with text keys.
-
-    Numbers, booleans and nulls are rejected: leaves must be encoded as text
-    before entering the CRDT. Map keys must be non-empty text.
-    """
+    """Raise DocumentShapeError unless value is text / list / map with
+    non-empty text keys; numbers, booleans and nulls must be encoded as text."""
     if isinstance(value, str):
         return
     if isinstance(value, list):
         for item in value:
             check_document_shape(item)
-        return
-    if isinstance(value, dict):
+    elif isinstance(value, dict):
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise DocumentShapeError(f"map key {key!r} is not text")
-            if key == "":
-                raise DocumentShapeError("map keys must be non-empty")
+            if not (isinstance(key, str) and key):
+                raise DocumentShapeError("map keys must be non-empty" if key == ""
+                                         else f"map key {key!r} is not text")
             check_document_shape(item)
-        return
-    raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
+    else:
+        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
 
 
-@dataclass(frozen=True)
-class CursorElement:
-    kind: str
-    key: str
+def _pruned_copy(value: JsonValue) -> tuple:
+    """Copy of a well-shaped value without containers that hold no text leaf,
+    and its number of text leaves."""
+    if isinstance(value, str):
+        return value, 1
+    if isinstance(value, list):
+        pairs = [_pruned_copy(item) for item in value]
+        return [copy for copy, count in pairs if count], sum(count for _, count in pairs)
+    pairs = {key: _pruned_copy(item) for key, item in value.items()}
+    return ({key: copy for key, (copy, count) in pairs.items() if count},
+            sum(count for _, count in pairs.values()))
 
 
-Cursor = tuple  # tuple[CursorElement, ...]
+def _kind(value: JsonValue) -> str:
+    return "leaf" if isinstance(value, str) else "list" if isinstance(value, list) else "map"
 
 
-@dataclass
-class CrdtNode:
-    kind: str
-    # map key or list-element id -> CrdtNode; empty on leaf nodes
-    children: dict = field(default_factory=dict)
-    value: str = ""  # leaf text; each insert overwrites it, so the latest wins
+def _check_union(held: dict, doc: dict) -> None:
+    """Raise StructuralConflictError at the first key where doc and held differ in kind."""
+    for key, value in doc.items():
+        old = held.get(key)
+        if old is not None and _kind(old) != _kind(value):
+            raise StructuralConflictError(f"node {key!r} is a {_kind(old)}, "
+                                          f"insert expects a {_kind(value)}")
+        if isinstance(old, dict):
+            _check_union(old, value)
+
+
+def _union(held: dict, doc: dict) -> dict:
+    """Union a checked, pruned copy into held in place, and return held."""
+    for key, value in doc.items():
+        old = held.get(key)
+        if isinstance(old, dict):
+            _union(old, value)
+        elif isinstance(old, list):
+            old.extend(value)
+        else:
+            held[key] = value
+    return held
 
 
 class JsonCrdt:
@@ -101,83 +99,42 @@ class JsonCrdt:
         if not key:
             raise ValueError("CRDT key must be non-empty")
         self.key = key
-        self.clock = 0  # Lamport counter: id of the latest generated insert
-        self.root = CrdtNode(kind=MAP)
-        self.applied: set = set()
+        self.clock = 0  # text leaves merged so far
+        self.document: JsonValue = {}
 
-    def merge_json(self, doc: JsonValue) -> None:
-        """Merge a plain document: one insert per text leaf, each applied as
-        it is generated.
+    @property
+    def applied(self) -> range:
+        """1..clock, one per merged leaf; only perfbench reads it until ROADMAP item 1."""
+        return range(1, self.clock + 1)
 
-        The document must be a map or a bare string.
-        """
+    def check(self, doc: JsonValue) -> tuple:
+        """Raise what merging doc would raise, changing nothing; return the
+        pruned copy of doc and its number of text leaves."""
         check_document_shape(doc)
         if isinstance(doc, str):
-            if any(k != BARE_KEY for k in self.root.children):
+            if isinstance(self.document, dict) and self.document:
                 raise StructuralConflictError("bare string merged into a map document")
-            self._insert((CursorElement(LEAF, BARE_KEY),), doc)
-            return
+            return doc, 1
         if not isinstance(doc, dict):
             raise DocumentShapeError("top-level document must be a map or a string")
-        if BARE_KEY in self.root.children:
+        if isinstance(self.document, str):
             raise StructuralConflictError("map document merged into a bare string")
-        for key, value in doc.items():
-            self._add_value(key, value, ())
+        copy, leaves = _pruned_copy(doc)
+        _check_union(self.document, copy)
+        return copy, leaves
 
-    def _add_value(self, key: str, value: JsonValue, cursor: Cursor) -> None:
-        if isinstance(value, str):
-            self._insert(cursor + (CursorElement(LEAF, key),), value)
-        elif isinstance(value, list):
-            list_cursor = cursor + (CursorElement(LIST, key),)
-            for element in value:
-                # Each element is a child keyed by the id of the first insert
-                # generated inside it: ids order the elements, and elements
-                # from distinct merges never collapse into one another.
-                self._add_value(canonical_id(self.clock + 1), element, list_cursor)
-        else:
-            map_cursor = cursor + (CursorElement(MAP, key),)
-            for entry_key, entry_value in value.items():
-                self._add_value(entry_key, entry_value, map_cursor)
-
-    def _insert(self, cursor: Cursor, value: str) -> None:
-        """Tick the clock and write value at the leaf the cursor ends in,
-        creating missing nodes on the way.
-
-        The only conflict, an existing child of the wrong kind, can only come
-        before the walk's first creation, so an insert that raises changes
-        nothing but the clock.
-        """
-        self.clock += 1
-        node = self.root
-        for step in cursor:
-            child = node.children.get(step.key)
-            if child is None:
-                child = node.children[step.key] = CrdtNode(kind=step.kind)
-            elif child.kind != step.kind:
-                raise StructuralConflictError(
-                    f"node {step.key!r} is a {child.kind}, insert expects a {step.kind}"
-                )
-            node = child
-        node.value = value
-        self.applied.add(self.clock)
+    def merge_json(self, doc: JsonValue) -> None:
+        """Union doc, a map or a bare string, into the document, or raise and change nothing."""
+        copy, leaves = self.check(doc)
+        self.document = copy if isinstance(copy, str) else _union(self.document, copy)
+        self.clock += leaves
 
     def to_json(self) -> JsonValue:
-        """Strip metadata and return the plain document."""
-        # A bare-string document is the leaf under BARE_KEY, alone in the root.
-        return render_node(self.root.children.get(BARE_KEY, self.root))
-
-
-def render_node(node: CrdtNode) -> JsonValue:
-    if node.kind == LEAF:
-        return node.value
-    if node.kind == MAP:
-        return {key: render_node(child) for key, child in node.children.items()}
-    # Ids only grow, so insertion order is id order.
-    return [render_node(child) for child in node.children.values()]
+        """The merged document itself; the CRDT owns it, so callers only read it."""
+        return self.document
 
 
 def init_empty_crdt(key: str, sample: JsonValue) -> JsonCrdt:
     """Fresh CRDT for a ledger key; sample only validates the JSON shape."""
     check_document_shape(sample)
     return JsonCrdt(key)
-

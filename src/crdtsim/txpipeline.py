@@ -8,9 +8,10 @@ In fabric mode every transaction passes multi-version concurrency control:
 each read's version must match the committed state overlaid with the writes
 of preceding valid transactions of the same block. In crdt mode writes
 flagged as CRDT values are merged per key into a fresh JSON CRDT in block
-order, MVCC applies only to non-CRDT content, and every CRDT write is
-rewritten to the converged canonical bytes before commit, so all writes of
-one key in a block carry identical values.
+order (a transaction's CRDT writes merge together, or none of them does),
+MVCC applies only to non-CRDT content, and every CRDT write is rewritten to
+the converged canonical bytes before commit, so all writes of one key in a
+block carry identical values.
 
 Time is simulated: submit times come from the workload, block timeouts and
 latency accounting run on the same clock. The only wall-clock measurement in
@@ -312,37 +313,42 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
 
     # One verdict per transaction, in block order. A transaction short of the
     # policy is neither merged nor checked. In crdt mode its CRDT-flagged
-    # writes merge next; a decode or merge failure invalidates it and skips
-    # its remaining writes, but merges already performed stand (they are
-    # visible through other transactions' rewritten values). MVCC checks the
-    # rest: transactions whose writes are all CRDT are exempt, others skip
-    # reads of keys they themselves write as CRDT values. Writes of every
-    # valid transaction, CRDT or not, advance the intra-block overlay.
+    # writes are decoded and checked against their keys' merged documents
+    # next, in write order; the first decode or merge failure invalidates it.
+    # MVCC checks the rest: transactions whose writes are all CRDT are
+    # exempt, others skip reads of keys they themselves write as CRDT values.
+    # Only a valid transaction merges its CRDT writes, so no payload of an
+    # invalid one reaches a merged document, and its writes, CRDT or not,
+    # advance the intra-block overlay.
     for i, tx in enumerate(block.transactions):
         writes = tx.rwset.writes
         reason = None if len(tx.endorsements) >= policy.required_orgs else INVALID_ENDORSEMENT
         crdt_written = frozenset(w.key for w in writes if w.is_crdt) if merging else frozenset()
+        docs = []
         if merging and reason is None:
             for write in writes:
                 if not write.is_crdt:
                     continue
                 try:
                     doc = decode_json_value(write.value)
-                    crdt = crdts.get(write.key)
-                    if crdt is None:
-                        crdt = init_empty_crdt(write.key, doc)
-                        crdts[write.key] = crdt
-                    crdt.merge_json(doc)
+                    if write.key in crdts:
+                        crdts[write.key].check(doc)
                 except StructuralConflictError:
                     reason = INVALID_STRUCTURAL
                     break
                 except DocumentShapeError:
                     reason = INVALID_DECODE
                     break
+                docs.append((write.key, doc))
         if reason is None:
             all_crdt = writes and len(crdt_written) == len(writes)
             if all_crdt or mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
                 reason = VALID
+                # Write keys are distinct, so no merge can fail after the checks.
+                for key, doc in docs:
+                    if key not in crdts:
+                        crdts[key] = init_empty_crdt(key, doc)
+                    crdts[key].merge_json(doc)
                 for write in writes:
                     overlay[write.key] = Version(block.height, i)
             else:
@@ -570,12 +576,19 @@ def block_to_jsonable(block: ValidatedBlock) -> dict:
 
 
 def block_from_jsonable(doc: dict) -> ValidatedBlock:
-    return ValidatedBlock(
-        height=doc["height"],
-        transactions=tuple(transaction_from_jsonable(t) for t in doc["transactions"]),
-        cut_reason=doc["cut_reason"],
-        validity=tuple(TxVerdict(bool(v), reason) for v, reason in doc["validity"]),
-    )
+    """Block from its log record; raise ValueError unless it holds one verdict
+    per transaction, each a known reason with the flag that reason implies."""
+    transactions = tuple(transaction_from_jsonable(t) for t in doc["transactions"])
+    validity = []
+    for valid, reason in doc["validity"]:
+        if reason != VALID and reason not in INVALID_REASONS:
+            raise ValueError(f"unknown verdict reason {reason!r}")
+        if valid is not (reason == VALID):
+            raise ValueError(f"verdict flag {valid!r} contradicts reason {reason!r}")
+        validity.append(TxVerdict(valid, reason))
+    if len(validity) != len(transactions):
+        raise ValueError(f"{len(validity)} verdicts for {len(transactions)} transactions")
+    return ValidatedBlock(doc["height"], transactions, doc["cut_reason"], tuple(validity))
 
 
 def save_block_log(log: BlockLog, path) -> None:

@@ -3,12 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdtsim.jsoncrdt import (
-    LEAF,
-    LIST,
-    MAP,
+    CrdtError,
     DocumentShapeError,
     StructuralConflictError,
-    canonical_id,
     canonical_json_bytes,
     check_document_shape,
     init_empty_crdt,
@@ -27,8 +24,7 @@ def test_init_empty_crdt_starts_blank():
     crdt = init_empty_crdt("Device1", TX1)
     assert crdt.key == "Device1"
     assert crdt.clock == 0
-    assert crdt.applied == set()
-    assert (crdt.root.kind, crdt.root.children) == (MAP, {})
+    assert len(crdt.applied) == 0
     assert crdt.to_json() == {}
 
 
@@ -56,7 +52,7 @@ def test_tick_clock_increments_by_one():
     for expected in (1, 2, 3):
         crdt.merge_json({f"a{expected}": "v"})
         assert crdt.clock == expected
-        assert max(crdt.applied) == expected  # the new insert carries the clock value
+        assert list(crdt.applied) == list(range(1, expected + 1))  # one number per leaf
 
 
 def test_clock_counts_one_tick_per_generated_insert():
@@ -65,17 +61,6 @@ def test_clock_counts_one_tick_per_generated_insert():
     crdt.merge_json(TX2)
     crdt.merge_json({"a": "1", "b": {"c": "2"}, "d": ["x", "y"]})
     assert crdt.clock == len(crdt.applied) == 6
-
-
-def test_canonical_id_orders_lexicographically():
-    ids = [canonical_id(n) for n in (1, 9, 10, 99, 100, 12345)]
-    assert ids == sorted(ids)
-
-
-def test_list_container_elements_are_keyed_by_the_next_clock_id():
-    crdt = init_empty_crdt("k", "s")
-    crdt.merge_json({"a": "1", "l": [{"t": "2"}, ["3"]]})
-    assert list(crdt.root.children["l"].children) == [canonical_id(2), canonical_id(3)]
 
 
 # ----------------------------------------------------------------------
@@ -87,8 +72,6 @@ def test_merge_single_string_entry_produces_one_op_at_its_key():
     crdt.merge_json({"deviceID": "e23df70a"})
     assert crdt.clock == 1
     assert crdt.to_json() == {"deviceID": "e23df70a"}
-    node = crdt.root.children["deviceID"]
-    assert (node.kind, node.value, node.children) == (LEAF, "e23df70a", {})
 
 
 def test_merge_listing_pair_converges_to_both_readings():
@@ -154,21 +137,28 @@ def test_same_map_key_string_resolves_last_writer_wins():
     crdt.merge_json({"deviceID": "first", "room": {"t": "1"}})
     crdt.merge_json({"deviceID": "second", "room": {"t": "2"}})
     assert crdt.to_json() == {"deviceID": "second", "room": {"t": "2"}}
-    assert crdt.root.children["deviceID"].value == "second"  # one value per leaf
 
 
-def test_merge_conflict_part_way_keeps_earlier_inserts():
+def test_merge_conflict_part_way_changes_nothing():
     crdt = init_empty_crdt("k", "s")
-    crdt.merge_json({"a": "v"})
+    crdt.merge_json({"a": "v", "l": ["1"]})
     with pytest.raises(StructuralConflictError):
-        crdt.merge_json({"b": "w", "a": {"c": "x"}, "d": "y"})
-    # "b" landed before the conflict; the conflicting insert made no node and
-    # ticked the clock without joining applied; "d" was never generated.
-    assert crdt.clock == 3
-    assert crdt.applied == {1, 2}
-    assert list(crdt.root.children) == ["a", "b"]
-    assert crdt.root.children["a"].children == {}
-    assert crdt.to_json() == {"a": "v", "b": "w"}
+        crdt.merge_json({"b": "w", "l": ["2"], "a": {"c": "x"}, "d": "y"})
+    # "b" and "l" precede the conflict in the document, yet neither lands
+    assert crdt.clock == 2
+    assert crdt.to_json() == {"a": "v", "l": ["1"]}
+
+
+def test_containers_without_text_leaves_are_dropped():
+    crdt = init_empty_crdt("k", "s")
+    crdt.merge_json({"a": "v", "e": [], "m": {"n": [{}]}, "l": [[], "1", {}]})
+    assert crdt.to_json() == {"a": "v", "l": ["1"]}
+    crdt.merge_json({"a": {}, "l": {"x": []}})  # dropped before any kind is compared
+    assert crdt.to_json() == {"a": "v", "l": ["1"]}
+    empty = init_empty_crdt("k", "s")
+    empty.merge_json({"m": {}})
+    empty.merge_json("bare")  # nothing was kept, so a bare string still fits
+    assert empty.to_json() == "bare"
 
 
 def test_insert_cannot_target_a_map_node():
@@ -186,6 +176,14 @@ def test_leaf_reused_as_container_is_a_structural_conflict():
         crdt.merge_json({"a": ["x"]})
     with pytest.raises(StructuralConflictError):
         crdt.merge_json({"a": {"b": "x"}})
+
+
+def test_conflict_below_matching_maps_names_its_key():
+    crdt = init_empty_crdt("k", TX1)
+    crdt.merge_json({"m": {"n": {"o": "1"}}})
+    with pytest.raises(StructuralConflictError, match="node 'o' is a leaf, insert expects a list"):
+        crdt.merge_json({"m": {"n": {"o": ["2"]}}})
+    assert crdt.to_json() == {"m": {"n": {"o": "1"}}}
 
 
 def test_list_reused_as_leaf_is_a_structural_conflict():
@@ -218,22 +216,6 @@ def test_multi_key_map_elements_stay_joined():
     assert crdt.to_json() == {"k": [{"a": "1", "b": "2"}, {"a": "3"}]}
 
 
-def test_nodes_created_along_the_cursor():
-    crdt = init_empty_crdt("Device1", TX1)
-    crdt.merge_json(TX1)
-    crdt.merge_json(TX2)
-    assert list(crdt.root.children) == ["tempReadings"]
-    list_node = crdt.root.children["tempReadings"]
-    assert list_node.kind == LIST
-    # one map subtree per merged element, keyed by its first insert's id
-    assert list(list_node.children) == [canonical_id(1), canonical_id(2)]
-    for value, node in zip(("15", "20"), list_node.children.values()):
-        assert (node.kind, list(node.children)) == (MAP, ["temperature"])
-        leaf = node.children["temperature"]
-        assert (leaf.kind, leaf.value, leaf.children) == (LEAF, value, {})
-    assert crdt.to_json() == MERGED
-
-
 # ----------------------------------------------------------------------
 # to_json
 
@@ -242,15 +224,14 @@ def test_to_json_empty_crdt_is_empty_map():
     assert init_empty_crdt("k", "s").to_json() == {}
 
 
-def test_list_elements_emit_in_ascending_op_id_order():
+def test_list_elements_keep_merge_order():
     doc = {"l": ["a", {"b": "c"}, "d", ["e"]]}
     crdt = init_empty_crdt("k", doc)
     crdt.merge_json(doc)
+    crdt.merge_json({"l": [["f"], "g"]})
     crdt.merge_json(doc)
-    # string and container elements alike are leaf or subtree children keyed
-    # by their first insert's id, in merge order
-    assert list(crdt.root.children["l"].children) == [canonical_id(n) for n in range(1, 9)]
-    assert crdt.to_json() == {"l": ["a", {"b": "c"}, "d", ["e"]] * 2}
+    assert crdt.to_json() == {"l": ["a", {"b": "c"}, "d", ["e"], ["f"], "g",
+                                    "a", {"b": "c"}, "d", ["e"]]}
 
 
 def test_canonical_json_bytes_sorts_map_keys():
@@ -358,15 +339,48 @@ def test_property_merge_order_keeps_list_contents_as_multisets(d1, d2):
     assert _list_multisets(first.to_json()) == _list_multisets(second.to_json())
 
 
-def _union(a, b):
-    if isinstance(a, dict) and isinstance(b, dict):
-        out = dict(a)
-        for key, value in b.items():
-            out[key] = _union(out[key], value) if key in out else value
-        return out
-    if isinstance(a, list) and isinstance(b, list):
-        return a + b
-    return b
+# A reference merge, independent of the engine: prune, then union.
+
+
+def _reference_shape_ok(value):
+    if isinstance(value, list):
+        return all(map(_reference_shape_ok, value))
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and k and _reference_shape_ok(v) for k, v in value.items())
+    return isinstance(value, str)
+
+
+def _reference_prune(value):
+    # value without containers that hold no text leaf; None if nothing is left
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        kept = [p for p in map(_reference_prune, value) if p is not None]
+    else:
+        kept = {k: p for k, v in value.items() if (p := _reference_prune(v)) is not None}
+    return kept or None
+
+
+def _reference_union(held, doc):
+    if isinstance(held, dict) and isinstance(doc, dict):
+        return {**held, **{k: _reference_union(held[k], v) if k in held else v
+                           for k, v in doc.items()}}
+    if type(held) is not type(doc):
+        raise StructuralConflictError
+    return held + doc if isinstance(doc, list) else doc
+
+
+def reference_merge(held, doc):
+    """held with doc merged into it, or raise the error that merge must raise."""
+    if not (_reference_shape_ok(doc) and isinstance(doc, (str, dict))):
+        raise DocumentShapeError
+    if isinstance(doc, str) and held and isinstance(held, dict):
+        raise StructuralConflictError
+    if isinstance(doc, str):
+        return doc
+    if isinstance(held, str):
+        raise StructuralConflictError
+    return _reference_union(held, _reference_prune(doc) or {})
 
 
 @given(st.lists(DOCS, min_size=2, max_size=3))
@@ -379,5 +393,40 @@ def test_property_merge_matches_sequential_union(docs):
     except StructuralConflictError:
         return
     for doc in docs[1:]:
-        expected = _union(expected, doc)
+        expected = _reference_union(expected, doc)
     assert crdt.to_json() == expected
+
+
+# Unlike DOCS: empty containers, bare strings, few keys (so kinds clash) and
+# shape errors (top-level lists, null leaves, empty keys).
+FEW_KEYS = st.sampled_from("ab")
+NESTED = st.recursive(
+    st.sampled_from(["", "x", "y"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(FEW_KEYS, children, max_size=3),
+    max_leaves=6,
+)
+ANY_DOCS = st.one_of(
+    st.dictionaries(FEW_KEYS, NESTED, max_size=3),
+    st.sampled_from(["", "s"]),
+    st.lists(NESTED, max_size=2),
+    st.dictionaries(st.sampled_from(["a", ""]), st.none() | NESTED, min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(ANY_DOCS, max_size=6))
+def test_property_merge_matches_the_reference_or_raises_and_changes_nothing(docs):
+    crdt = init_empty_crdt("k", "s")
+    expected = {}
+    for doc in docs:
+        try:
+            expected = reference_merge(expected, doc)
+        except CrdtError as exc:
+            before = canonical_json_bytes(crdt.to_json()), crdt.clock
+            with pytest.raises(CrdtError) as info:
+                crdt.merge_json(doc)
+            assert info.type is type(exc)
+            assert (canonical_json_bytes(crdt.to_json()), crdt.clock) == before
+        else:
+            crdt.merge_json(doc)
+        assert canonical_json_bytes(crdt.to_json()) == canonical_json_bytes(expected)

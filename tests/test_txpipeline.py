@@ -429,6 +429,53 @@ def test_crdt_structural_conflict_invalidates_the_later_writer():
     assert json.loads(vblock.transactions[0].rwset.writes[0].value) == {"a": "1"}
 
 
+def validate_and_commit(*txs) -> tuple:
+    ws = WorldState()
+    vblock = validate_merge_block(Block(0, txs, "count"), ws, CRDT, POLICY)
+    commit_block(ws, BlockLog(), vblock)
+    return [v.reason for v in vblock.validity], ws
+
+
+def committed_doc(ws, key):
+    return json.loads(ws.get_state(key)[0])
+
+
+def test_crdt_conflict_part_way_through_a_document_commits_none_of_it():
+    verdicts, ws = validate_and_commit(
+        make_tx("t0", writes=[Write("A", jbytes({"a": "v"}), True)]),
+        # "b" precedes the conflicting "a" in the payload (jbytes would sort it last)
+        make_tx("t1", writes=[Write("A", b'{"b":"w","a":{"c":"x"}}', True)]),
+    )
+    assert verdicts == [VALID, INVALID_STRUCTURAL]
+    assert committed_doc(ws, "A") == {"a": "v"}
+
+
+@pytest.mark.parametrize("bad_b, reason", [
+    (jbytes({"z": {"q": "r"}}), INVALID_STRUCTURAL),
+    (b'{"z": 1}', INVALID_DECODE),
+], ids=["conflict", "undecodable"])
+def test_crdt_failure_on_a_later_key_commits_none_of_the_transaction(bad_b, reason):
+    verdicts, ws = validate_and_commit(
+        make_tx("t0", writes=[Write("A", jbytes({"x": "1"}), True),
+                              Write("B", jbytes({"z": "s"}), True)]),
+        make_tx("t1", writes=[Write("A", jbytes({"y": "2"}), True), Write("B", bad_b, True)]),
+    )
+    assert verdicts == [VALID, reason]
+    assert committed_doc(ws, "A") == {"x": "1"}
+    assert committed_doc(ws, "B") == {"z": "s"}
+
+
+def test_crdt_transaction_failing_mvcc_merges_none_of_its_payload():
+    verdicts, ws = validate_and_commit(
+        make_tx("t0", writes=[Write("A", jbytes({"x": "1"}), True), Write("p", b"v")]),
+        # t0's write of p makes t1's read of p stale
+        make_tx("t1", reads=[Read("p", None)],
+                writes=[Write("A", jbytes({"y": "2"}), True), Write("q", b"w")]),
+    )
+    assert verdicts == [VALID, INVALID_MVCC]
+    assert committed_doc(ws, "A") == {"x": "1"}
+
+
 def test_crdt_all_crdt_write_transactions_skip_mvcc():
     ws = WorldState()
     ws._put("Device1", jbytes({"deviceID": "d"}), Version(0, 0))
@@ -453,7 +500,7 @@ def test_crdt_mixed_transaction_still_checks_plain_reads():
     block = Block(1, (mixed_stale,), "count")
     vblock = validate_merge_block(block, ws, CRDT, POLICY)
     assert vblock.validity[0].reason == INVALID_MVCC
-    # its merge result still rewrites the payload it contributed
+    # an invalid transaction merges nothing, so its payload stays as submitted
     assert vblock.transactions[0].rwset.writes[0].value == jbytes(TX1_DOC)
 
 
@@ -716,10 +763,19 @@ def test_save_load_replay_reproduces_state(tmp_path):
     (lambda record: record.replace(b'"height"', b'"heigth"'), "KeyError: 'height'"),
     (lambda record: record.replace(b'"validity":[[true', b'"validity":[[true,1'),
      "ValueError: too many values to unpack"),
-], ids=["not-json", "no-height", "bad-verdict"])
+    # verdicts that disagree with the transactions would replay a wrong digest
+    (lambda record: record.replace(b',[false,"mvcc"]]', b']'),
+     "ValueError: 1 verdicts for 2 transactions"),
+    (lambda record: record.replace(b'[false,"mvcc"]', b'[true,"mvcc"]'),
+     "ValueError: verdict flag True contradicts reason 'mvcc'"),
+    (lambda record: record.replace(b'"mvcc"', b'"stale"'),
+     "ValueError: unknown verdict reason 'stale'"),
+], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
+        "verdict-unknown-reason"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
-    block = ValidatedBlock(0, (make_tx("t1", writes=[Write("k", b"v")]),), "count",
-                           (TxVerdict(True, VALID),))
+    block = ValidatedBlock(0, (make_tx("t1", writes=[Write("k", b"v")]),
+                               make_tx("t2", writes=[Write("k", b"w")])), "count",
+                           (TxVerdict(True, VALID), TxVerdict(False, INVALID_MVCC)))
     record = canonical_json_bytes(block_to_jsonable(block))
     path = tmp_path / "blocks.log"
     write_record_file(path, [record, damage(record)])
