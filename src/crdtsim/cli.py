@@ -17,9 +17,8 @@ from pathlib import Path
 
 from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
 from .config import load_config
-from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes
-from .txpipeline import (PipelineConfig, decode_json_value, load_block_log, replay_block_log,
-                         save_block_log)
+from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes, decode_json_value
+from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_block_log
 from .workload import WorkloadConfig
 
 SEED_ENV = "CRDTSIM_SEED"

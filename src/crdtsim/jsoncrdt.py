@@ -51,6 +51,23 @@ def check_document_shape(value: JsonValue) -> None:
         raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
 
 
+def check_document(doc: JsonValue) -> None:
+    """Raise DocumentShapeError unless doc is a well-shaped map or bare string."""
+    check_document_shape(doc)
+    if not isinstance(doc, (dict, str)):
+        raise DocumentShapeError("top-level document must be a map or a string")
+
+
+def decode_json_value(value: bytes) -> JsonValue:
+    """Decode write bytes into a supported JSON document or raise."""
+    try:
+        doc = json.loads(value.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DocumentShapeError(f"not a JSON document: {exc}") from exc
+    check_document(doc)
+    return doc
+
+
 def _pruned_copy(value: JsonValue) -> tuple:
     """Copy of a well-shaped value without containers that hold no text leaf,
     and its number of text leaves."""
@@ -110,13 +127,11 @@ class JsonCrdt:
     def check(self, doc: JsonValue) -> tuple:
         """Raise what merging doc would raise, changing nothing; return the
         pruned copy of doc and its number of text leaves."""
-        check_document_shape(doc)
+        check_document(doc)
         if isinstance(doc, str):
             if isinstance(self.document, dict) and self.document:
                 raise StructuralConflictError("bare string merged into a map document")
             return doc, 1
-        if not isinstance(doc, dict):
-            raise DocumentShapeError("top-level document must be a map or a string")
         if isinstance(self.document, str):
             raise StructuralConflictError("map document merged into a bare string")
         copy, leaves = _pruned_copy(doc)

@@ -32,19 +32,6 @@ class Version:
     tx_index: int
 
 
-class Snapshot:
-    """Immutable copy-on-read view of the world state at a commit point."""
-
-    def __init__(self, entries: dict):
-        self._entries = dict(entries)
-
-    def get_state(self, key: str) -> Optional[tuple]:
-        return self._entries.get(key)
-
-    def keys(self):
-        return self._entries.keys()
-
-
 class WorldState:
     def __init__(self):
         self._entries: dict = {}
@@ -53,8 +40,11 @@ class WorldState:
         """Return (value bytes, Version) or None when the key is absent."""
         return self._entries.get(key)
 
-    def snapshot(self) -> Snapshot:
-        return Snapshot(self._entries)
+    def snapshot(self) -> WorldState:
+        """A copy of the state at this commit point; later commits do not reach it."""
+        snap = WorldState()
+        snap._entries = dict(self._entries)
+        return snap
 
     def keys(self):
         return self._entries.keys()
@@ -77,27 +67,8 @@ class WorldState:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
-class BlockLog:
-    """Append-only list of committed blocks, heights contiguous from 0."""
-
-    def __init__(self):
-        self._blocks: list = []
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __iter__(self):
-        return iter(self._blocks)
-
-    def __getitem__(self, height: int):
-        return self._blocks[height]
-
-    def append(self, block) -> None:
-        if block.height != len(self._blocks):
-            raise OrderingViolationError(
-                f"block height {block.height} does not extend log of length {len(self._blocks)}"
-            )
-        self._blocks.append(block)
+class BlockLog(list):
+    """Committed blocks in height order from 0; commit_block checks the order."""
 
 
 def commit_block(ws: WorldState, log: BlockLog, block) -> None:

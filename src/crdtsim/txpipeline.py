@@ -29,10 +29,9 @@ from typing import Callable, Iterable, Optional
 
 from .jsoncrdt import (
     DocumentShapeError,
-    JsonValue,
     StructuralConflictError,
     canonical_json_bytes,
-    check_document_shape,
+    decode_json_value,
     init_empty_crdt,
 )
 from .ledger import (
@@ -285,18 +284,6 @@ def mvcc_validate(tx: Transaction, ws: WorldState, intra_block_writes: dict,
     return True
 
 
-def decode_json_value(value: bytes) -> JsonValue:
-    """Decode write bytes into a supported JSON document or raise."""
-    try:
-        doc = json.loads(value.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DocumentShapeError(f"not a JSON document: {exc}") from exc
-    check_document_shape(doc)
-    if not isinstance(doc, (dict, str)):
-        raise DocumentShapeError("top-level document must be a map or a string")
-    return doc
-
-
 def validate_merge_block(block: Block, ws: WorldState, mode: str,
                          policy: EndorsementPolicy) -> ValidatedBlock:
     """Validate one block and, in crdt mode, merge and rewrite CRDT writes.
@@ -322,7 +309,8 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     # advance the intra-block overlay.
     for i, tx in enumerate(block.transactions):
         writes = tx.rwset.writes
-        reason = None if len(tx.endorsements) >= policy.required_orgs else INVALID_ENDORSEMENT
+        endorsed = len(tx.endorsements & policy.known_orgs) >= policy.required_orgs
+        reason = None if endorsed else INVALID_ENDORSEMENT
         crdt_written = frozenset(w.key for w in writes if w.is_crdt) if merging else frozenset()
         docs = []
         if merging and reason is None:
@@ -596,12 +584,15 @@ def save_block_log(log: BlockLog, path) -> None:
 
 
 def load_block_log(path) -> list:
-    """Blocks from a saved log; a record that does not decode raises
-    LedgerError naming the file and the record index."""
+    """Blocks from a saved log; a record that does not decode, or whose height
+    is not its index, raises LedgerError naming the file and the record index."""
     blocks = []
     for index, record in enumerate(read_record_file(path)):
         try:
-            blocks.append(block_from_jsonable(json.loads(record)))
+            block = block_from_jsonable(json.loads(record))
+            if block.height != index:
+                raise ValueError(f"height {block.height} out of order")
+            blocks.append(block)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
     return blocks

@@ -13,14 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .jsoncrdt import JsonValue, canonical_json_bytes
+from .jsoncrdt import JsonValue, canonical_json_bytes, decode_json_value
 from .txpipeline import (
     ChaincodeSpec,
     Proposal,
     Read,
     ReadWriteSet,
     Write,
-    decode_json_value,
 )
 
 CLIENT_COUNT = 4

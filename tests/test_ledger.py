@@ -7,7 +7,6 @@ from crdtsim.ledger import (
     BlockLog,
     LedgerError,
     OrderingViolationError,
-    Snapshot,
     Version,
     WorldState,
     commit_block,
@@ -75,6 +74,7 @@ def test_snapshot_is_isolated_from_later_commits():
     tx = make_tx("t0", writes=[Write("k", b"v0")])
     commit_block(ws, log, make_validated(0, [tx], [TxVerdict(True, None)]))
     snap = ws.snapshot()
+    assert type(snap) is WorldState  # the chaincode reads one type under both policies
     assert snap.get_state("k") == (b"v0", Version(0, 0))
 
     tx2 = make_tx("t1", writes=[Write("k", b"v1")])
@@ -145,20 +145,20 @@ def test_block_log_appends_contiguously():
     assert log[1].height == 1
 
 
-def test_block_log_rejects_gaps_and_repeats():
-    log = BlockLog()
-    log.append(make_validated(0, [], []))
-    with pytest.raises(OrderingViolationError):
-        log.append(make_validated(2, [], []))
-    with pytest.raises(OrderingViolationError):
-        log.append(make_validated(0, [], []))
-
-
 def test_commit_block_height_must_match_log():
     ws = WorldState()
     log = BlockLog()
     with pytest.raises(OrderingViolationError):
         commit_block(ws, log, make_validated(4, [], []))
+    tx = make_tx("t0", writes=[Write("k", b"v0")])
+    commit_block(ws, log, make_validated(0, [tx], [TxVerdict(True, None)]))
+    digest = ws.digest()
+    for height in (0, 2):  # a repeat, then a gap; neither may write anything
+        later = make_tx(f"t{height}", writes=[Write("k", b"late")])
+        with pytest.raises(OrderingViolationError):
+            commit_block(ws, log, make_validated(height, [later], [TxVerdict(True, None)]))
+        assert ws.digest() == digest
+        assert len(log) == 1
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +225,3 @@ def test_record_file_rejects_a_truncated_header(tmp_path):
     with pytest.raises(LedgerError) as info:
         read_record_file(path)
     assert str(info.value) == f"{path}: record 2 at byte 16: truncated header (2 of 4 bytes)"
-
-
-def test_snapshot_type_is_plain_mapping_view():
-    snap = Snapshot({"k": (b"v", Version(0, 0))})
-    assert snap.get_state("k") == (b"v", Version(0, 0))
-    assert snap.get_state("other") is None

@@ -326,9 +326,11 @@ def test_fabric_endorsement_failure_blocks_mvcc():
 @pytest.mark.parametrize("mode", [FABRIC, CRDT])
 def test_policy_counts_each_transactions_endorsements(mode):
     block = Block(0, (make_tx("a", writes=[Write("k", b"v")], orgs=("org1", "org2")),
-                      make_tx("b", writes=[Write("k", b"v")], orgs=("org3",))), "count")
+                      make_tx("b", writes=[Write("k", b"v")], orgs=("org3",)),
+                      # an org outside the policy does not count
+                      make_tx("c", writes=[Write("k", b"v")], orgs=("org1", "mallory"))), "count")
     vblock = validate_merge_block(block, WorldState(), mode, EndorsementPolicy(2, ORGS))
-    assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT]
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT, INVALID_ENDORSEMENT]
 
 
 def test_fabric_disjoint_writers_all_commit():
@@ -757,28 +759,37 @@ def test_save_load_replay_reproduces_state(tmp_path):
     assert again_ws.canonical_bytes() == replayed_ws.canonical_bytes()
 
 
+def damage_record_1(edit):
+    return lambda records: [records[0], edit(records[1]), *records[2:]]
+
+
 @pytest.mark.parametrize("damage, error", [
-    (lambda record: record.replace(b'"height":', b'"height"'),
-     "JSONDecodeError: Expecting ':' delimiter"),
-    (lambda record: record.replace(b'"height"', b'"heigth"'), "KeyError: 'height'"),
-    (lambda record: record.replace(b'"validity":[[true', b'"validity":[[true,1'),
-     "ValueError: too many values to unpack"),
+    (damage_record_1(lambda record: record.replace(b'"height":', b'"height"')),
+     "record 1: JSONDecodeError: Expecting ':' delimiter"),
+    (damage_record_1(lambda record: record.replace(b'"height"', b'"heigth"')),
+     "record 1: KeyError: 'height'"),
+    (damage_record_1(lambda record: record.replace(b'"validity":[[true', b'"validity":[[true,1')),
+     "record 1: ValueError: too many values to unpack"),
     # verdicts that disagree with the transactions would replay a wrong digest
-    (lambda record: record.replace(b',[false,"mvcc"]]', b']'),
-     "ValueError: 1 verdicts for 2 transactions"),
-    (lambda record: record.replace(b'[false,"mvcc"]', b'[true,"mvcc"]'),
-     "ValueError: verdict flag True contradicts reason 'mvcc'"),
-    (lambda record: record.replace(b'"mvcc"', b'"stale"'),
-     "ValueError: unknown verdict reason 'stale'"),
+    (damage_record_1(lambda record: record.replace(b',[false,"mvcc"]]', b']')),
+     "record 1: ValueError: 1 verdicts for 2 transactions"),
+    (damage_record_1(lambda record: record.replace(b'[false,"mvcc"]', b'[true,"mvcc"]')),
+     "record 1: ValueError: verdict flag True contradicts reason 'mvcc'"),
+    (damage_record_1(lambda record: record.replace(b'"mvcc"', b'"stale"')),
+     "record 1: ValueError: unknown verdict reason 'stale'"),
+    # records out of height order would fail later without naming the file
+    (lambda records: [records[0], records[2], records[1]], "record 1: ValueError: height 2 out of order"),
+    (lambda records: [records[0], records[2]], "record 1: ValueError: height 2 out of order"),
+    (lambda records: records + records[-1:], "record 3: ValueError: height 2 out of order"),
 ], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
-        "verdict-unknown-reason"])
+        "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
     block = ValidatedBlock(0, (make_tx("t1", writes=[Write("k", b"v")]),
                                make_tx("t2", writes=[Write("k", b"w")])), "count",
                            (TxVerdict(True, VALID), TxVerdict(False, INVALID_MVCC)))
-    record = canonical_json_bytes(block_to_jsonable(block))
+    records = [canonical_json_bytes(block_to_jsonable(replace(block, height=h))) for h in range(3)]
     path = tmp_path / "blocks.log"
-    write_record_file(path, [record, damage(record)])
+    write_record_file(path, damage(records))
     with pytest.raises(LedgerError) as info:
         load_block_log(path)
-    assert str(info.value).startswith(f"{path}: record 1: {error}")
+    assert str(info.value).startswith(f"{path}: {error}")
