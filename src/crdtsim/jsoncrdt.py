@@ -28,9 +28,24 @@ class StructuralConflictError(CrdtError):
     """A merge meets a key that holds another kind of value."""
 
 
+# One encoder for every render; json.dumps would build a new one per call.
+# Every value rendered here is a fresh tree, so no circular-reference table is
+# kept: a self-referencing value raises RecursionError.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                              check_circular=False)
+
+
 def canonical_json_bytes(value: JsonValue) -> bytes:
     """Canonical serialization: sorted map keys, compact separators, UTF-8."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _CANONICAL.encode(value).encode("utf-8")
+
+
+def _key_error(key) -> DocumentShapeError:
+    return DocumentShapeError("map keys must be non-empty" if key == "" else f"map key {key!r} is not text")
+
+
+def _leaf_error(value) -> DocumentShapeError:
+    return DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
 
 
 def check_document_shape(value: JsonValue) -> None:
@@ -44,41 +59,54 @@ def check_document_shape(value: JsonValue) -> None:
     elif isinstance(value, dict):
         for key, item in value.items():
             if not (isinstance(key, str) and key):
-                raise DocumentShapeError("map keys must be non-empty" if key == ""
-                                         else f"map key {key!r} is not text")
+                raise _key_error(key)
             check_document_shape(item)
     else:
-        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
-
-
-def check_document(doc: JsonValue) -> None:
-    """Raise DocumentShapeError unless doc is a well-shaped map or bare string."""
-    check_document_shape(doc)
-    if not isinstance(doc, (dict, str)):
-        raise DocumentShapeError("top-level document must be a map or a string")
-
-
-def decode_json_value(value: bytes) -> JsonValue:
-    """Decode write bytes into a supported JSON document or raise."""
-    try:
-        doc = json.loads(value.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DocumentShapeError(f"not a JSON document: {exc}") from exc
-    check_document(doc)
-    return doc
+        raise _leaf_error(value)
 
 
 def _pruned_copy(value: JsonValue) -> tuple:
-    """Copy of a well-shaped value without containers that hold no text leaf,
-    and its number of text leaves."""
+    """check_document_shape's walk, raising its errors in its order, that also
+    returns a copy of value without containers that hold no text leaf, and
+    its number of text leaves."""
     if isinstance(value, str):
         return value, 1
     if isinstance(value, list):
         pairs = [_pruned_copy(item) for item in value]
         return [copy for copy, count in pairs if count], sum(count for _, count in pairs)
-    pairs = {key: _pruned_copy(item) for key, item in value.items()}
+    if not isinstance(value, dict):
+        raise _leaf_error(value)
+    pairs = {}
+    for key, item in value.items():
+        if not (isinstance(key, str) and key):
+            raise _key_error(key)
+        pairs[key] = _pruned_copy(item)
     return ({key: copy for key, (copy, count) in pairs.items() if count},
             sum(count for _, count in pairs.values()))
+
+
+def check_document(doc: JsonValue, walk=check_document_shape):
+    """Return walk(doc), a shape check, and raise DocumentShapeError unless
+    doc is a map or a bare string."""
+    result = walk(doc)
+    if isinstance(doc, list):
+        raise DocumentShapeError("top-level document must be a map or a string")
+    return result
+
+
+def parse_json_bytes(value: bytes):
+    """Parse write bytes as JSON without checking the shape, or raise DocumentShapeError."""
+    try:
+        return json.loads(value.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DocumentShapeError(f"not a JSON document: {exc}") from exc
+
+
+def decode_json_value(value: bytes) -> JsonValue:
+    """Decode write bytes into a supported JSON document or raise."""
+    doc = parse_json_bytes(value)
+    check_document(doc)
+    return doc
 
 
 def _kind(value: JsonValue) -> str:
@@ -118,6 +146,7 @@ class JsonCrdt:
         self.key = key
         self.clock = 0  # text leaves merged so far
         self.document: JsonValue = {}
+        self._checked = None  # (doc, copy, leaves) of the last check since a merge
 
     @property
     def applied(self) -> range:
@@ -126,23 +155,30 @@ class JsonCrdt:
 
     def check(self, doc: JsonValue) -> tuple:
         """Raise what merging doc would raise, changing nothing; return the
-        pruned copy of doc and its number of text leaves."""
-        check_document(doc)
+        pruned copy of doc and its number of text leaves. merge_json(doc)
+        reuses this result until the next merge."""
+        copy, leaves = check_document(doc, _pruned_copy)
         if isinstance(doc, str):
             if isinstance(self.document, dict) and self.document:
                 raise StructuralConflictError("bare string merged into a map document")
-            return doc, 1
-        if isinstance(self.document, str):
+        elif isinstance(self.document, str):
             raise StructuralConflictError("map document merged into a bare string")
-        copy, leaves = _pruned_copy(doc)
-        _check_union(self.document, copy)
+        else:
+            _check_union(self.document, copy)
+        self._checked = (doc, copy, leaves)
         return copy, leaves
 
     def merge_json(self, doc: JsonValue) -> None:
-        """Union doc, a map or a bare string, into the document, or raise and change nothing."""
-        copy, leaves = self.check(doc)
+        """Union doc, a map or a bare string, into the document, or raise and change nothing.
+
+        If doc is the object checked last and nothing was merged since, the
+        copy that check made and checked is merged without walking doc again.
+        """
+        checked = self._checked
+        copy, leaves = checked[1:] if checked and checked[0] is doc else self.check(doc)
         self.document = copy if isinstance(copy, str) else _union(self.document, copy)
         self.clock += leaves
+        self._checked = None
 
     def to_json(self) -> JsonValue:
         """The merged document itself; the CRDT owns it, so callers only read it."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -103,10 +104,12 @@ def write_record_file(path, records) -> None:
 
 def read_record_file(path) -> list:
     """Records of a length-prefixed file; a truncated record raises
-    LedgerError naming the file, the record index and its byte offset."""
+    LedgerError naming the file, the record index and its byte offset. A
+    length is checked against the bytes left in the file before it is read."""
     records = []
     offset = 0
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         while True:
             header = fh.read(4)
             if not header:
@@ -115,9 +118,9 @@ def read_record_file(path) -> list:
             if len(header) != 4:
                 raise LedgerError(f"{where}: truncated header ({len(header)} of 4 bytes)")
             (length,) = struct.unpack(">I", header)
-            record = fh.read(length)
-            if len(record) != length:
-                raise LedgerError(f"{where}: truncated body ({len(record)} of {length} bytes)")
-            records.append(record)
+            remaining = size - offset - 4
+            if length > remaining:
+                raise LedgerError(f"{where}: truncated body ({remaining} of {length} bytes)")
+            records.append(fh.read(length))
             offset += 4 + length
     return records

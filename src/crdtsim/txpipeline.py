@@ -31,8 +31,8 @@ from .jsoncrdt import (
     DocumentShapeError,
     StructuralConflictError,
     canonical_json_bytes,
-    decode_json_value,
     init_empty_crdt,
+    parse_json_bytes,
 )
 from .ledger import (
     BlockLog,
@@ -295,16 +295,18 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     merging = mode == CRDT
     reasons: list = []
-    crdts: dict = {}
+    crdts: dict = {}  # key -> CRDT, from the key's first merge on
+    unmerged: dict = {}  # key -> CRDT of a key checked but not yet merged
     overlay: dict = {}
 
     # One verdict per transaction, in block order. A transaction short of the
     # policy is neither merged nor checked. In crdt mode its CRDT-flagged
-    # writes are decoded and checked against their keys' merged documents
-    # next, in write order; the first decode or merge failure invalidates it.
-    # MVCC checks the rest: transactions whose writes are all CRDT are
-    # exempt, others skip reads of keys they themselves write as CRDT values.
-    # Only a valid transaction merges its CRDT writes, so no payload of an
+    # writes are parsed and each checked once against its key's merged
+    # document (empty before the key's first merge) next, in write order; the
+    # first decode or merge failure invalidates it. MVCC checks the rest:
+    # transactions whose writes are all CRDT are exempt, others skip reads of
+    # keys they themselves write as CRDT values. Only a valid transaction
+    # merges its CRDT writes, reusing their checks, so no payload of an
     # invalid one reaches a merged document, and its writes, CRDT or not,
     # advance the intra-block overlay.
     for i, tx in enumerate(block.transactions):
@@ -318,25 +320,27 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
                 if not write.is_crdt:
                     continue
                 try:
-                    doc = decode_json_value(write.value)
-                    if write.key in crdts:
-                        crdts[write.key].check(doc)
+                    doc = parse_json_bytes(write.value)
+                    crdt = crdts.get(write.key) or unmerged.get(write.key)
+                    if crdt is None:
+                        crdt = unmerged[write.key] = init_empty_crdt(write.key, doc)
+                    crdt.check(doc)
                 except StructuralConflictError:
                     reason = INVALID_STRUCTURAL
                     break
                 except DocumentShapeError:
                     reason = INVALID_DECODE
                     break
-                docs.append((write.key, doc))
+                docs.append((crdt, doc))
         if reason is None:
             all_crdt = writes and len(crdt_written) == len(writes)
             if all_crdt or mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
                 reason = VALID
                 # Write keys are distinct, so no merge can fail after the checks.
-                for key, doc in docs:
-                    if key not in crdts:
-                        crdts[key] = init_empty_crdt(key, doc)
-                    crdts[key].merge_json(doc)
+                for crdt, doc in docs:
+                    unmerged.pop(crdt.key, None)
+                    crdts[crdt.key] = crdt
+                    crdt.merge_json(doc)
                 for write in writes:
                     overlay[write.key] = Version(block.height, i)
             else:

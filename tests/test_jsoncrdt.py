@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 from crdtsim.jsoncrdt import (
     CrdtError,
     DocumentShapeError,
+    JsonCrdt,
     StructuralConflictError,
     canonical_json_bytes,
+    check_document,
     check_document_shape,
     init_empty_crdt,
 )
@@ -216,6 +220,39 @@ def test_multi_key_map_elements_stay_joined():
     assert crdt.to_json() == {"k": [{"a": "1", "b": "2"}, {"a": "3"}]}
 
 
+def test_merging_another_document_after_a_check_checks_that_document():
+    crdt = init_empty_crdt("k", "s")
+    crdt.merge_json({"a": "1"})
+    checked = {"b": "2"}
+    crdt.check(checked)
+    with pytest.raises(StructuralConflictError):
+        crdt.merge_json({"a": ["x"]})
+    assert (crdt.to_json(), crdt.clock) == ({"a": "1"}, 1)
+    crdt.merge_json(checked)
+    assert (crdt.to_json(), crdt.clock) == ({"a": "1", "b": "2"}, 2)
+
+
+def test_a_merge_since_a_check_makes_merge_json_check_again():
+    crdt = init_empty_crdt("k", "s")
+    checked = {"m": "1"}
+    crdt.check(checked)  # fits the empty document
+    crdt.merge_json({"m": ["y"]})
+    with pytest.raises(StructuralConflictError):
+        crdt.merge_json(checked)  # no longer fits: "m" now holds a list
+    assert (crdt.to_json(), crdt.clock) == ({"m": ["y"]}, 1)
+
+
+def test_a_check_serves_one_merge_only():
+    crdt = init_empty_crdt("k", "s")
+    doc = {"l": [{"x": "1"}]}
+    crdt.check(doc)
+    crdt.merge_json(doc)
+    crdt.merge_json(doc)
+    assert (crdt.to_json(), crdt.clock) == ({"l": [{"x": "1"}, {"x": "1"}]}, 2)
+    first, second = crdt.to_json()["l"]
+    assert first is not second  # the second merge made its own copy
+
+
 # ----------------------------------------------------------------------
 # to_json
 
@@ -237,6 +274,36 @@ def test_list_elements_keep_merge_order():
 def test_canonical_json_bytes_sorts_map_keys():
     assert canonical_json_bytes({"b": "2", "a": "1"}) == b'{"a":"1","b":"2"}'
     assert canonical_json_bytes({"u": "é"}) == '{"u":"é"}'.encode("utf-8")
+
+
+def reference_json_bytes(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+# Text that needs escaping or stays raw: quotes, backslashes, control
+# characters, U+2028 and non-ASCII, mixed with arbitrary text.
+TRICKY_TEXT = st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                                                 "\u2029", "é", "日", "\U0001f600", "a", "/"])) | st.text()
+JSON_VALUES = st.recursive(
+    TRICKY_TEXT | st.floats() | st.integers() | st.booleans() | st.none(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TRICKY_TEXT, children, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+def test_property_canonical_json_bytes_equals_sorted_compact_dumps(value):
+    assert canonical_json_bytes(value) == reference_json_bytes(value)
+
+
+def test_canonical_json_bytes_raises_on_a_self_referencing_list():
+    """The encoder keeps no circular-reference table, so a cycle ends in
+    RecursionError at the recursion limit instead of hanging."""
+    loop = ["x"]
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        canonical_json_bytes(loop)
 
 
 def test_check_document_shape_accepts_supported_values():
@@ -430,3 +497,52 @@ def test_property_merge_matches_the_reference_or_raises_and_changes_nothing(docs
         else:
             crdt.merge_json(doc)
         assert canonical_json_bytes(crdt.to_json()) == canonical_json_bytes(expected)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(ANY_DOCS, st.sampled_from(["none", "same", "previous"])), max_size=6))
+def test_property_a_check_before_a_merge_changes_no_outcome(steps):
+    # Checking the merged document, or the one before it, first must leave
+    # every merge's result or error as the reference gives it.
+    crdt = init_empty_crdt("k", "s")
+    expected = {}
+    previous = "s"
+    for doc, pre in steps:
+        if pre != "none":
+            try:
+                crdt.check(doc if pre == "same" else previous)
+            except CrdtError:
+                pass
+        try:
+            expected = reference_merge(expected, doc)
+        except CrdtError as exc:
+            with pytest.raises(type(exc)):
+                crdt.merge_json(doc)
+        else:
+            crdt.merge_json(doc)
+        assert canonical_json_bytes(crdt.to_json()) == canonical_json_bytes(expected)
+        previous = doc
+
+
+BAD_SHAPES = st.one_of(
+    ANY_DOCS,
+    st.lists(st.none() | NESTED, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "", 1]), st.none() | st.integers() | NESTED,
+                    min_size=1, max_size=3),
+)
+
+
+def _shape_error(check, doc):
+    try:
+        check(doc)
+    except DocumentShapeError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(BAD_SHAPES)
+def test_property_check_raises_the_shape_error_decoding_raises(doc):
+    # JsonCrdt.check walks the document once, copying it as it checks the
+    # shape; the first error it meets is the one the plain shape walk meets.
+    assert _shape_error(JsonCrdt("k").check, doc) == _shape_error(check_document, doc)

@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import tracemalloc
 
 import pytest
 
@@ -225,3 +227,19 @@ def test_record_file_rejects_a_truncated_header(tmp_path):
     with pytest.raises(LedgerError) as info:
         read_record_file(path)
     assert str(info.value) == f"{path}: record 2 at byte 16: truncated header (2 of 4 bytes)"
+
+
+def test_record_file_bounds_a_claimed_length_by_the_bytes_left(tmp_path):
+    # Record 1's header claims 64 MB; only 3 bytes follow it.
+    path = tmp_path / "records.bin"
+    write_record_file(path, [b"abc"])
+    path.write_bytes(path.read_bytes() + struct.pack(">I", 64 << 20) + b"xyz")
+    tracemalloc.start()
+    try:
+        with pytest.raises(LedgerError) as info:
+            read_record_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: record 1 at byte 7: truncated body (3 of {64 << 20} bytes)"
+    assert peak < 1 << 20

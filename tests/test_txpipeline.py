@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crdtsim import jsoncrdt, txpipeline
 from crdtsim.bench import run_single
-from crdtsim.jsoncrdt import DocumentShapeError, canonical_json_bytes
+from crdtsim.jsoncrdt import DocumentShapeError, canonical_json_bytes, decode_json_value
 from crdtsim.ledger import (BlockLog, LedgerError, Version, WorldState, commit_block,
                             write_record_file)
 from crdtsim.txpipeline import (
@@ -35,7 +36,6 @@ from crdtsim.txpipeline import (
     Write,
     block_from_jsonable,
     block_to_jsonable,
-    decode_json_value,
     load_block_log,
     mvcc_validate,
     replay_block_log,
@@ -431,6 +431,79 @@ def test_crdt_structural_conflict_invalidates_the_later_writer():
     assert json.loads(vblock.transactions[0].rwset.writes[0].value) == {"a": "1"}
 
 
+def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch):
+    calls = {"check": 0, "merge_json": 0, "check_document_shape": [], "init_empty_crdt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    nested = []
+
+    def shape(value):  # records outermost calls; the walk recurses through this name
+        if not nested:
+            calls["check_document_shape"].append(value)
+        nested.append(value)
+        try:
+            return original_shape(value)
+        finally:
+            nested.pop()
+
+    original_shape = jsoncrdt.check_document_shape
+    monkeypatch.setattr(jsoncrdt.JsonCrdt, "check", counted("check", jsoncrdt.JsonCrdt.check))
+    monkeypatch.setattr(jsoncrdt.JsonCrdt, "merge_json",
+                        counted("merge_json", jsoncrdt.JsonCrdt.merge_json))
+    monkeypatch.setattr(jsoncrdt, "check_document_shape", shape)
+    monkeypatch.setattr(txpipeline, "init_empty_crdt",
+                        counted("init_empty_crdt", txpipeline.init_empty_crdt))
+    docs = [{"deviceID": "d", "readings": [{"t": str(i)}]} for i in range(25)]
+    block = Block(0, tuple(make_tx(f"t{i}", writes=[Write("Device1", jbytes(doc), True)])
+                           for i, doc in enumerate(docs)), "count")
+    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    assert all(v.valid for v in vblock.validity)
+    assert json.loads(vblock.transactions[0].rwset.writes[0].value)["readings"] == [
+        {"t": str(i)} for i in range(25)]
+    assert (calls["check"], calls["merge_json"], calls["init_empty_crdt"]) == (25, 25, 1)
+    assert calls["check_document_shape"] == [docs[0]]  # init_empty_crdt's sample only
+
+
+def test_crdt_transaction_failing_mvcc_after_its_check_leaves_the_crdt_unchanged(monkeypatch):
+    made = []
+
+    def init(key, sample):
+        made.append(jsoncrdt.init_empty_crdt(key, sample))
+        return made[-1]
+
+    monkeypatch.setattr(txpipeline, "init_empty_crdt", init)
+    ws = WorldState()
+    ws._put("p", b"v", Version(0, 0))
+    block = Block(1, (
+        make_tx("t0", writes=[Write("A", jbytes({"x": "1"}), True)]),
+        # a stale read of p: checked against A's document, then fails MVCC
+        make_tx("t1", reads=[Read("p", None)],
+                writes=[Write("A", jbytes({"y": ["2", "3"]}), True), Write("q", b"w")]),
+        make_tx("t2", writes=[Write("A", jbytes({"z": "4"}), True)]),
+    ), "count")
+    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, VALID]
+    assert [(crdt.to_json(), crdt.clock) for crdt in made] == [({"x": "1", "z": "4"}, 2)]
+
+
+def test_crdt_structural_conflict_precedes_a_later_undecodable_write():
+    ws = WorldState()
+    block = Block(0, (
+        make_tx("t0", writes=[Write("A", jbytes({"a": "1"}), True)]),
+        make_tx("t1", writes=[Write("A", jbytes({"a": ["x"]}), True),
+                              Write("B", b"not json", True)]),
+        make_tx("t2", writes=[Write("C", jbytes({"n": ["1", 2]}), True)]),
+    ), "count")
+    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    # a shape error on a key's first write is a decode failure
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_STRUCTURAL, INVALID_DECODE]
+
+
 def validate_and_commit(*txs) -> tuple:
     ws = WorldState()
     vblock = validate_merge_block(Block(0, txs, "count"), ws, CRDT, POLICY)
@@ -735,6 +808,17 @@ def test_transaction_round_trips_through_jsonable():
                  orgs=("org2", "org1"), submit_time=1.25)
     doc = json.loads(canonical_json_bytes(transaction_to_jsonable(tx)))
     assert transaction_from_jsonable(doc) == tx
+
+
+@settings(max_examples=100)
+@given(st.text(), st.text(min_size=1), st.binary(max_size=8),
+       st.sampled_from([1e-05, 1e300, 3.0, 0.1, 0.0]) | st.floats(min_value=0, allow_nan=False))
+def test_property_transaction_encoding_equals_sorted_compact_dumps(tx_id, key, value, submit_time):
+    tx = make_tx(tx_id, reads=[Read(key, Version(1, 2))], writes=[Write(key, value, True)],
+                 submit_time=submit_time)
+    jsonable = transaction_to_jsonable(tx)
+    assert canonical_json_bytes(jsonable) == json.dumps(
+        jsonable, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 def test_block_round_trips_through_jsonable():
