@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
 from .config import load_config
-from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes, decode_json_value
+from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes, parse_json_bytes
 from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_block_log
 from .workload import WorkloadConfig
 
@@ -127,7 +127,7 @@ def _cmd_merge_demo(args) -> int:
     crdt = JsonCrdt("demo")  # the key changes no output
     for path in args.files:
         try:
-            crdt.merge_json(decode_json_value(Path(path).read_bytes()))
+            crdt.merge_json(parse_json_bytes(Path(path).read_bytes()))
         except CrdtError as exc:
             raise CrdtError(f"{path}: {exc}") from exc
     sys.stdout.write(canonical_json_bytes(crdt.to_json()).decode("utf-8") + "\n")
@@ -167,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--block-size", type=int, dest="max_tx_count", metavar="BLOCK_SIZE",
                      help="max transactions per block")
     run.add_argument("--block-timeout-ms", type=float, dest="block_timeout_ms")
-    run.add_argument("--snapshot-policy", choices=["batch", "fresh"], dest="snapshot_policy")
+    run.add_argument("--snapshot-policy", choices=["batch", "fresh"], dest="snapshot_policy",
+                     help="batch (default): every proposal simulates on one snapshot taken before "
+                          "the first, an endorsement lag longer than the run; fresh: each "
+                          "simulates on the latest committed state")
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="write the report here instead of stdout")
     run.add_argument("--save-blocklog", dest="save_blocklog", help="write the block log to this file")

@@ -48,27 +48,12 @@ def _leaf_error(value) -> DocumentShapeError:
     return DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
 
 
-def check_document_shape(value: JsonValue) -> None:
-    """Raise DocumentShapeError unless value is text / list / map with
-    non-empty text keys; numbers, booleans and nulls must be encoded as text."""
-    if isinstance(value, str):
-        return
-    if isinstance(value, list):
-        for item in value:
-            check_document_shape(item)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            if not (isinstance(key, str) and key):
-                raise _key_error(key)
-            check_document_shape(item)
-    else:
-        raise _leaf_error(value)
-
-
 def _pruned_copy(value: JsonValue) -> tuple:
-    """check_document_shape's walk, raising its errors in its order, that also
-    returns a copy of value without containers that hold no text leaf, and
-    its number of text leaves."""
+    """The shape rule: value is a text leaf, a list of documents or a map
+    from non-empty text keys to documents; numbers, booleans and nulls must
+    be encoded as text. Raise DocumentShapeError at the first value, in
+    document order, that breaks it. Otherwise return a copy of value without
+    containers that hold no text leaf, and its number of text leaves."""
     if isinstance(value, str):
         return value, 1
     if isinstance(value, list):
@@ -85,28 +70,12 @@ def _pruned_copy(value: JsonValue) -> tuple:
             sum(count for _, count in pairs.values()))
 
 
-def check_document(doc: JsonValue, walk=check_document_shape):
-    """Return walk(doc), a shape check, and raise DocumentShapeError unless
-    doc is a map or a bare string."""
-    result = walk(doc)
-    if isinstance(doc, list):
-        raise DocumentShapeError("top-level document must be a map or a string")
-    return result
-
-
 def parse_json_bytes(value: bytes):
     """Parse write bytes as JSON without checking the shape, or raise DocumentShapeError."""
     try:
         return json.loads(value.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentShapeError(f"not a JSON document: {exc}") from exc
-
-
-def decode_json_value(value: bytes) -> JsonValue:
-    """Decode write bytes into a supported JSON document or raise."""
-    doc = parse_json_bytes(value)
-    check_document(doc)
-    return doc
 
 
 def _kind(value: JsonValue) -> str:
@@ -157,7 +126,9 @@ class JsonCrdt:
         """Raise what merging doc would raise, changing nothing; return the
         pruned copy of doc and its number of text leaves. merge_json(doc)
         reuses this result until the next merge."""
-        copy, leaves = check_document(doc, _pruned_copy)
+        copy, leaves = _pruned_copy(doc)
+        if isinstance(doc, list):
+            raise DocumentShapeError("top-level document must be a map or a string")
         if isinstance(doc, str):
             if isinstance(self.document, dict) and self.document:
                 raise StructuralConflictError("bare string merged into a map document")
@@ -186,6 +157,6 @@ class JsonCrdt:
 
 
 def init_empty_crdt(key: str, sample: JsonValue) -> JsonCrdt:
-    """Fresh CRDT for a ledger key; sample only validates the JSON shape."""
-    check_document_shape(sample)
+    """Fresh CRDT for a ledger key. sample is not read: JsonCrdt.check
+    checks each document before it merges."""
     return JsonCrdt(key)

@@ -170,8 +170,9 @@ class PipelineConfig:
         if self.snapshot_policy not in ("batch", "fresh"):
             raise ValueError(f"unknown snapshot policy {self.snapshot_policy!r}")
         for name in ("max_tx_count", "max_bytes", "block_timeout_ms"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}, not {value!r}")
         self.policy()
 
     def policy(self) -> EndorsementPolicy:

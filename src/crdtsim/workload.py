@@ -9,11 +9,12 @@ Four clients submit at a fixed arrival rate on the simulated clock.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .jsoncrdt import JsonValue, canonical_json_bytes, decode_json_value
+from .jsoncrdt import JsonValue, canonical_json_bytes, parse_json_bytes
 from .txpipeline import (
     ChaincodeSpec,
     Proposal,
@@ -43,8 +44,9 @@ class WorkloadConfig:
         if self.json_depth < 1 or self.json_keys < 1:
             raise ValueError(f"json_keys and json_depth must be at least 1, "
                              f"not {self.json_keys!r} and {self.json_depth!r}")
-        if self.arrival_rate_tps <= 0:
-            raise ValueError(f"arrival_rate_tps must be positive, not {self.arrival_rate_tps!r}")
+        rate = self.arrival_rate_tps
+        if not 0 < rate < math.inf:
+            raise ValueError(f"arrival_rate_tps must be {'positive' if rate <= 0 else 'finite'}, not {rate!r}")
         if not 0 <= self.conflict_pct <= 100:
             raise ValueError(f"conflict_pct must be within [0, 100], not {self.conflict_pct!r}")
         if self.n_read_keys < 0 or self.n_write_keys < 1:
@@ -91,7 +93,9 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
 
     Proposal args are (keys, reading): the first n_read_keys keys are read,
     the first n_write_keys keys are written. Absent devices start from a
-    skeleton document carrying only the device id.
+    skeleton document carrying only the device id. Stored documents are
+    parsed without a shape check: only this chaincode, the bootstrap and the
+    validator's merged renders write state, each a well-shaped document.
     """
 
     def fn(args, snap) -> ReadWriteSet:
@@ -103,7 +107,7 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
         writes = []
         for key in keys[: config.n_write_keys]:
             entry = snap.get_state(key)
-            stored = decode_json_value(entry[0]) if entry is not None else device_skeleton(key)
+            stored = parse_json_bytes(entry[0]) if entry is not None else device_skeleton(key)
             merged = json_union(stored, reading)
             writes.append(Write(key, canonical_json_bytes(merged), config.crdt_writes))
         return ReadWriteSet(tuple(reads), tuple(writes))

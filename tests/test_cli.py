@@ -76,6 +76,15 @@ def test_run_rejects_bad_flags(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag, field", [("--block-timeout-ms", "block_timeout_ms"),
+                                         ("--arrival-rate", "arrival_rate_tps")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_rejects_a_non_finite_flag(capsys, flag, field, value):
+    code, out, err = run_cli(capsys, "run", "--mode", "crdt", "--txs", "30", "--seed", "1",
+                             flag, value)
+    assert (code, out, err) == (1, "", f"error: {field} must be finite, not {value}\n")
+
+
 # ----------------------------------------------------------------------
 # seed precedence
 
@@ -126,8 +135,11 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"pipeline": {"orgs": "org1"}}', "'orgs'"),
     (b'{"workload": {"conflict_pct": 500}}', "conflict_pct must be within [0, 100], not 500"),
     (b'{"pipeline": {"orgs": []}}', "not k=1 of n=0 orgs"),
+    (b'{"pipeline": {"block_timeout_ms": NaN}}', "block_timeout_ms must be finite, not nan"),
+    (b'{"workload": {"arrival_rate_tps": Infinity}}', "arrival_rate_tps must be finite, not inf"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
-        "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs"])
+        "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
+        "infinite-rate"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)
@@ -254,7 +266,9 @@ def test_bench_malformed_experiment_file_fails_naming_it(capsys, tmp_path, conte
      "point max_tx_count=0: max_tx_count must be positive, not 0"),
     ({"sweep_param": "arrival_rate_tps", "sweep_values": [-1]},
      "point arrival_rate_tps=-1: arrival_rate_tps must be positive, not -1"),
-], ids=["conflict-override", "zero-block-size", "negative-rate"])
+    ({"sweep_param": "block_timeout_ms", "sweep_values": [1000, float("inf")]},
+     "point block_timeout_ms=inf: block_timeout_ms must be finite, not inf"),
+], ids=["conflict-override", "zero-block-size", "negative-rate", "infinite-timeout"])
 def test_bench_out_of_range_experiment_fails_before_any_runs(capsys, tmp_path, overrides,
                                                              message):
     spec_file = tmp_path / "bad.json"

@@ -10,8 +10,6 @@ from crdtsim.jsoncrdt import (
     JsonCrdt,
     StructuralConflictError,
     canonical_json_bytes,
-    check_document,
-    check_document_shape,
     init_empty_crdt,
 )
 
@@ -43,12 +41,22 @@ def test_init_rejects_empty_key():
 
 
 def test_init_rejects_non_text_leaves():
-    with pytest.raises(DocumentShapeError):
-        init_empty_crdt("k", {"temperature": 15})
-    with pytest.raises(DocumentShapeError):
-        init_empty_crdt("k", {"flags": [True]})
-    with pytest.raises(DocumentShapeError):
-        init_empty_crdt("k", None)
+    for doc in ({"temperature": 15}, {"flags": [True]}, None):
+        crdt = init_empty_crdt("k", "s")
+        with pytest.raises(DocumentShapeError):
+            crdt.check(doc)
+        with pytest.raises(DocumentShapeError):
+            crdt.merge_json(doc)
+        assert (crdt.to_json(), crdt.clock) == ({}, 0)
+
+
+def test_init_never_reads_the_sample():
+    class Unreadable(dict):
+        def items(self):
+            raise AssertionError("sample was read")
+
+    crdt = init_empty_crdt("k", Unreadable(temperature=15))
+    assert (crdt.key, crdt.to_json(), crdt.clock) == ("k", {}, 0)
 
 
 def test_tick_clock_increments_by_one():
@@ -307,9 +315,10 @@ def test_canonical_json_bytes_raises_on_a_self_referencing_list():
 
 
 def test_check_document_shape_accepts_supported_values():
-    check_document_shape("x")
-    check_document_shape(["a", ["b"], {"c": "d"}])
-    check_document_shape({"k": [{"n": "1"}]})
+    # The reference walk below, and JsonCrdt.check on a map holding the value.
+    for value in ("x", ["a", ["b"], {"c": "d"}], {"k": [{"n": "1"}]}):
+        check_document_shape(value)
+        JsonCrdt("k").check({"v": value})
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +541,30 @@ BAD_SHAPES = st.one_of(
 )
 
 
+def check_document_shape(value):
+    """The shape rule as a plain walk that copies nothing: the reference
+    for the errors JsonCrdt.check raises, in the order it meets them."""
+    if isinstance(value, str):
+        return
+    if isinstance(value, list):
+        for item in value:
+            check_document_shape(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if not (isinstance(key, str) and key):
+                raise DocumentShapeError("map keys must be non-empty" if key == ""
+                                         else f"map key {key!r} is not text")
+            check_document_shape(item)
+    else:
+        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
+
+
+def check_document(doc):
+    check_document_shape(doc)
+    if isinstance(doc, list):
+        raise DocumentShapeError("top-level document must be a map or a string")
+
+
 def _shape_error(check, doc):
     try:
         check(doc)
@@ -544,5 +577,5 @@ def _shape_error(check, doc):
 @given(BAD_SHAPES)
 def test_property_check_raises_the_shape_error_decoding_raises(doc):
     # JsonCrdt.check walks the document once, copying it as it checks the
-    # shape; the first error it meets is the one the plain shape walk meets.
+    # shape; the first error it meets is the one the reference walk meets.
     assert _shape_error(JsonCrdt("k").check, doc) == _shape_error(check_document, doc)

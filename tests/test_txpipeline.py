@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from crdtsim import jsoncrdt, txpipeline
 from crdtsim.bench import run_single
-from crdtsim.jsoncrdt import DocumentShapeError, canonical_json_bytes, decode_json_value
+from crdtsim.cli import main
+from crdtsim.jsoncrdt import canonical_json_bytes
 from crdtsim.ledger import (BlockLog, LedgerError, Version, WorldState, commit_block,
                             write_record_file)
 from crdtsim.txpipeline import (
@@ -276,25 +277,31 @@ def replay_stub(height):
 # decode
 
 
-def test_decode_accepts_maps_and_bare_strings():
-    assert decode_json_value(b'{"a":"1"}') == {"a": "1"}
-    assert decode_json_value(b'"plain"') == "plain"
+@pytest.mark.parametrize("payload, message", [
+    (b"\xff\xfe", "not a JSON document: 'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte"),
+    (b"{not json", "not a JSON document: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)"),
+    (b'["top","level"]', "top-level document must be a map or a string"),
+    (b"42", "unsupported leaf 42; encode scalars as text"),
+    (b'{"temperature":25}', "unsupported leaf 25; encode scalars as text"),
+], ids=["not-utf8", "not-json", "top-level-list", "bare-number", "numeric-leaf"])
+def test_undecodable_payload_is_a_decode_verdict_and_a_merge_demo_error(payload, message,
+                                                                        capsys, tmp_path):
+    # A map and a bare string still decode, on the failed write's key and beside it.
+    block = Block(0, (make_tx("t1", writes=[Write("k", payload, True)]),
+                      make_tx("t2", writes=[Write("k", jbytes({"a": "1"}), True),
+                                            Write("s", jbytes("plain"), True)])), "count")
+    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    assert [v.reason for v in vblock.validity] == [INVALID_DECODE, VALID]
+    assert [json.loads(w.value) for w in vblock.transactions[1].rwset.writes] == [{"a": "1"},
+                                                                                 "plain"]
 
-
-def test_decode_rejects_numeric_leaves():
-    with pytest.raises(DocumentShapeError):
-        decode_json_value(b'{"temperature":25}')
-
-
-def test_decode_rejects_malformed_and_non_document_payloads():
-    with pytest.raises(DocumentShapeError):
-        decode_json_value(b"\xff\xfe")
-    with pytest.raises(DocumentShapeError):
-        decode_json_value(b"{not json")
-    with pytest.raises(DocumentShapeError):
-        decode_json_value(b"[\"top\",\"level\"]")
-    with pytest.raises(DocumentShapeError):
-        decode_json_value(b"42")
+    path = tmp_path / "doc.json"
+    path.write_bytes(payload)
+    assert main(["merge-demo", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {message}\n")
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +439,7 @@ def test_crdt_structural_conflict_invalidates_the_later_writer():
 
 
 def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch):
-    calls = {"check": 0, "merge_json": 0, "check_document_shape": [], "init_empty_crdt": 0}
+    calls = {"check": 0, "merge_json": 0, "_pruned_copy": [], "init_empty_crdt": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -442,20 +449,20 @@ def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch)
 
     nested = []
 
-    def shape(value):  # records outermost calls; the walk recurses through this name
+    def walk(value):  # records outermost calls; the walk recurses through this name
         if not nested:
-            calls["check_document_shape"].append(value)
+            calls["_pruned_copy"].append(value)
         nested.append(value)
         try:
-            return original_shape(value)
+            return original_walk(value)
         finally:
             nested.pop()
 
-    original_shape = jsoncrdt.check_document_shape
+    original_walk = jsoncrdt._pruned_copy
     monkeypatch.setattr(jsoncrdt.JsonCrdt, "check", counted("check", jsoncrdt.JsonCrdt.check))
     monkeypatch.setattr(jsoncrdt.JsonCrdt, "merge_json",
                         counted("merge_json", jsoncrdt.JsonCrdt.merge_json))
-    monkeypatch.setattr(jsoncrdt, "check_document_shape", shape)
+    monkeypatch.setattr(jsoncrdt, "_pruned_copy", walk)
     monkeypatch.setattr(txpipeline, "init_empty_crdt",
                         counted("init_empty_crdt", txpipeline.init_empty_crdt))
     docs = [{"deviceID": "d", "readings": [{"t": str(i)}]} for i in range(25)]
@@ -466,7 +473,7 @@ def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch)
     assert json.loads(vblock.transactions[0].rwset.writes[0].value)["readings"] == [
         {"t": str(i)} for i in range(25)]
     assert (calls["check"], calls["merge_json"], calls["init_empty_crdt"]) == (25, 25, 1)
-    assert calls["check_document_shape"] == [docs[0]]  # init_empty_crdt's sample only
+    assert calls["_pruned_copy"] == docs  # one walk per write, none of the sample
 
 
 def test_crdt_transaction_failing_mvcc_after_its_check_leaves_the_crdt_unchanged(monkeypatch):

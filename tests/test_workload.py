@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crdtsim.jsoncrdt import canonical_json_bytes, check_document_shape
+from crdtsim.jsoncrdt import DocumentShapeError, JsonCrdt, canonical_json_bytes
 from crdtsim.ledger import Version, WorldState
 from crdtsim.workload import (
     CLIENT_COUNT,
@@ -75,7 +75,8 @@ def test_gen_iot_json_depth_grows_nesting():
 
 def test_gen_iot_json_values_are_text_leaves():
     doc = gen_iot_json(5, 5, random.Random(7))
-    check_document_shape(doc)
+    copy, _ = JsonCrdt("k").check(doc)
+    assert copy == doc  # well shaped, and no container without a text leaf
 
 
 def test_gen_iot_json_is_seed_deterministic():
@@ -151,6 +152,13 @@ def test_chaincode_appends_to_stored_document():
         "deviceID": "dev",
         "temperatureRoom1": [{"temperatureValue": "1"}, {"temperatureValue": "2"}],
     }
+
+
+def test_chaincode_fails_on_stored_bytes_that_are_not_json():
+    ws = WorldState()
+    ws._put("dev", b"{not json", Version(0, 0))
+    with pytest.raises(DocumentShapeError, match="not a JSON document"):
+        iot_chaincode(WorkloadConfig()).fn((("dev",), {"t": "1"}), ws.snapshot())
 
 
 def test_chaincode_plain_write_flag():
