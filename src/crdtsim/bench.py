@@ -1,10 +1,10 @@
 """Experiment runner sweeping one parameter and tabulating metrics.
 
-Each sweep point runs the pipeline on a fresh ledger, pre-populated with
-skeleton documents for every key the workload will read. Counts and
-simulated-clock metrics are deterministic under fixed seeds and must agree
-across repetitions; per-block merge compute time is the only wall-clock
-metric, summarized as a median across the blocks of all repetitions.
+Each sweep point runs the pipeline once on a fresh ledger, pre-populated
+with skeleton documents for every key the workload will read. Every metric
+is deterministic under fixed seeds: counts, simulated-clock throughput and
+latency, and the median over the run's blocks of the bytes each block
+merged, read from the block log.
 """
 
 from __future__ import annotations
@@ -13,15 +13,17 @@ import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .config import apply_overrides, read_json_object, set_field
+from .config import SECTIONS, apply_overrides, read_json_object, set_field
 from .jsoncrdt import canonical_json_bytes
 from .ledger import BlockLog, WorldState, commit_block
 from .txpipeline import (
+    CRDT,
     Block,
     PipelineConfig,
     ReadWriteSet,
     RunReport,
     Transaction,
+    ValidatedBlock,
     Write,
     run_pipeline,
     validate_merge_block,
@@ -53,8 +55,9 @@ METRIC_COLUMNS = (
     "failure_count",
     "successful_throughput_tps",
     "avg_success_latency_ms",
-    "median_block_merge_ms",
+    "median_block_merged_bytes",
 )
+EXPERIMENT_FIELDS = ("name", "sweep_param", "sweep_values", *SECTIONS)
 
 
 class BenchError(Exception):
@@ -68,7 +71,6 @@ class ExperimentSpec:
     workload: WorkloadConfig
     sweep_param: str
     sweep_values: list
-    repetitions: int = 1
 
     def validate(self) -> list:
         """Check the spec and build every sweep point as (value, pipeline,
@@ -76,10 +78,6 @@ class ExperimentSpec:
         replaces a field."""
         if not self.sweep_values:
             raise ValueError("field 'sweep_values' must be non-empty")
-        if (isinstance(self.repetitions, bool) or not isinstance(self.repetitions, int)
-                or self.repetitions < 1):
-            raise ValueError(f"field 'repetitions' must be a positive integer, "
-                             f"not {self.repetitions!r}")
         self.pipeline.validate()
         self.workload.validate()
         return [(value, *apply_sweep(self.pipeline, self.workload, self.sweep_param, value))
@@ -94,7 +92,7 @@ class PointMetrics:
     failure_count: int
     successful_throughput_tps: float
     avg_success_latency_ms: float
-    median_block_merge_ms: float
+    median_block_merged_bytes: float
 
 
 @dataclass
@@ -176,48 +174,43 @@ def run_single(pipeline: PipelineConfig, workload: WorkloadConfig) -> RunOutcome
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
-    """Run every sweep value x repetition; medians across repetitions.
-
-    Every sweep point is built and checked before the first one runs.
-    Counts must be identical across repetitions (same seeds).
-    """
+    """Run every sweep value once. Every sweep point is built and checked
+    before the first one runs."""
     points = spec.validate()
     report = MetricsReport(experiment=spec.name, mode=spec.pipeline.mode,
                            sweep_param=spec.sweep_param)
     for value, pipeline, workload in points:
-        report.rows.append(_run_point(value, pipeline, workload, spec.repetitions))
+        report.rows.append(_run_point(value, pipeline, workload))
     return report
 
 
-def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig,
-               repetitions: int) -> PointMetrics:
-    counts = None
-    merge_ms: list = []
-    throughput = latency = 0.0
-    for _ in range(repetitions):
-        outcome = run_single(pipeline, workload)
-        rep = outcome.report
-        rep_counts = (rep.success_count, rep.failure_count)
-        if counts is None:
-            counts = rep_counts
-        elif counts != rep_counts:
-            raise BenchError(f"counts differ across repetitions at sweep value {value!r}")
-        total = sum(rep_counts)
-        if total != workload.total_txs:
-            raise BenchError(
-                f"accounting mismatch: {total} classified of {workload.total_txs} generated"
-            )
-        merge_ms.extend(1000.0 * b.merge_wall_s for b in rep.blocks)
-        throughput = rep.throughput_tps
-        latency = rep.avg_latency_ms
+def block_merged_bytes(block: ValidatedBlock) -> int:
+    """Bytes of the merged documents a crdt-mode block committed: the length
+    of each key's value, over the keys its valid CRDT writes touch. All of a
+    key's writes in a block carry identical bytes, so each key counts once."""
+    merged = {write.key: len(write.value)
+              for tx, verdict in zip(block.transactions, block.validity) if verdict.valid
+              for write in tx.rwset.writes if write.is_crdt}
+    return sum(merged.values())
+
+
+def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> PointMetrics:
+    outcome = run_single(pipeline, workload)
+    rep = outcome.report
+    total = rep.success_count + rep.failure_count
+    if total != workload.total_txs:
+        raise BenchError(f"accounting mismatch: {total} classified of {workload.total_txs} generated")
+    # The run's blocks, without the bootstrap ones; fabric mode merges nothing.
+    heights = sorted({t.block_height for t in rep.txs if t.block_height is not None})
+    merged = [block_merged_bytes(outcome.log[h]) for h in heights] if pipeline.mode == CRDT else []
     return PointMetrics(
         sweep_value=value,
         total_txs=workload.total_txs,
-        success_count=counts[0],
-        failure_count=counts[1],
-        successful_throughput_tps=throughput,
-        avg_success_latency_ms=latency,
-        median_block_merge_ms=statistics.median(merge_ms) if merge_ms else 0.0,
+        success_count=rep.success_count,
+        failure_count=rep.failure_count,
+        successful_throughput_tps=rep.throughput_tps,
+        avg_success_latency_ms=rep.avg_latency_ms,
+        median_block_merged_bytes=float(statistics.median(merged)) if merged else 0.0,
     )
 
 
@@ -229,20 +222,19 @@ def named_experiments() -> dict:
     """The standard sweep suite at desk scale (the WorkloadConfig defaults:
     1,000 txs per point, seed 42)."""
 
-    def spec(name, param, values, *, repetitions=1) -> ExperimentSpec:
+    def spec(name, param, values) -> ExperimentSpec:
         return ExperimentSpec(
             name=name,
             pipeline=PipelineConfig(),
             workload=WorkloadConfig(),
             sweep_param=param,
             sweep_values=values,
-            repetitions=repetitions,
         )
 
     return {
         "block_size": spec("block_size", "block_size", [25, 100, 400, 1000]),
         "rw_keys": spec("rw_keys", "rw_keys", [1, 3, 5]),
-        "json_complexity": spec("json_complexity", "json_complexity", [1, 3, 5], repetitions=5),
+        "json_complexity": spec("json_complexity", "json_complexity", [1, 3, 5]),
         "arrival_rate": spec("arrival_rate", "arrival_rate_tps", [100, 200, 300, 400, 500]),
         "conflict_pct": spec("conflict_pct", "conflict_pct", [0, 20, 40, 60, 80, 100]),
     }
@@ -251,19 +243,22 @@ def named_experiments() -> dict:
 def load_experiment_file(path) -> ExperimentSpec:
     """Experiment from a JSON file with pipeline/workload field overrides.
 
-    Malformed JSON, a missing or ill-typed field, an override that set_field
-    refuses, or a spec that fails ExperimentSpec.validate (at any sweep
-    point) raises ValueError naming the file and the field.
+    Malformed JSON, an unknown, missing or ill-typed field, an override that
+    set_field refuses, or a spec that fails ExperimentSpec.validate (at any
+    sweep point) raises ValueError naming the file and the field.
     """
     doc = read_json_object(path)
     try:
+        for name in doc:
+            if name not in EXPERIMENT_FIELDS:
+                raise ValueError(f"unknown field {name!r}; "
+                                 f"fields: {', '.join(EXPERIMENT_FIELDS)}")
         for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
             if not isinstance(doc.get(name), kind):
                 raise ValueError(f"field {name!r} is missing or not a {kind.__name__}")
         spec = ExperimentSpec(name=doc["name"], pipeline=PipelineConfig(),
                               workload=WorkloadConfig(), sweep_param=doc["sweep_param"],
-                              sweep_values=doc["sweep_values"],
-                              repetitions=doc.get("repetitions", 1))
+                              sweep_values=doc["sweep_values"])
         apply_overrides(doc, spec.pipeline, spec.workload)
         spec.validate()
     except ValueError as exc:

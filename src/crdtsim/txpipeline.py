@@ -14,8 +14,9 @@ the converged canonical bytes before commit, so all writes of one key in a
 block carry identical values.
 
 Time is simulated: submit times come from the workload, block timeouts and
-latency accounting run on the same clock. The only wall-clock measurement in
-the system is the merge-time of validate_merge_block, taken by the caller.
+latency accounting run on the same clock, and nothing here reads the wall
+clock, so every output is a function of the inputs. The block log is the one
+per-block record of a run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Callable, Iterable, Optional
 
 from .jsoncrdt import (
@@ -297,7 +297,6 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     merging = mode == CRDT
     reasons: list = []
     crdts: dict = {}  # key -> CRDT, from the key's first merge on
-    unmerged: dict = {}  # key -> CRDT of a key checked but not yet merged
     overlay: dict = {}
 
     # One verdict per transaction, in block order. A transaction short of the
@@ -322,9 +321,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
                     continue
                 try:
                     doc = parse_json_bytes(write.value)
-                    crdt = crdts.get(write.key) or unmerged.get(write.key)
-                    if crdt is None:
-                        crdt = unmerged[write.key] = init_empty_crdt(write.key, doc)
+                    crdt = crdts.get(write.key) or init_empty_crdt(write.key, doc)
                     crdt.check(doc)
                 except StructuralConflictError:
                     reason = INVALID_STRUCTURAL
@@ -339,7 +336,6 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
                 reason = VALID
                 # Write keys are distinct, so no merge can fail after the checks.
                 for crdt, doc in docs:
-                    unmerged.pop(crdt.key, None)
                     crdts[crdt.key] = crdt
                     crdt.merge_json(doc)
                 for write in writes:
@@ -391,17 +387,8 @@ class TxRecord:
 
 
 @dataclass
-class BlockRecord:
-    height: int
-    tx_count: int
-    cut_reason: str
-    merge_wall_s: float
-
-
-@dataclass
 class RunReport:
     txs: list = field(default_factory=list)
-    blocks: list = field(default_factory=list)
 
     @property
     def success_count(self) -> int:
@@ -479,12 +466,8 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     by_tx_id: dict = {}
 
     def settle(block: Block, now: float) -> None:
-        start = perf_counter()
         vblock = validate_merge_block(block, ws, config.mode, policy)
-        merge_wall = perf_counter() - start
         commit_block(ws, log, vblock)
-        report.blocks.append(BlockRecord(vblock.height, len(vblock.transactions),
-                                         vblock.cut_reason, merge_wall))
         for tx, verdict in zip(vblock.transactions, vblock.validity):
             record = by_tx_id[tx.tx_id]
             record.commit_time = now

@@ -8,6 +8,7 @@ from crdtsim.bench import (
     METRIC_COLUMNS,
     ExperimentSpec,
     apply_sweep,
+    block_merged_bytes,
     emit_tables,
     load_experiment_file,
     named_experiments,
@@ -16,7 +17,8 @@ from crdtsim.bench import (
     run_single,
 )
 from crdtsim.ledger import BlockLog, Version, WorldState
-from crdtsim.txpipeline import CRDT, FABRIC, PipelineConfig
+from crdtsim.txpipeline import (CRDT, FABRIC, INVALID_MVCC, VALID, PipelineConfig, ReadWriteSet,
+                                Transaction, TxVerdict, ValidatedBlock, Write)
 from crdtsim.workload import WorkloadConfig
 
 
@@ -106,7 +108,7 @@ def test_run_single_classifies_trailing_partial_block():
                          small_workload(total_txs=12, conflict_pct=0.0, seed=3))
     rep = outcome.report
     assert rep.success_count + rep.failure_count == 12
-    assert rep.blocks[-1].cut_reason == "timeout"
+    assert outcome.log[-1].cut_reason == "timeout"
 
 
 def test_run_single_is_reproducible():
@@ -124,7 +126,7 @@ def test_run_experiment_sweeps_and_accounts():
     spec = ExperimentSpec(
         name="conflict", pipeline=PipelineConfig(mode=FABRIC),
         workload=small_workload(), sweep_param="conflict_pct",
-        sweep_values=[0.0, 50.0, 100.0], repetitions=2,
+        sweep_values=[0.0, 50.0, 100.0],
     )
     report = run_experiment(spec)
     assert report.mode == FABRIC
@@ -183,12 +185,31 @@ def test_run_experiment_rejects_unknown_parameter_upfront():
         run_experiment(spec)
 
 
-def test_median_block_merge_ms_is_positive_for_crdt_merges():
-    report = run_experiment(ExperimentSpec(
-        name="merge", pipeline=PipelineConfig(mode=CRDT), workload=small_workload(),
-        sweep_param="conflict_pct", sweep_values=[100.0], repetitions=2,
-    ))
-    assert report.rows[0].median_block_merge_ms > 0.0
+def test_block_merged_bytes_counts_each_key_of_valid_crdt_writes_once():
+    def tx(tx_id, *writes):
+        return Transaction(tx_id, ReadWriteSet(writes=writes), frozenset({"org1"}), 0.0)
+
+    merged = Write("hot", b"12345", True)
+    block = ValidatedBlock(0, (
+        tx("a", merged, Write("plain", b"123", False)),
+        tx("b", merged),
+        tx("c", Write("cold", b"1234567", True)),
+    ), "count", (TxVerdict(True, VALID), TxVerdict(True, VALID),
+                 TxVerdict(False, INVALID_MVCC)))
+    assert block_merged_bytes(block) == 5
+
+
+def test_median_block_merged_bytes_is_exact_for_crdt_merges():
+    # 40 hot-key writes in blocks of 25 and 15: the median of the two blocks'
+    # merged document lengths.
+    def row(mode):
+        return run_experiment(ExperimentSpec(
+            name="merge", pipeline=PipelineConfig(mode=mode), workload=small_workload(),
+            sweep_param="conflict_pct", sweep_values=[100.0],
+        )).rows[0]
+
+    assert row(CRDT).median_block_merged_bytes == 561.5
+    assert row(FABRIC).median_block_merged_bytes == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +225,7 @@ def test_named_experiments_cover_the_standard_sweeps():
         assert spec.workload.seed == 42
         assert spec.pipeline.mode == CRDT
         assert len(spec.validate()) == len(spec.sweep_values)
-    assert experiments["json_complexity"].repetitions == 5
+    assert experiments["json_complexity"].sweep_values == [1, 3, 5]
     assert experiments["conflict_pct"].sweep_values == [0, 20, 40, 60, 80, 100]
     assert experiments["block_size"].sweep_values == [25, 100, 400, 1000]
     assert named_experiments()["block_size"] is not experiments["block_size"]
@@ -218,7 +239,6 @@ def test_load_experiment_file_applies_overrides(tmp_path):
         "workload": {"total_txs": 20, "conflict_pct": 0},
         "sweep_param": "arrival_rate_tps",
         "sweep_values": [100, 200.5],
-        "repetitions": 2,
     }))
     spec = load_experiment_file(path)
     assert spec.name == "custom"
@@ -228,7 +248,6 @@ def test_load_experiment_file_applies_overrides(tmp_path):
     assert spec.workload.total_txs == 20
     assert spec.workload.conflict_pct == 0  # an int may set a float field
     assert spec.sweep_values == [100, 200.5]
-    assert spec.repetitions == 2
 
 
 def test_load_experiment_file_rejects_unknown_fields(tmp_path):
@@ -281,6 +300,7 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "pipeline": {"endorsement_k": 4}}, "k=4 of n=3"),
     ({**VALID_EXPERIMENT, "sweep_param": "mode", "sweep_values": ["fabric"]}, "'mode'"),
     ({**VALID_EXPERIMENT, "pipeline": {"orgs": ["org1", 2]}}, "'orgs'"),
+    ({**VALID_EXPERIMENT, "piepline": {"mode": "fabric"}}, "'piepline'"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"

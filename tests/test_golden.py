@@ -4,7 +4,8 @@ Each case runs the full pipeline on a bootstrapped ledger exactly as
 ``crdtsim run --save-blocklog`` does and compares the world-state digest, the
 sha256 of the saved block-log file and the report summary with pinned
 values. A refactor must leave every value unchanged; a deliberate behaviour
-change updates the affected cases and says why.
+change updates the affected cases and says why. The sha256 of every metric
+table of one small ``crdtsim bench`` sweep is pinned the same way.
 
 crdt mode on the fresh snapshot policy stays at 40 transactions: there the
 hot documents grow about 25-fold per block (stored history is re-merged
@@ -16,6 +17,7 @@ import hashlib
 import pytest
 
 from crdtsim.bench import run_single
+from crdtsim.cli import main
 from crdtsim.txpipeline import PipelineConfig, save_block_log
 from crdtsim.workload import WorkloadConfig
 
@@ -158,7 +160,82 @@ def test_golden_outputs_are_unchanged(tmp_path, case):
     outcome = run_single(PipelineConfig(**pipeline), WorkloadConfig(**workload))
     path = tmp_path / "blocks.log"
     save_block_log(outcome.log, path)
-    assert tuple(sorted({b.cut_reason for b in outcome.report.blocks})) == cuts
+    run_heights = {t.block_height for t in outcome.report.txs}
+    assert tuple(sorted({b.cut_reason for b in outcome.log if b.height in run_heights})) == cuts
     assert outcome.ws.digest() == digest
     assert hashlib.sha256(path.read_bytes()).hexdigest() == log_sha256
     assert outcome.report.summary() == summary
+
+
+# sha256 of each table written by
+# `crdtsim bench --experiment conflict_pct block_size rw_keys --mode both --scale 0.02 --seed 3`
+BENCH_TABLES = {
+    "block_size_crdt_avg_success_latency_ms.csv":
+        "f9b6ccd0d292a9bd0bc24ed3d2109d65a2eb13c016faaa6c5bcc6e033b5a039c",
+    "block_size_crdt_failure_count.csv":
+        "2424076ea3a7e640f7756f368cb1a1d3f807c56d939f624867b6023d5c8b448c",
+    "block_size_crdt_median_block_merged_bytes.csv":
+        "3bab2bf90ba2df4f6d010aec4f764841ba7f530605cde3557e9e124ff61312a2",
+    "block_size_crdt_success_count.csv":
+        "d96d3db5360bcadf7c5f268d212111d478b961e72a1cd3f3f8867ab58e190e5c",
+    "block_size_crdt_successful_throughput_tps.csv":
+        "63e3ae2960a7bbc3ef8c5d633dbac98c2311a303393f94f41c8b2af448194eda",
+    "block_size_fabric_avg_success_latency_ms.csv":
+        "e43bf2e7515cf4a1bfca25942ec559b2cbf7f73a36153054317e438597bf2d25",
+    "block_size_fabric_failure_count.csv":
+        "0916d46e675c4c1cc892ec0425521081d1f210ff3051b862694c0a4b9fc1c547",
+    "block_size_fabric_median_block_merged_bytes.csv":
+        "440da9ddff5d80ab2d5c4581f2012a63663a86b6eccdcd45575b9578411c2478",
+    "block_size_fabric_success_count.csv":
+        "5f3f1a4e8118ad315fb6a77b3d8a3ab0131001be95478f2c58a25539ca45db69",
+    "block_size_fabric_successful_throughput_tps.csv":
+        "37f1d4129edfebe5646acab3280867a1c4d8774d9c5710677e6389fa4eb884dd",
+    "conflict_pct_crdt_avg_success_latency_ms.csv":
+        "76d64ad860447678c15087acd321ab5b299d11ee90511f6f7d31a8bef9dbebe9",
+    "conflict_pct_crdt_failure_count.csv":
+        "4c0884e65684402fc4b3bbc0b15de31059e3b82cc44722a5e294c2149328a806",
+    "conflict_pct_crdt_median_block_merged_bytes.csv":
+        "828495238fb4b3189e1d0f6fe65e8161df493913d84e237055bcdcf93e7bf675",
+    "conflict_pct_crdt_success_count.csv":
+        "1ddc4429c5f7cbaa125f9282c862ae9065b542d8019e0d3317520d10b7da70b4",
+    "conflict_pct_crdt_successful_throughput_tps.csv":
+        "fa87f2516d8189d742fcb0e0223bea37cce5d4af3a283436dc54f779bbff2a80",
+    "conflict_pct_fabric_avg_success_latency_ms.csv":
+        "d256a8e001a0fea05a27ec7f4c168aa3fe742afd56f60b55f0fd0e8f9e259e91",
+    "conflict_pct_fabric_failure_count.csv":
+        "043e4adf74947de9fb46d00783500268bb06c5bd70e61af93571143da386b373",
+    "conflict_pct_fabric_median_block_merged_bytes.csv":
+        "802a98227d1a520b6484fa648530b3a1c9734f60ad39ae99bfe739921b1a789a",
+    "conflict_pct_fabric_success_count.csv":
+        "2bff16851fc6a8505eca753a9d24e76a3b43c0593452c291b62084a04e39ae95",
+    "conflict_pct_fabric_successful_throughput_tps.csv":
+        "b3387ef8bed5abbc92a53812e076c27109af8cc0edf0e24c041347b93996ed71",
+    "rw_keys_crdt_avg_success_latency_ms.csv":
+        "7164185ddcfea2afb907eaf70bd631a626f1a41d78f6e7657cabf5c3bc26ab38",
+    "rw_keys_crdt_failure_count.csv":
+        "881bd6264e8f4b21c945ec69b940b10adf556f9a9b2693f158a536317e98dbcd",
+    "rw_keys_crdt_median_block_merged_bytes.csv":
+        "d1ba39da16fcf833fc7fdc5418f4826319f6204bf02ae7a79fbc555440d34da0",
+    "rw_keys_crdt_success_count.csv":
+        "910e310da98e6a8e8b6da9c85b0c0afd98f4a87f071013d9340f006c5a333770",
+    "rw_keys_crdt_successful_throughput_tps.csv":
+        "bbf4f006d4b82db9e1dc48772dbd3fa33038d8de7cd574c0bff69c08729f7e23",
+    "rw_keys_fabric_avg_success_latency_ms.csv":
+        "8d377c15b17bd595d1593ca4074cd305ac45ee87f1b0c380aeb5923a18d3bfd3",
+    "rw_keys_fabric_failure_count.csv":
+        "bf136d2edc6c66792d7f1dc0c729ea3ccc167be7efcfef60a36442cac68efcdb",
+    "rw_keys_fabric_median_block_merged_bytes.csv":
+        "bca3f9276da5ad824c7c3b3e253f9d373946ca45f7b8e5149c7cfd12ad694b2e",
+    "rw_keys_fabric_success_count.csv":
+        "1906fa0c5059954194ece899fe0a54a0f524638351af06b70e7fcacdaaec20f0",
+    "rw_keys_fabric_successful_throughput_tps.csv":
+        "4061af4e342fe31bef9cf4900a1ea8e7348edf71863f51e2b93b58bc96b745cc",
+}
+
+
+def test_golden_bench_tables_are_unchanged(tmp_path, capsys):
+    assert main(["bench", "--experiment", "conflict_pct", "block_size", "rw_keys",
+                 "--mode", "both", "--scale", "0.02", "--seed", "3", "--out", str(tmp_path)]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == BENCH_TABLES

@@ -683,19 +683,21 @@ def plain_chaincode(write_key="k", read_keys=(), value=b"v", is_crdt=False):
 def test_run_pipeline_counts_and_heights():
     config = PipelineConfig(mode=CRDT, max_tx_count=2, block_timeout_ms=2000.0)
     proposals = [Proposal("client1", i * 0.01, ()) for i in range(4)]
-    report = run_pipeline(config, proposals, plain_chaincode())
+    log = BlockLog()
+    report = run_pipeline(config, proposals, plain_chaincode(), log=log)
     assert report.success_count + report.failure_count == 4
-    assert [b.height for b in report.blocks] == [0, 1]
-    assert all(b.cut_reason == "count" for b in report.blocks)
+    assert [b.height for b in log] == [0, 1]
+    assert all(b.cut_reason == "count" for b in log)
     assert {t.block_height for t in report.txs} == {0, 1}
 
 
 def test_run_pipeline_commit_time_is_cut_time():
     config = PipelineConfig(mode=CRDT, max_tx_count=100, block_timeout_ms=2000.0)
     proposals = [Proposal("client1", t, ()) for t in (0.0, 0.5, 1.0)]
-    report = run_pipeline(config, proposals, plain_chaincode())
+    log = BlockLog()
+    report = run_pipeline(config, proposals, plain_chaincode(), log=log)
     assert all(t.commit_time == 2.0 for t in report.txs)
-    assert report.blocks[0].cut_reason == "timeout"
+    assert log[0].cut_reason == "timeout"
     lat = sorted(t.latency_s for t in report.txs)
     assert lat == [1.0, 1.5, 2.0]
 
@@ -703,8 +705,9 @@ def test_run_pipeline_commit_time_is_cut_time():
 def test_run_pipeline_timeout_fires_between_batches():
     config = PipelineConfig(mode=CRDT, max_tx_count=100, block_timeout_ms=1000.0)
     proposals = [Proposal("client1", 0.0, ()), Proposal("client1", 5.0, ())]
-    report = run_pipeline(config, proposals, plain_chaincode())
-    assert [b.cut_reason for b in report.blocks] == ["timeout", "timeout"]
+    log = BlockLog()
+    report = run_pipeline(config, proposals, plain_chaincode(), log=log)
+    assert [b.cut_reason for b in log] == ["timeout", "timeout"]
     assert [t.commit_time for t in report.txs] == [1.0, 6.0]
 
 
@@ -713,11 +716,12 @@ def test_run_pipeline_final_drain_settles_fractional_tail():
     # must still cut and classify every transaction
     config = PipelineConfig(mode=CRDT, max_tx_count=100, block_timeout_ms=2000.0)
     times = [3 / 300, 4 / 300]
+    log = BlockLog()
     report = run_pipeline(config, [Proposal("client1", t, ()) for t in times],
-                          plain_chaincode())
+                          plain_chaincode(), log=log)
     assert [t.validity for t in report.txs] == [VALID, VALID]
     assert all(t.commit_time == times[0] + 2.0 for t in report.txs)
-    assert report.blocks[0].cut_reason == "timeout"
+    assert log[0].cut_reason == "timeout"
 
 
 def test_run_pipeline_tx_ids_are_unique_and_client_scoped():
@@ -733,9 +737,11 @@ def test_run_pipeline_read_only_proposals_are_not_ordered():
     def fn(args, snap):
         return ReadWriteSet(reads=(Read("k", None),), writes=())
     config = PipelineConfig(mode=CRDT, max_tx_count=1)
-    report = run_pipeline(config, [Proposal("client1", 0.0, ())], ChaincodeSpec("ro", fn))
+    log = BlockLog()
+    report = run_pipeline(config, [Proposal("client1", 0.0, ())], ChaincodeSpec("ro", fn),
+                          log=log)
     assert report.txs[0].validity == READ_ONLY
-    assert report.blocks == []
+    assert log == []
     assert report.success_count == 0
 
 
