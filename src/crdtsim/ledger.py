@@ -96,10 +96,17 @@ def commit_block(ws: WorldState, log: BlockLog, block) -> None:
 # of one block, repeated; genesis at offset 0.
 
 def write_record_file(path, records) -> None:
+    """Write the records; if producing one raises, delete the partly written
+    file, since its complete records would load as a shorter, valid log."""
     with open(path, "wb") as fh:
-        for record in records:
-            fh.write(struct.pack(">I", len(record)))
-            fh.write(record)
+        try:
+            for record in records:
+                fh.write(struct.pack(">I", len(record)))
+                fh.write(record)
+        except BaseException:
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
 
 
 def read_record_file(path) -> list:

@@ -173,6 +173,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}, not {value!r}")
+        try:
+            for org in self.orgs:
+                org.encode("utf-8")  # every saved block lists them
+        except (AttributeError, UnicodeEncodeError):
+            raise ValueError(f"orgs must be UTF-8 text, not {self.orgs!r}") from None
         self.policy()
 
     def policy(self) -> EndorsementPolicy:
@@ -187,15 +192,55 @@ def transaction_encoded_size(tx: Transaction) -> int:
     return len(canonical_json_bytes(transaction_to_jsonable(tx)))
 
 
+# Bytes of the canonical encoding (transaction_to_jsonable) that no field
+# length changes, with one separating comma per list element. A text field
+# takes at most 6 bytes per character (a \uXXXX escape; raw UTF-8 takes at
+# most 4) beside these quotes.
+_TX_FIXED = len('{"endorsements":[],"reads":[],"submit_time":,"tx_id":"","writes":[]}')
+_ORG_FIXED = len('"",')
+_READ_FIXED = len('["",null],')  # a version [h,i] adds at most its two ints
+_WRITE_FIXED = len('["","",false],')
+# The longest float repr, longer than NaN, Infinity and -Infinity.
+_FLOAT_MAX = len("-1.2345678901234567e-308")
+
+
+def _int_bound(n: int) -> int:
+    """An upper bound on len(str(n)): a sign and at most bits / 3 digits."""
+    return n.bit_length() // 3 + 2
+
+
+def _size_bound(tx: Transaction) -> int:
+    """An upper bound on transaction_encoded_size(tx) from field lengths
+    alone, for the field types the dataclasses declare (a float submit time)."""
+    size = _TX_FIXED + _FLOAT_MAX + 6 * len(tx.tx_id)
+    for org in tx.endorsements:
+        size += _ORG_FIXED + 6 * len(org)
+    for read in tx.rwset.reads:
+        size += _READ_FIXED + 6 * len(read.key)
+        if read.version is not None:
+            size += _int_bound(read.version.block_height) + _int_bound(read.version.tx_index)
+    for write in tx.rwset.writes:
+        size += _WRITE_FIXED + 6 * len(write.key) + 4 * ((len(write.value) + 2) // 3)
+    return size
+
+
 class Orderer:
-    """Deterministic FIFO orderer cutting blocks by count, bytes, or timeout."""
+    """Deterministic FIFO orderer cutting blocks by count, bytes, or timeout.
+
+    A transaction is sized exactly only once the queue's bounded size
+    reaches max_bytes, so a byte cut is possible; each is sized at most once.
+    """
 
     def __init__(self, max_tx_count: int, max_bytes: int, timeout_s: float, first_height: int = 0):
         self.max_tx_count = max_tx_count
         self.max_bytes = max_bytes
         self.timeout_s = timeout_s
         self.next_height = first_height
-        self._queue: list = []  # (tx, encoded size), enqueued at tx.submit_time
+        # (tx, size), enqueued at tx.submit_time. The size is the encoded
+        # size for the first _exact entries and the _size_bound for the rest,
+        # so their sum, _queued_bytes, is exact once every entry is sized.
+        self._queue: list = []
+        self._exact = 0
         self._queued_bytes = 0
         self._seen_tx_ids: set = set()
 
@@ -218,7 +263,7 @@ class Orderer:
         if tx.tx_id in self._seen_tx_ids:
             raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
         self._seen_tx_ids.add(tx.tx_id)
-        size = transaction_encoded_size(tx)
+        size = _size_bound(tx)
         self._queue.append((tx, size))
         self._queued_bytes += size
 
@@ -228,16 +273,27 @@ class Orderer:
             return None
         if len(self._queue) >= self.max_tx_count:
             return self._emit(self.max_tx_count, "count")
-        if self._queued_bytes >= self.max_bytes:
+        if self._queued_bytes >= self.max_bytes and self._size_exactly() >= self.max_bytes:
             return self._emit(self._byte_prefix(), "bytes")
         if now >= self.timeout_deadline:
             return self._emit(len(self._queue), "timeout")
         return None
 
+    def _size_exactly(self) -> int:
+        """Replace every queued bound by the exact size; the queue's size."""
+        for i in range(self._exact, len(self._queue)):
+            tx, bound = self._queue[i]
+            size = transaction_encoded_size(tx)
+            self._queue[i] = (tx, size)
+            self._queued_bytes += size - bound
+        self._exact = len(self._queue)
+        return self._queued_bytes
+
     def _byte_prefix(self) -> int:
         # Longest prefix within the byte budget; a single oversized
         # transaction still forms a (singleton) block. The count cut runs
-        # first, so the queue here is shorter than max_tx_count.
+        # first, so the queue here is shorter than max_tx_count, and every
+        # queued transaction is sized exactly.
         total = 0
         count = 0
         for _, size in self._queue:
@@ -251,6 +307,7 @@ class Orderer:
         taken = self._queue[:count]
         del self._queue[:count]
         self._queued_bytes -= sum(size for _, size in taken)
+        self._exact = max(0, self._exact - count)
         block = Block(
             height=self.next_height,
             transactions=tuple(tx for tx, _ in taken),

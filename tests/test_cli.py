@@ -137,9 +137,10 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"pipeline": {"orgs": []}}', "not k=1 of n=0 orgs"),
     (b'{"pipeline": {"block_timeout_ms": NaN}}', "block_timeout_ms must be finite, not nan"),
     (b'{"workload": {"arrival_rate_tps": Infinity}}', "arrival_rate_tps must be finite, not inf"),
+    (b'{"pipeline": {"orgs": ["org1", "\\udc80"]}}', "orgs must be UTF-8 text"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
         "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
-        "infinite-rate"])
+        "infinite-rate", "lone-surrogate-org"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)

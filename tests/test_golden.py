@@ -8,8 +8,9 @@ change updates the affected cases and says why. The sha256 of every metric
 table of one small ``crdtsim bench`` sweep is pinned the same way.
 
 crdt mode on the fresh snapshot policy stays at 40 transactions: there the
-hot documents grow about 25-fold per block (stored history is re-merged
-under new operation ids), so larger runs are slow.
+hot documents grow about 25-fold per block, because the crdt chaincode writes
+the whole stored document plus the reading, so each write of a block
+re-appends the stored history; larger runs are slow.
 """
 
 import hashlib
@@ -134,6 +135,14 @@ CASES = [
         "b4bd9215913ed36c461eed9ea074c94710e847ffe988f6fbf4c2afc4e2e0fe7b",
         "d015ccdfb839e39e42eee1e27eb3117f40627b89f19e1ba8091fda78cfa66525",
         {"throughput_tps": 27.480916030534353, "avg_latency_ms": 175.27777777777777, "success_count": 60, "failure_count": 0},
+    ),
+    (
+        "fabric-fresh-bytes-cut", {"mode": "fabric", "snapshot_policy": "fresh", "max_tx_count": 25, "max_bytes": 5000},
+        {"total_txs": 60, "conflict_pct": 30, "json_keys": 2, "json_depth": 3},
+        ("bytes", "timeout"),
+        "2a027645fc3ee4241ba4aa9f85f4156f34fb355b11aea4b296453ab56fb3afe3",
+        "06547de1d219b54f9cbfc5ad68991a429a7e4f552ec5cc8bfc85d198247c4c73",
+        {"throughput_tps": 22.085889570552148, "avg_latency_ms": 306.18055555555554, "success_count": 48, "failure_count": 12},
     ),
     (
         "fabric-timeout-cut", {"mode": "fabric", "max_tx_count": 1000, "block_timeout_ms": 50.0},

@@ -1,9 +1,12 @@
 import io
 import json
+from collections import Counter
 from dataclasses import replace
+from typing import Optional
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crdtsim import jsoncrdt, txpipeline
@@ -193,6 +196,203 @@ def test_orderer_rejects_duplicate_tx_ids():
 def test_orderer_empty_queue_never_cuts():
     orderer = Orderer(max_tx_count=1, max_bytes=1, timeout_s=0.001)
     assert orderer.cut_block(1e9) is None
+
+
+class ExactSizeOrderer:
+    """The orderer as it was before the size bound: every transaction is
+    sized exactly at submit. Kept as the reference for cut decisions."""
+
+    def __init__(self, max_tx_count: int, max_bytes: int, timeout_s: float, first_height: int = 0):
+        self.max_tx_count = max_tx_count
+        self.max_bytes = max_bytes
+        self.timeout_s = timeout_s
+        self.next_height = first_height
+        self._queue: list = []  # (tx, encoded size), enqueued at tx.submit_time
+        self._queued_bytes = 0
+        self._seen_tx_ids: set = set()
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    @property
+    def timeout_deadline(self) -> Optional[float]:
+        return self._queue[0][0].submit_time + self.timeout_s if self._queue else None
+
+    def submit(self, tx: Transaction) -> None:
+        if tx.tx_id in self._seen_tx_ids:
+            raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
+        self._seen_tx_ids.add(tx.tx_id)
+        size = transaction_encoded_size(tx)
+        self._queue.append((tx, size))
+        self._queued_bytes += size
+
+    def cut_block(self, now: float) -> Optional[Block]:
+        if not self._queue:
+            return None
+        if len(self._queue) >= self.max_tx_count:
+            return self._emit(self.max_tx_count, "count")
+        if self._queued_bytes >= self.max_bytes:
+            return self._emit(self._byte_prefix(), "bytes")
+        if now >= self.timeout_deadline:
+            return self._emit(len(self._queue), "timeout")
+        return None
+
+    def _byte_prefix(self) -> int:
+        total = 0
+        count = 0
+        for _, size in self._queue:
+            if count > 0 and total + size > self.max_bytes:
+                break
+            total += size
+            count += 1
+        return count
+
+    def _emit(self, count: int, reason: str) -> Block:
+        taken = self._queue[:count]
+        del self._queue[:count]
+        self._queued_bytes -= sum(size for _, size in taken)
+        block = Block(
+            height=self.next_height,
+            transactions=tuple(tx for tx, _ in taken),
+            cut_reason=reason,
+        )
+        self.next_height += 1
+        return block
+
+
+# Text the canonical encoder escapes (quote, backslash, control characters),
+# passes raw (U+2028, non-ASCII, astral) or both, beside arbitrary text.
+TEXT = st.text(alphabet=st.sampled_from('"\\\x00\x1f\n\u2028\x7fé€😀a'), max_size=20) | st.text(max_size=8)
+BIG_INTS = st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+TIMES = st.floats() | st.integers(-10 ** 22, 10 ** 22)  # no longer than the longest float
+VERSIONS = st.none() | st.builds(Version, BIG_INTS, BIG_INTS)
+TRANSACTIONS = st.builds(
+    Transaction,
+    tx_id=TEXT,
+    rwset=st.builds(
+        ReadWriteSet,
+        reads=st.lists(st.builds(Read, TEXT, VERSIONS), max_size=4,
+                       unique_by=lambda r: r.key).map(tuple),
+        writes=st.lists(st.builds(Write, TEXT, st.binary(max_size=40), st.booleans()), max_size=4,
+                        unique_by=lambda w: w.key).map(tuple),
+    ),
+    endorsements=st.frozensets(TEXT, max_size=4),
+    submit_time=TIMES,
+)
+
+
+# Each example leaves the bound no slack beyond one comma per list, so a
+# smaller constant for any field fails it: the longest float repr, control
+# characters (6 bytes each escaped) in every text field, an empty write with
+# false, and versions of extreme ints.
+WORST_TIME = -2.2250738585072014e-308
+WORST_TEXT = "\x00" * 12
+
+
+@settings(max_examples=500)
+@given(TRANSACTIONS)
+@example(make_tx("", orgs=(), submit_time=WORST_TIME))
+@example(make_tx("", orgs=(), submit_time=float("-inf")))
+@example(make_tx("", orgs=(), submit_time=float("nan")))
+@example(make_tx(WORST_TEXT, orgs=(WORST_TEXT,), submit_time=WORST_TIME))
+@example(make_tx("", orgs=(), reads=[Read(WORST_TEXT, None)], submit_time=WORST_TIME))
+@example(make_tx("", orgs=(), writes=[Write(WORST_TEXT, b"\xff" * 7)], submit_time=WORST_TIME))
+@example(make_tx("", orgs=(), writes=[Write("", b"", False)], submit_time=WORST_TIME))
+@example(make_tx("", orgs=(), reads=[Read("", Version(-10 ** 60, -10 ** 60))], submit_time=WORST_TIME))
+@example(make_tx("", orgs=(), reads=[Read("", Version(-1, -1)), Read("\x00", Version(-1, -1))],
+                submit_time=WORST_TIME))
+def test_size_bound_is_never_below_the_encoded_size(tx):
+    assert txpipeline._size_bound(tx) >= transaction_encoded_size(tx)
+
+
+def _counting_sizer():
+    """A stand-in for transaction_encoded_size that counts calls per tx id."""
+    calls = Counter()
+
+    def sizer(tx):
+        calls[tx.tx_id] += 1
+        return transaction_encoded_size(tx)
+    return calls, sizer
+
+
+STREAM_TXS = st.builds(
+    lambda reads, writes, time: (reads, writes, time),
+    st.lists(st.tuples(TEXT, VERSIONS), max_size=3, unique_by=lambda r: r[0]),
+    st.lists(st.tuples(TEXT, st.binary(max_size=300)), min_size=1, max_size=3,
+             unique_by=lambda w: w[0]),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    max_tx_count=st.integers(1, 8),
+    max_bytes=st.integers(1, 3000) | st.sampled_from([1, 1 << 27]),
+    timeout_s=st.floats(0.0, 5.0),
+    ops=st.lists(st.one_of(STREAM_TXS, st.floats(0.0, 20.0)), max_size=40),
+)
+def test_bounded_orderer_cuts_the_blocks_of_the_exact_size_orderer(max_tx_count, max_bytes,
+                                                                    timeout_s, ops):
+    orderer = Orderer(max_tx_count, max_bytes, timeout_s, first_height=3)
+    reference = ExactSizeOrderer(max_tx_count, max_bytes, timeout_s, first_height=3)
+    calls, sizer = _counting_sizer()
+    blocks, expected = [], []
+    with mock.patch.object(txpipeline, "transaction_encoded_size", sizer):
+        for i, op in enumerate(ops):
+            if isinstance(op, float):  # cut at this instant, as often as it cuts
+                while (block := orderer.cut_block(op)) is not None:
+                    blocks.append(block)
+                while (block := reference.cut_block(op)) is not None:
+                    expected.append(block)
+            else:
+                reads, writes, time = op
+                tx = make_tx(f"t{i}", reads=[Read(k, v) for k, v in reads],
+                             writes=[Write(k, v) for k, v in writes], submit_time=time)
+                orderer.submit(tx)
+                reference.submit(tx)
+            assert len(orderer) == len(reference)
+            assert orderer.timeout_deadline == reference.timeout_deadline
+    assert blocks == expected
+    assert all(n == 1 for n in calls.values())
+
+
+def test_default_budget_run_never_sizes_a_transaction():
+    calls, sizer = _counting_sizer()
+    with mock.patch.object(txpipeline, "transaction_encoded_size", sizer):
+        outcome = run_single(PipelineConfig(), WorkloadConfig(total_txs=1000))
+    assert {b.cut_reason for b in outcome.log[1:]} == {"count"}
+    assert sum(calls.values()) == 0
+
+
+def test_byte_cut_run_sizes_each_transaction_at_most_once():
+    calls, sizer = _counting_sizer()
+    with mock.patch.object(txpipeline, "transaction_encoded_size", sizer):
+        outcome = run_single(PipelineConfig(mode=FABRIC, snapshot_policy="fresh", max_bytes=5000),
+                             WorkloadConfig(total_txs=60, conflict_pct=30, json_keys=2, json_depth=3))
+    assert "bytes" in {b.cut_reason for b in outcome.log}
+    assert calls and max(calls.values()) == 1
+
+
+def test_lone_surrogate_read_key_fails_at_the_byte_cut_or_the_save(tmp_path):
+    # The size bound counts characters, so only exact sizing (reached once a
+    # byte cut is possible) or saving the block log encodes the key.
+    bad = make_tx("t1", reads=[Read("\udc80", None)], writes=[Write("k", b"v")])
+    orderer = Orderer(max_tx_count=100, max_bytes=1, timeout_s=10.0)
+    orderer.submit(bad)
+    with pytest.raises(UnicodeEncodeError):
+        orderer.cut_block(0.0)
+
+    orderer = Orderer(max_tx_count=1, max_bytes=1 << 30, timeout_s=10.0)
+    orderer.submit(make_tx("t0", writes=[Write("k", b"v")]))
+    orderer.submit(bad)
+    ws, log = WorldState(), BlockLog()
+    while (block := orderer.cut_block(0.0)) is not None:
+        commit_block(ws, log, validate_merge_block(block, ws, FABRIC, POLICY))
+    path = tmp_path / "blocks.log"
+    path.write_bytes(b"an older log")
+    with pytest.raises(UnicodeEncodeError):
+        save_block_log(log, path)
+    assert not path.exists()  # no loadable first block left behind
 
 
 # ----------------------------------------------------------------------
