@@ -23,7 +23,6 @@ from .txpipeline import (
     ReadWriteSet,
     RunReport,
     Transaction,
-    ValidatedBlock,
     Write,
     run_pipeline,
     validate_merge_block,
@@ -87,7 +86,6 @@ class ExperimentSpec:
 @dataclass
 class PointMetrics:
     sweep_value: object
-    total_txs: int
     success_count: int
     failure_count: int
     successful_throughput_tps: float
@@ -155,8 +153,7 @@ def populate_world_state(ws: WorldState, log: BlockLog, pipeline: PipelineConfig
             for i, key in enumerate(chunk)
         )
         block = Block(height=len(log), transactions=txs, cut_reason="count")
-        vblock = validate_merge_block(block, ws, pipeline.mode, policy)
-        commit_block(ws, log, vblock)
+        commit_block(ws, log, validate_merge_block(block, ws, pipeline.mode, policy))
 
 
 def run_single(pipeline: PipelineConfig, workload: WorkloadConfig) -> RunOutcome:
@@ -184,10 +181,10 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     return report
 
 
-def block_merged_bytes(block: ValidatedBlock) -> int:
+def block_merged_bytes(block: Block) -> int:
     """Bytes of the merged documents a crdt-mode block committed: the length
     of each key's value, over the keys its valid CRDT writes touch. All of a
-    key's writes in a block carry identical bytes, so each key counts once."""
+    key's valid writes in a block carry identical bytes, so each counts once."""
     merged = {write.key: len(write.value)
               for tx, verdict in zip(block.transactions, block.validity) if verdict.valid
               for write in tx.rwset.writes if write.is_crdt}
@@ -205,7 +202,6 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> Poi
     merged = [block_merged_bytes(outcome.log[h]) for h in heights] if pipeline.mode == CRDT else []
     return PointMetrics(
         sweep_value=value,
-        total_txs=workload.total_txs,
         success_count=rep.success_count,
         failure_count=rep.failure_count,
         successful_throughput_tps=rep.throughput_tps,

@@ -98,7 +98,7 @@ def _cmd_bench(args) -> int:
             else:
                 names = ", ".join(sorted(named))
                 raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
-            spec.pipeline.mode = mode
+            spec.pipeline.mode = mode or spec.pipeline.mode  # flag, then file, then crdt
             if seed is not None:
                 spec.workload.seed = seed
             scaled = spec.workload.total_txs * args.scale
@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiply transaction counts (a positive finite number)")
     bench.add_argument("--out", default="bench_out", help="directory for metric tables")
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--mode", choices=["fabric", "crdt", "both"], default="crdt")
+    bench.add_argument("--mode", choices=["fabric", "crdt", "both"],
+                       help="default: a spec file's own mode, crdt for a named experiment")
     bench.set_defaults(func=_cmd_bench)
 
     rep = sub.add_parser("replay", help="rebuild world state from a block log file")

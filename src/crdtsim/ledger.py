@@ -75,14 +75,17 @@ class BlockLog(list):
 def commit_block(ws: WorldState, log: BlockLog, block) -> None:
     """Apply valid transactions' writes in order and append the whole block.
 
-    The block must carry per-transaction validity flags (a ValidatedBlock).
-    Writes of invalid transactions are skipped but the transactions stay in
-    the appended block.
+    A block without one verdict per transaction raises LedgerError first.
+    Invalid transactions stay in the block, writes as submitted, and commit
+    nothing; only a valid transaction's CRDT writes carry merged bytes.
     """
     if block.height != len(log):
         raise OrderingViolationError(
             f"cannot commit height {block.height} onto log of length {len(log)}"
         )
+    if len(block.validity) != len(block.transactions):
+        raise LedgerError(f"block {block.height}: {len(block.validity)} verdicts for "
+                          f"{len(block.transactions)} transactions")
     for tx_index, (tx, verdict) in enumerate(zip(block.transactions, block.validity)):
         if not verdict.valid:
             continue

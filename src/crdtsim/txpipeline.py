@@ -9,9 +9,10 @@ each read's version must match the committed state overlaid with the writes
 of preceding valid transactions of the same block. In crdt mode writes
 flagged as CRDT values are merged per key into a fresh JSON CRDT in block
 order (a transaction's CRDT writes merge together, or none of them does),
-MVCC applies only to non-CRDT content, and every CRDT write is rewritten to
-the converged canonical bytes before commit, so all writes of one key in a
-block carry identical values.
+MVCC applies only to non-CRDT content, and only a valid transaction's CRDT
+writes are rewritten, to their key's merged canonical bytes, so a key's valid
+writes in a block are identical; every other write stays as submitted.
+Validation fills in a block's verdicts, one per transaction.
 
 Time is simulated: submit times come from the workload, block timeouts and
 latency accounting run on the same clock, and nothing here reads the wall
@@ -123,20 +124,13 @@ class Block:
     height: int
     transactions: tuple
     cut_reason: str  # count | bytes | timeout
+    validity: tuple = ()  # one TxVerdict per transaction once validated
 
 
 @dataclass(frozen=True)
 class TxVerdict:
     valid: bool
     reason: str
-
-
-@dataclass(frozen=True)
-class ValidatedBlock:
-    height: int
-    transactions: tuple
-    cut_reason: str
-    validity: tuple  # one TxVerdict per transaction
 
 
 @dataclass(frozen=True)
@@ -343,8 +337,8 @@ def mvcc_validate(tx: Transaction, ws: WorldState, intra_block_writes: dict,
 
 
 def validate_merge_block(block: Block, ws: WorldState, mode: str,
-                         policy: EndorsementPolicy) -> ValidatedBlock:
-    """Validate one block and, in crdt mode, merge and rewrite CRDT writes.
+                         policy: EndorsementPolicy) -> Block:
+    """The block with its verdicts and, in crdt mode, its valid CRDT writes merged.
 
     Fabric mode is crdt mode with merging turned off: no key gets a CRDT, so
     no write is exempt from MVCC and none is rewritten.
@@ -354,6 +348,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     merging = mode == CRDT
     reasons: list = []
     crdts: dict = {}  # key -> CRDT, from the key's first merge on
+    merged: list = []  # indices of the valid transactions that merged CRDT writes
     overlay: dict = {}
 
     # One verdict per transaction, in block order. A transaction short of the
@@ -395,32 +390,25 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
                 for crdt, doc in docs:
                     crdts[crdt.key] = crdt
                     crdt.merge_json(doc)
+                if docs:
+                    merged.append(i)
                 for write in writes:
                     overlay[write.key] = Version(block.height, i)
             else:
                 reason = INVALID_MVCC
         reasons.append(reason)
 
-    # Only once every merge is done, rewrite every CRDT-flagged write whose
-    # key converged to the canonical merged bytes, so same-key writes are
-    # byte-identical.
-    final_txs = []
-    for tx in block.transactions:
-        new_writes = []
-        changed = False
-        for write in tx.rwset.writes:
-            if write.is_crdt and write.key in crdts:
-                merged = canonical_json_bytes(crdts[write.key].to_json())
-                new_writes.append(Write(write.key, merged, True))
-                changed = True
-            else:
-                new_writes.append(write)
-        if changed:
-            tx = replace(tx, rwset=replace(tx.rwset, writes=tuple(new_writes)))
-        final_txs.append(tx)
-
+    # Only once every merge is done, rewrite the CRDT writes of the
+    # transactions that merged to their keys' canonical merged bytes, so the
+    # valid writes of a key are byte-identical. No other write is touched.
+    txs = list(block.transactions)
+    for i in merged:
+        tx = txs[i]
+        writes = tuple(Write(w.key, canonical_json_bytes(crdts[w.key].to_json()), True)
+                       if w.is_crdt else w for w in tx.rwset.writes)
+        txs[i] = replace(tx, rwset=replace(tx.rwset, writes=writes))
     verdicts = tuple(TxVerdict(r == VALID, r) for r in reasons)
-    return ValidatedBlock(block.height, tuple(final_txs), block.cut_reason, verdicts)
+    return replace(block, transactions=tuple(txs), validity=verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -523,13 +511,13 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     by_tx_id: dict = {}
 
     def settle(block: Block, now: float) -> None:
-        vblock = validate_merge_block(block, ws, config.mode, policy)
-        commit_block(ws, log, vblock)
-        for tx, verdict in zip(vblock.transactions, vblock.validity):
+        block = validate_merge_block(block, ws, config.mode, policy)
+        commit_block(ws, log, block)
+        for tx, verdict in zip(block.transactions, block.validity):
             record = by_tx_id[tx.tx_id]
             record.commit_time = now
             record.validity = verdict.reason
-            record.block_height = vblock.height
+            record.block_height = block.height
 
     def fire_timeouts(up_to: float) -> None:
         # A non-empty queue always cuts at its own deadline.
@@ -583,23 +571,30 @@ def transaction_to_jsonable(tx: Transaction) -> dict:
 
 
 def transaction_from_jsonable(doc: dict) -> Transaction:
-    reads = tuple(
-        Read(key, None if version is None else Version(version[0], version[1]))
-        for key, version in doc["reads"]
-    )
-    writes = tuple(
-        Write(key, base64.b64decode(value), bool(is_crdt))
-        for key, value, is_crdt in doc["writes"]
-    )
+    """Transaction from its log record; raise ValueError unless each version
+    is two ints (a bool or a float is none) and each write key is text."""
+    reads = []
+    for key, version in doc["reads"]:
+        if version is not None:
+            height, index = version
+            if type(height) is not int or type(index) is not int:
+                raise ValueError(f"version {version!r} is not two ints")
+            version = Version(height, index)
+        reads.append(Read(key, version))
+    writes = []
+    for key, value, is_crdt in doc["writes"]:
+        if type(key) is not str:
+            raise ValueError(f"write key {key!r} is not text")
+        writes.append(Write(key, base64.b64decode(value), bool(is_crdt)))
     return Transaction(
         tx_id=doc["tx_id"],
-        rwset=ReadWriteSet(reads=reads, writes=writes),
+        rwset=ReadWriteSet(reads=tuple(reads), writes=tuple(writes)),
         endorsements=frozenset(doc["endorsements"]),
         submit_time=doc["submit_time"],
     )
 
 
-def block_to_jsonable(block: ValidatedBlock) -> dict:
+def block_to_jsonable(block: Block) -> dict:
     return {
         "height": block.height,
         "cut_reason": block.cut_reason,
@@ -608,9 +603,12 @@ def block_to_jsonable(block: ValidatedBlock) -> dict:
     }
 
 
-def block_from_jsonable(doc: dict) -> ValidatedBlock:
-    """Block from its log record; raise ValueError unless it holds one verdict
-    per transaction, each a known reason with the flag that reason implies."""
+def block_from_jsonable(doc: dict) -> Block:
+    """Block from its log record; raise ValueError unless it has an int height
+    and one verdict per transaction, each a known reason with its implied flag."""
+    height = doc["height"]
+    if type(height) is not int:
+        raise ValueError(f"height {height!r} is not an int")
     transactions = tuple(transaction_from_jsonable(t) for t in doc["transactions"])
     validity = []
     for valid, reason in doc["validity"]:
@@ -621,7 +619,7 @@ def block_from_jsonable(doc: dict) -> ValidatedBlock:
         validity.append(TxVerdict(valid, reason))
     if len(validity) != len(transactions):
         raise ValueError(f"{len(validity)} verdicts for {len(transactions)} transactions")
-    return ValidatedBlock(doc["height"], transactions, doc["cut_reason"], tuple(validity))
+    return Block(height, transactions, doc["cut_reason"], tuple(validity))
 
 
 def save_block_log(log: BlockLog, path) -> None:
@@ -643,7 +641,7 @@ def load_block_log(path) -> list:
     return blocks
 
 
-def replay_block_log(blocks: Iterable[ValidatedBlock]) -> tuple:
+def replay_block_log(blocks: Iterable[Block]) -> tuple:
     """Rebuild world state and log by re-committing stored blocks in order."""
     ws = WorldState()
     log = BlockLog()

@@ -24,7 +24,6 @@ from crdtsim.txpipeline import (
     Read,
     ReadWriteSet,
     Transaction,
-    ValidatedBlock,
     Write,
     load_block_log,
     replay_block_log,
@@ -211,7 +210,7 @@ def test_criterion_04_strict_version_matching_on_the_five_tx_block():
     ws._put("K2", b"VL2", vn2)
     ws._put("K3", b"VL3", vn3)
     for height in range(4):
-        commit_block(ws, log, ValidatedBlock(height, (), "timeout", ()))
+        commit_block(ws, log, Block(height, (), "timeout", ()))
 
     def tx(tx_id, reads, writes):
         return Transaction(tx_id, ReadWriteSet(tuple(reads), tuple(writes)),

@@ -17,8 +17,8 @@ from crdtsim.bench import (
     run_single,
 )
 from crdtsim.ledger import BlockLog, Version, WorldState
-from crdtsim.txpipeline import (CRDT, FABRIC, INVALID_MVCC, VALID, PipelineConfig, ReadWriteSet,
-                                Transaction, TxVerdict, ValidatedBlock, Write)
+from crdtsim.txpipeline import (CRDT, FABRIC, INVALID_MVCC, VALID, Block, PipelineConfig,
+                                ReadWriteSet, Transaction, TxVerdict, Write)
 from crdtsim.workload import WorkloadConfig
 
 
@@ -190,7 +190,7 @@ def test_block_merged_bytes_counts_each_key_of_valid_crdt_writes_once():
         return Transaction(tx_id, ReadWriteSet(writes=writes), frozenset({"org1"}), 0.0)
 
     merged = Write("hot", b"12345", True)
-    block = ValidatedBlock(0, (
+    block = Block(0, (
         tx("a", merged, Write("plain", b"123", False)),
         tx("b", merged),
         tx("c", Write("cold", b"1234567", True)),

@@ -243,6 +243,31 @@ def test_bench_experiment_file(capsys, tmp_path):
     assert "tiny_crdt_success_count.csv" in names
 
 
+@pytest.mark.parametrize("flag, counts", [
+    ((), {"fabric": (1, 19)}),
+    (("--mode", "crdt"), {"crdt": (20, 0)}),
+    (("--mode", "both"), {"crdt": (20, 0), "fabric": (1, 19)}),
+], ids=["file-mode", "flag-crdt", "flag-both"])
+def test_bench_mode_flag_beats_the_spec_files_mode(capsys, tmp_path, flag, counts):
+    spec_file = tmp_path / "m.json"
+    spec_file.write_text(json.dumps({
+        "name": "m",
+        "pipeline": {"mode": "fabric"},
+        "workload": {"total_txs": 20},
+        "sweep_param": "conflict_pct",
+        "sweep_values": [100.0],
+    }))
+    out_dir = tmp_path / "tables"
+    code, out, _ = run_cli(capsys, "bench", "--experiment", str(spec_file), *flag,
+                           "--out", str(out_dir))
+    assert code == 0
+    assert {p.rsplit("/", 1)[-1].split("_")[1] for p in out.splitlines()} == set(counts)
+    for mode, expected in counts.items():
+        tables = [(out_dir / f"m_{mode}_{metric}.csv").read_text().splitlines()
+                  for metric in ("success_count", "failure_count")]
+        assert tuple(int(t[1].split(",")[1]) for t in tables) == expected
+
+
 @pytest.mark.parametrize("content", [
     b'{"name": "tiny", "sweep_param": "conflict_pct",\n',
     json.dumps({"name": "tiny", "pipeline": {"max_tx_count": "5"},

@@ -16,10 +16,10 @@ from crdtsim.ledger import (
     write_record_file,
 )
 from crdtsim.txpipeline import (
+    Block,
     ReadWriteSet,
     Transaction,
     TxVerdict,
-    ValidatedBlock,
     Write,
 )
 
@@ -34,7 +34,7 @@ def make_tx(tx_id, reads=(), writes=(), orgs=("org1",)):
 
 
 def make_validated(height, txs, verdicts, cut_reason="count"):
-    return ValidatedBlock(
+    return Block(
         height=height,
         transactions=tuple(txs),
         cut_reason=cut_reason,
@@ -161,6 +161,19 @@ def test_commit_block_height_must_match_log():
             commit_block(ws, log, make_validated(height, [later], [TxVerdict(True, None)]))
         assert ws.digest() == digest
         assert len(log) == 1
+
+
+def test_commit_of_an_unvalidated_block_fails_and_changes_nothing():
+    ws = WorldState()
+    log = BlockLog()
+    first = make_validated(0, [make_tx("t0", writes=[Write("k", b"v0")])], [TxVerdict(True, None)])
+    commit_block(ws, log, first)
+    digest = ws.digest()
+    unvalidated = Block(1, (make_tx("t1", writes=[Write("k", b"v1")]),), "count")
+    with pytest.raises(LedgerError, match="block 1: 0 verdicts for 1 transactions"):
+        commit_block(ws, log, unvalidated)
+    assert ws.digest() == digest
+    assert list(log) == [first]
 
 
 # ----------------------------------------------------------------------

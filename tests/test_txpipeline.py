@@ -36,7 +36,6 @@ from crdtsim.txpipeline import (
     ReadWriteSet,
     Transaction,
     TxVerdict,
-    ValidatedBlock,
     Write,
     block_from_jsonable,
     block_to_jsonable,
@@ -470,7 +469,7 @@ def test_block_of_five_reproduces_strict_version_matching():
 
 
 def replay_stub(height):
-    return ValidatedBlock(height, (), "timeout", ())
+    return Block(height, (), "timeout", ())
 
 
 # ----------------------------------------------------------------------
@@ -593,10 +592,34 @@ def test_crdt_endorsement_failures_never_merge():
     ), "count")
     vblock = validate_merge_block(block, ws, CRDT, POLICY)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT]
-    # the rejected transaction's payload is still rewritten to the converged
-    # value so any same-key write in the block carries identical bytes
+    # the merged value holds only the valid payload, and the rejected
+    # transaction's payload stays as submitted
     assert vblock.transactions[0].rwset.writes[0].value == jbytes(TX1_DOC)
-    assert vblock.transactions[1].rwset.writes[0].value == jbytes(TX1_DOC)
+    assert vblock.transactions[1].rwset.writes[0].value == jbytes(TX2_DOC)
+
+
+def test_crdt_only_valid_writes_carry_merged_bytes_and_the_log_keeps_the_rest(tmp_path):
+    submitted = [jbytes(TX1_DOC), jbytes(TX2_DOC), b"{not json", jbytes({"a": "1"})]
+    block = Block(0, (
+        make_tx("t1", writes=[Write("k", submitted[0], True)]),
+        make_tx("t2", writes=[Write("k", submitted[1], True)], orgs=()),
+        make_tx("t3", writes=[Write("k", submitted[2], True)]),
+        make_tx("t4", writes=[Write("k", submitted[3], True)]),
+    ), "count")
+    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT, INVALID_DECODE,
+                                                    VALID]
+    merged = jbytes({**TX1_DOC, "a": "1"})
+    expected = [merged, submitted[1], submitted[2], merged]
+    assert [tx.rwset.writes[0].value for tx in vblock.transactions] == expected
+
+    log = BlockLog()
+    commit_block(WorldState(), log, vblock)
+    path = tmp_path / "blocks.log"
+    save_block_log(log, path)
+    (loaded,) = load_block_log(path)
+    assert loaded == vblock
+    assert [tx.rwset.writes[0].value for tx in loaded.transactions] == expected
 
 
 def test_crdt_decode_failure_invalidates_only_the_offender():
@@ -1035,8 +1058,8 @@ def test_property_transaction_encoding_equals_sorted_compact_dumps(tx_id, key, v
 
 
 def test_block_round_trips_through_jsonable():
-    vblock = ValidatedBlock(3, (make_tx("t1", writes=[Write("k", b"v")]),), "bytes",
-                            (TxVerdict(False, INVALID_MVCC),))
+    vblock = Block(3, (make_tx("t1", writes=[Write("k", b"v")]),), "bytes",
+                   (TxVerdict(False, INVALID_MVCC),))
     assert block_from_jsonable(block_to_jsonable(vblock)) == vblock
 
 
@@ -1078,12 +1101,26 @@ def damage_record_1(edit):
     (lambda records: [records[0], records[2], records[1]], "record 1: ValueError: height 2 out of order"),
     (lambda records: [records[0], records[2]], "record 1: ValueError: height 2 out of order"),
     (lambda records: records + records[-1:], "record 3: ValueError: height 2 out of order"),
+    # 1.0 == 1 and True == 1, so these pass the order check and would reach
+    # the digest through the committed versions
+    (damage_record_1(lambda record: record.replace(b'"height":1,', b'"height":1.0,')),
+     "record 1: ValueError: height 1.0 is not an int"),
+    (damage_record_1(lambda record: record.replace(b'"height":1,', b'"height":true,')),
+     "record 1: ValueError: height True is not an int"),
+    (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'["k",[5.0,1]]')),
+     "record 1: ValueError: version [5.0, 1] is not two ints"),
+    (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'["k",[5,false]]')),
+     "record 1: ValueError: version [5, False] is not two ints"),
+    # a key that is not text would fail the digest naming no file
+    (damage_record_1(lambda record: record.replace(b'[["k","dg=="', b'[[7,"dg=="')),
+     "record 1: ValueError: write key 7 is not text"),
 ], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
-        "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated"])
+        "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated",
+        "float-height", "bool-height", "float-version", "bool-version", "int-write-key"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
-    block = ValidatedBlock(0, (make_tx("t1", writes=[Write("k", b"v")]),
-                               make_tx("t2", writes=[Write("k", b"w")])), "count",
-                           (TxVerdict(True, VALID), TxVerdict(False, INVALID_MVCC)))
+    block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
+                      make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")])),
+                  "count", (TxVerdict(True, VALID), TxVerdict(False, INVALID_MVCC)))
     records = [canonical_json_bytes(block_to_jsonable(replace(block, height=h))) for h in range(3)]
     path = tmp_path / "blocks.log"
     write_record_file(path, damage(records))
