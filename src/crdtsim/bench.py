@@ -137,6 +137,7 @@ def populate_world_state(ws: WorldState, log: BlockLog, pipeline: PipelineConfig
                          keys) -> None:
     """Commit bootstrap blocks writing a skeleton document per key."""
     policy = pipeline.policy()
+    endorsers = frozenset(pipeline.orgs)
     keys = list(keys)
     for start in range(0, len(keys), pipeline.max_tx_count):
         chunk = keys[start:start + pipeline.max_tx_count]
@@ -147,7 +148,7 @@ def populate_world_state(ws: WorldState, log: BlockLog, pipeline: PipelineConfig
                     reads=(),
                     writes=(Write(key, canonical_json_bytes(device_skeleton(key)), False),),
                 ),
-                endorsements=frozenset(pipeline.orgs),
+                endorsements=endorsers,
                 submit_time=0.0,
             )
             for i, key in enumerate(chunk)

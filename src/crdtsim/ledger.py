@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .jsoncrdt import canonical_json_bytes
 
@@ -27,7 +28,7 @@ class OrderingViolationError(LedgerError):
     """Block height does not extend the log contiguously."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Version:
     block_height: int
     tx_index: int
@@ -112,25 +113,25 @@ def write_record_file(path, records) -> None:
             raise
 
 
-def read_record_file(path) -> list:
-    """Records of a length-prefixed file; a truncated record raises
-    LedgerError naming the file, the record index and its byte offset. A
-    length is checked against the bytes left in the file before it is read."""
-    records = []
+def read_record_file(path) -> Iterator[bytes]:
+    """Yield the records of a length-prefixed file one at a time; a truncated
+    record raises LedgerError naming the file, the record index and its byte
+    offset, after every record before it was yielded. A length is checked
+    against the bytes left in the file before it is read. The file stays open
+    until the generator finishes or is closed."""
     offset = 0
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        while True:
+        for index in itertools.count():
             header = fh.read(4)
             if not header:
-                break
-            where = f"{path}: record {len(records)} at byte {offset}"
+                return
+            where = f"{path}: record {index} at byte {offset}"
             if len(header) != 4:
                 raise LedgerError(f"{where}: truncated header ({len(header)} of 4 bytes)")
             (length,) = struct.unpack(">I", header)
             remaining = size - offset - 4
             if length > remaining:
                 raise LedgerError(f"{where}: truncated body ({remaining} of {length} bytes)")
-            records.append(fh.read(length))
+            yield fh.read(length)
             offset += 4 + length
-    return records

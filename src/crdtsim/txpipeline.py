@@ -25,6 +25,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
@@ -73,20 +74,20 @@ class DuplicateTransactionError(PipelineError):
 # domain types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read:
     key: str
     version: Optional[Version]  # None records a read of an absent key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Write:
     key: str
     value: bytes
     is_crdt: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadWriteSet:
     reads: tuple = ()
     writes: tuple = ()
@@ -100,7 +101,7 @@ class ReadWriteSet:
             raise ValueError("duplicate keys in write set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     tx_id: str
     rwset: ReadWriteSet
@@ -108,7 +109,7 @@ class Transaction:
     submit_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndorsementPolicy:
     required_orgs: int
     known_orgs: frozenset
@@ -119,7 +120,7 @@ class EndorsementPolicy:
                              f"of n={len(self.known_orgs)} orgs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     transactions: tuple
@@ -127,13 +128,17 @@ class Block:
     validity: tuple = ()  # one TxVerdict per transaction once validated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxVerdict:
     valid: bool
     reason: str
 
 
-@dataclass(frozen=True)
+# The one verdict of each reason, shared by the validator and the loader.
+VERDICTS = {reason: TxVerdict(reason == VALID, reason) for reason in (VALID,) + INVALID_REASONS}
+
+
+@dataclass(frozen=True, slots=True)
 class ChaincodeSpec:
     """A named deterministic function from (args, snapshot) to a ReadWriteSet."""
 
@@ -141,7 +146,7 @@ class ChaincodeSpec:
     fn: Callable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     client_id: str
     submit_time: float
@@ -407,7 +412,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
         writes = tuple(Write(w.key, canonical_json_bytes(crdts[w.key].to_json()), True)
                        if w.is_crdt else w for w in tx.rwset.writes)
         txs[i] = replace(tx, rwset=replace(tx.rwset, writes=writes))
-    verdicts = tuple(TxVerdict(r == VALID, r) for r in reasons)
+    verdicts = tuple(VERDICTS[r] for r in reasons)
     return replace(block, transactions=tuple(txs), validity=verdicts)
 
 
@@ -570,11 +575,32 @@ def transaction_to_jsonable(tx: Transaction) -> dict:
     }
 
 
-def transaction_from_jsonable(doc: dict) -> Transaction:
-    """Transaction from its log record; raise ValueError unless each version
-    is two ints (a bool or a float is none) and each write key is text."""
+def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Transaction:
+    """Transaction from its log record; raise ValueError unless, as
+    transaction_to_jsonable writes them, the id, org names and keys are text,
+    the submit time a float, each version two ints and each CRDT flag a bool
+    (a bool or a float is no int, and an int no float). shared maps a base64
+    value to its bytes and an endorsement list to its set, so that equal ones
+    load as one object."""
+    shared = {} if shared is None else shared
+    tx_id, submit_time = doc["tx_id"], doc["submit_time"]
+    if type(tx_id) is not str:
+        raise ValueError(f"tx id {tx_id!r} is not text")
+    if type(submit_time) is not float:
+        raise ValueError(f"submit time {submit_time!r} is not a float")
+    orgs = doc["endorsements"]
+    if type(orgs) is not list:
+        raise ValueError(f"endorsements {orgs!r} are not a list")
+    for org in orgs:
+        if type(org) is not str:
+            raise ValueError(f"endorsing org {org!r} is not text")
+    orgs = tuple(orgs)
+    if orgs not in shared:
+        shared[orgs] = frozenset(orgs)
     reads = []
     for key, version in doc["reads"]:
+        if type(key) is not str:
+            raise ValueError(f"read key {key!r} is not text")
         if version is not None:
             height, index = version
             if type(height) is not int or type(index) is not int:
@@ -585,12 +611,16 @@ def transaction_from_jsonable(doc: dict) -> Transaction:
     for key, value, is_crdt in doc["writes"]:
         if type(key) is not str:
             raise ValueError(f"write key {key!r} is not text")
-        writes.append(Write(key, base64.b64decode(value), bool(is_crdt)))
+        if type(is_crdt) is not bool:
+            raise ValueError(f"CRDT flag {is_crdt!r} is not a bool")
+        if value not in shared:
+            shared[value] = base64.b64decode(value)
+        writes.append(Write(key, shared[value], is_crdt))
     return Transaction(
-        tx_id=doc["tx_id"],
+        tx_id=tx_id,
         rwset=ReadWriteSet(reads=tuple(reads), writes=tuple(writes)),
-        endorsements=frozenset(doc["endorsements"]),
-        submit_time=doc["submit_time"],
+        endorsements=shared[orgs],
+        submit_time=submit_time,
     )
 
 
@@ -605,18 +635,22 @@ def block_to_jsonable(block: Block) -> dict:
 
 def block_from_jsonable(doc: dict) -> Block:
     """Block from its log record; raise ValueError unless it has an int height
-    and one verdict per transaction, each a known reason with its implied flag."""
+    and one verdict per transaction, each a known reason with its implied flag.
+    Equal write values and endorsement lists within the block load as one
+    object each, and each verdict is the one VERDICTS holds for its reason."""
     height = doc["height"]
     if type(height) is not int:
         raise ValueError(f"height {height!r} is not an int")
-    transactions = tuple(transaction_from_jsonable(t) for t in doc["transactions"])
+    shared: dict = {}
+    transactions = tuple(transaction_from_jsonable(t, shared) for t in doc["transactions"])
     validity = []
     for valid, reason in doc["validity"]:
-        if reason != VALID and reason not in INVALID_REASONS:
+        verdict = VERDICTS.get(reason)
+        if verdict is None:
             raise ValueError(f"unknown verdict reason {reason!r}")
-        if valid is not (reason == VALID):
+        if valid is not verdict.valid:
             raise ValueError(f"verdict flag {valid!r} contradicts reason {reason!r}")
-        validity.append(TxVerdict(valid, reason))
+        validity.append(verdict)
     if len(validity) != len(transactions):
         raise ValueError(f"{len(validity)} verdicts for {len(transactions)} transactions")
     return Block(height, transactions, doc["cut_reason"], tuple(validity))
@@ -627,17 +661,19 @@ def save_block_log(log: BlockLog, path) -> None:
 
 
 def load_block_log(path) -> list:
-    """Blocks from a saved log; a record that does not decode, or whose height
-    is not its index, raises LedgerError naming the file and the record index."""
+    """Blocks from a saved log, read one record at a time; a record that does
+    not decode, or whose height is not its index, raises LedgerError naming
+    the file and the record index, after the file is closed."""
     blocks = []
-    for index, record in enumerate(read_record_file(path)):
-        try:
-            block = block_from_jsonable(json.loads(record))
-            if block.height != index:
-                raise ValueError(f"height {block.height} out of order")
-            blocks.append(block)
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
+    with closing(read_record_file(path)) as records:
+        for index, record in enumerate(records):
+            try:
+                block = block_from_jsonable(json.loads(record))
+                if block.height != index:
+                    raise ValueError(f"height {block.height} out of order")
+                blocks.append(block)
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
     return blocks
 
 

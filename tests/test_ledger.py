@@ -220,7 +220,7 @@ def test_record_file_round_trips_frames(tmp_path):
     path = tmp_path / "records.bin"
     frames = [b"", b"abc", bytes(range(256)), b"x" * 70000]
     write_record_file(path, frames)
-    assert read_record_file(path) == frames
+    assert list(read_record_file(path)) == frames
 
 
 def test_record_file_rejects_truncation(tmp_path):
@@ -229,7 +229,7 @@ def test_record_file_rejects_truncation(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-2])
     with pytest.raises(LedgerError) as info:
-        read_record_file(path)
+        list(read_record_file(path))
     assert str(info.value) == f"{path}: record 1 at byte 7: truncated body (3 of 5 bytes)"
 
 
@@ -238,7 +238,7 @@ def test_record_file_rejects_a_truncated_header(tmp_path):
     write_record_file(path, [b"abc", b"defgh"])
     path.write_bytes(path.read_bytes() + b"\x00\x00")
     with pytest.raises(LedgerError) as info:
-        read_record_file(path)
+        list(read_record_file(path))
     assert str(info.value) == f"{path}: record 2 at byte 16: truncated header (2 of 4 bytes)"
 
 
@@ -250,9 +250,20 @@ def test_record_file_bounds_a_claimed_length_by_the_bytes_left(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(LedgerError) as info:
-            read_record_file(path)
+            list(read_record_file(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert str(info.value) == f"{path}: record 1 at byte 7: truncated body (3 of {64 << 20} bytes)"
     assert peak < 1 << 20
+
+
+def test_record_file_yields_the_records_before_a_truncated_one(tmp_path):
+    path = tmp_path / "records.bin"
+    write_record_file(path, [b"abc", b"defgh"])
+    path.write_bytes(path.read_bytes()[:-2])
+    records = read_record_file(path)
+    assert next(records) == b"abc"
+    with pytest.raises(LedgerError, match="record 1 at byte 7: truncated body"):
+        next(records)
+

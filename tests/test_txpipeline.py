@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from typing import Optional
@@ -1114,9 +1115,27 @@ def damage_record_1(edit):
     # a key that is not text would fail the digest naming no file
     (damage_record_1(lambda record: record.replace(b'[["k","dg=="', b'[[7,"dg=="')),
      "record 1: ValueError: write key 7 is not text"),
+    # fields transaction_to_jsonable never writes so: the loaded block would
+    # save as a different file
+    (damage_record_1(lambda record: record.replace(b'"dg==",false', b'"dg==","no"')),
+     "record 1: ValueError: CRDT flag 'no' is not a bool"),
+    (damage_record_1(lambda record: record.replace(b'"tx_id":"t1"', b'"tx_id":1')),
+     "record 1: ValueError: tx id 1 is not text"),
+    (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":"soon"')),
+     "record 1: ValueError: submit time 'soon' is not a float"),
+    (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":0')),
+     "record 1: ValueError: submit time 0 is not a float"),
+    (damage_record_1(lambda record: record.replace(b'["org1"]', b'[1]')),
+     "record 1: ValueError: endorsing org 1 is not text"),
+    (damage_record_1(lambda record: record.replace(b'["org1"]', b'"org1"')),
+     "record 1: ValueError: endorsements 'org1' are not a list"),
+    (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'[7,[5,1]]')),
+     "record 1: ValueError: read key 7 is not text"),
 ], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
         "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated",
-        "float-height", "bool-height", "float-version", "bool-version", "int-write-key"])
+        "float-height", "bool-height", "float-version", "bool-version", "int-write-key",
+        "text-crdt-flag", "int-tx-id", "text-submit-time", "int-submit-time", "int-org",
+        "text-endorsements", "int-read-key"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")])),
@@ -1127,3 +1146,69 @@ def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, erro
     with pytest.raises(LedgerError) as info:
         load_block_log(path)
     assert str(info.value).startswith(f"{path}: {error}")
+
+
+def test_failed_load_closes_the_record_file(tmp_path, monkeypatch):
+    records = [canonical_json_bytes(block_to_jsonable(Block(h, (), "count"))) for h in range(3)]
+    path = tmp_path / "blocks.log"
+    write_record_file(path, [records[0], b"{", records[2]])
+    read_record_file = txpipeline.read_record_file
+    readers = []
+
+    def reader(path):
+        readers.append(read_record_file(path))
+        return readers[-1]
+
+    monkeypatch.setattr(txpipeline, "read_record_file", reader)
+    with pytest.raises(LedgerError, match="record 1: JSONDecodeError"):
+        load_block_log(path)
+    (generator,) = readers
+    assert generator.gi_frame is None  # finished, so its file is closed
+
+
+def test_loaded_block_holds_one_object_per_equal_value_and_endorsement_list(tmp_path):
+    config = PipelineConfig(mode=CRDT, max_tx_count=5)
+    proposals = [Proposal("client1", i * 0.01, ()) for i in range(10)]
+    log = BlockLog()
+    run_pipeline(config, proposals, plain_chaincode(write_key="Device1", value=jbytes(TX1_DOC),
+                                                    is_crdt=True), log=log)
+    path = tmp_path / "blocks.log"
+    save_block_log(log, path)
+    loaded = load_block_log(path)
+    assert loaded == list(log)
+    for block in loaded:
+        first = block.transactions[0]
+        for tx in block.transactions:
+            assert tx.rwset.writes[0].value is first.rwset.writes[0].value
+            assert tx.endorsements is first.endorsements
+
+
+def test_validator_and_loader_give_each_reason_one_verdict():
+    block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
+                      make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")]),
+                      make_tx("t3", writes=[Write("k", b"x")], orgs=("stranger",))), "count")
+    vblock = validate_merge_block(block, WorldState(), FABRIC, POLICY)
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, INVALID_ENDORSEMENT]
+    loaded = block_from_jsonable(json.loads(canonical_json_bytes(block_to_jsonable(vblock))))
+    for verdicts in (vblock.validity, loaded.validity):
+        assert all(v is txpipeline.VERDICTS[v.reason] for v in verdicts)
+    assert set(txpipeline.VERDICTS) == {VALID, *txpipeline.INVALID_REASONS}
+    assert all(v.valid is (reason == VALID) for reason, v in txpipeline.VERDICTS.items())
+
+
+def test_load_block_log_memory_is_bounded_by_one_record_and_the_distinct_values(tmp_path):
+    # 20 records of 25 equal 20 KB writes: 10 MB decoded one by one, 13.6 MB
+    # of records held at once; streamed and shared, the distinct values take
+    # 0.4 MB and one record about 0.7 MB.
+    value = bytes(range(256)) * 80
+    txs = tuple(make_tx(f"t{i}", writes=[Write("k", value, True)]) for i in range(25))
+    path = tmp_path / "blocks.log"
+    save_block_log([Block(h, txs, "count", (TxVerdict(True, VALID),) * 25) for h in range(20)], path)
+    tracemalloc.start()
+    try:
+        blocks = load_block_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 20 and blocks[19].transactions[24].rwset.writes[0].value == value
+    assert peak < 4 << 20
