@@ -14,26 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .config import SECTIONS, apply_overrides, read_json_object, set_field
-from .jsoncrdt import canonical_json_bytes
-from .ledger import BlockLog, WorldState, commit_block
-from .txpipeline import (
-    CRDT,
-    Block,
-    PipelineConfig,
-    ReadWriteSet,
-    RunReport,
-    Transaction,
-    Write,
-    run_pipeline,
-    validate_merge_block,
-)
-from .workload import (
-    WorkloadConfig,
-    device_skeleton,
-    gen_stream,
-    iot_chaincode,
-    read_key_universe,
-)
+from .ledger import BlockLog, Genesis, WorldState, install_genesis
+from .txpipeline import CRDT, Block, PipelineConfig, RunReport, run_pipeline
+from .workload import WorkloadConfig, gen_stream, iot_chaincode, read_key_universe
 
 # Sweep parameters: (config, fields) for each config field and for each
 # composite applying one value to several fields. mode is left out: tables
@@ -135,26 +118,11 @@ class RunOutcome:
 
 def populate_world_state(ws: WorldState, log: BlockLog, pipeline: PipelineConfig,
                          keys) -> None:
-    """Commit bootstrap blocks writing a skeleton document per key."""
-    policy = pipeline.policy()
-    endorsers = frozenset(pipeline.orgs)
-    keys = list(keys)
-    for start in range(0, len(keys), pipeline.max_tx_count):
-        chunk = keys[start:start + pipeline.max_tx_count]
-        txs = tuple(
-            Transaction(
-                tx_id=f"populate-{start + i:06d}",
-                rwset=ReadWriteSet(
-                    reads=(),
-                    writes=(Write(key, canonical_json_bytes(device_skeleton(key)), False),),
-                ),
-                endorsements=endorsers,
-                submit_time=0.0,
-            )
-            for i, key in enumerate(chunk)
-        )
-        block = Block(height=len(log), transactions=txs, cut_reason="count")
-        commit_block(ws, log, validate_merge_block(block, ws, pipeline.mode, policy))
+    """Install a genesis writing a skeleton document per key, max_tx_count
+    keys per block height, onto an empty log. It stands for the bootstrap
+    blocks of one transaction per key: each reads nothing and makes one
+    non-CRDT write that every org endorsed, so each is valid in either mode."""
+    install_genesis(ws, log, Genesis(tuple(keys), pipeline.max_tx_count))
 
 
 def run_single(pipeline: PipelineConfig, workload: WorkloadConfig) -> RunOutcome:
@@ -198,9 +166,8 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> Poi
     total = rep.success_count + rep.failure_count
     if total != workload.total_txs:
         raise BenchError(f"accounting mismatch: {total} classified of {workload.total_txs} generated")
-    # The run's blocks, without the bootstrap ones; fabric mode merges nothing.
-    heights = sorted({t.block_height for t in rep.txs if t.block_height is not None})
-    merged = [block_merged_bytes(outcome.log[h]) for h in heights] if pipeline.mode == CRDT else []
+    # Fabric mode merges nothing.
+    merged = [block_merged_bytes(block) for block in outcome.log] if pipeline.mode == CRDT else []
     return PointMetrics(
         sweep_value=value,
         success_count=rep.success_count,

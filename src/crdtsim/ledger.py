@@ -2,9 +2,10 @@
 
 The world state maps keys to (value bytes, version) where a version is the
 (block height, tx index) pair of the committing transaction. The block log
-keeps every block, valid and invalid transactions alike, so the state can be
-reconstructed by replay. An optional file form stores one length-prefixed
-canonical JSON record per block.
+keeps the genesis, the bootstrap state as one record, and then every block,
+valid and invalid transactions alike, so the state can be reconstructed by
+replay. An optional file form stores one length-prefixed canonical JSON
+record for the genesis and one per block.
 """
 
 from __future__ import annotations
@@ -69,8 +70,56 @@ class WorldState:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
+def device_skeleton(key: str) -> dict:
+    """A device's document before its first reading: the genesis value of a
+    bootstrapped key and the chaincode's default for an absent one."""
+    return {"deviceID": key}
+
+
+@dataclass(frozen=True, slots=True)
+class Genesis:
+    """The bootstrap state as one record: key i holds its device skeleton at
+    Version(i // chunk, i % chunk), so the record stands for the first
+    `heights` block heights. Raise ValueError unless the keys are distinct
+    texts and chunk is an int of at least 1."""
+
+    keys: tuple
+    chunk: int
+
+    def __post_init__(self):
+        if type(self.chunk) is not int or self.chunk < 1:
+            raise ValueError(f"genesis chunk {self.chunk!r} is not an int of at least 1")
+        for key in self.keys:
+            if type(key) is not str:
+                raise ValueError(f"genesis key {key!r} is not text")
+        if len(set(self.keys)) != len(self.keys):
+            raise ValueError("duplicate genesis keys")
+
+    @property
+    def heights(self) -> int:
+        return -(-len(self.keys) // self.chunk)
+
+
 class BlockLog(list):
-    """Committed blocks in height order from 0; commit_block checks the order."""
+    """The optional genesis, then the blocks committed after it in height
+    order; commit_block checks the order."""
+
+    genesis: Optional[Genesis] = None  # set by install_genesis
+
+    @property
+    def next_height(self) -> int:
+        return (self.genesis.heights if self.genesis is not None else 0) + len(self)
+
+
+def install_genesis(ws: WorldState, log: BlockLog, genesis: Genesis) -> None:
+    """Put the genesis skeletons into ws and make it the log's genesis; the
+    log must be empty."""
+    if log or log.genesis is not None:
+        raise LedgerError("a genesis goes only onto an empty block log")
+    chunk = genesis.chunk
+    for i, key in enumerate(genesis.keys):
+        ws._put(key, canonical_json_bytes(device_skeleton(key)), Version(i // chunk, i % chunk))
+    log.genesis = genesis
 
 
 def commit_block(ws: WorldState, log: BlockLog, block) -> None:
@@ -80,9 +129,9 @@ def commit_block(ws: WorldState, log: BlockLog, block) -> None:
     Invalid transactions stay in the block, writes as submitted, and commit
     nothing; only a valid transaction's CRDT writes carry merged bytes.
     """
-    if block.height != len(log):
+    if block.height != log.next_height:
         raise OrderingViolationError(
-            f"cannot commit height {block.height} onto log of length {len(log)}"
+            f"cannot commit height {block.height} onto log at height {log.next_height}"
         )
     if len(block.validity) != len(block.transactions):
         raise LedgerError(f"block {block.height}: {len(block.validity)} verdicts for "
@@ -97,7 +146,7 @@ def commit_block(ws: WorldState, log: BlockLog, block) -> None:
 
 # ----------------------------------------------------------------------
 # Block-log file: 4-byte big-endian length, then the canonical JSON encoding
-# of one block, repeated; genesis at offset 0.
+# of one record, repeated; the genesis, if any, is record 0.
 
 def write_record_file(path, records) -> None:
     """Write the records; if producing one raises, delete the partly written

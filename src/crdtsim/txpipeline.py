@@ -38,10 +38,12 @@ from .jsoncrdt import (
 )
 from .ledger import (
     BlockLog,
+    Genesis,
     LedgerError,
     Version,
     WorldState,
     commit_block,
+    install_genesis,
     read_record_file,
     write_record_file,
 )
@@ -60,6 +62,8 @@ READ_ONLY = "read_only"
 
 # Verdicts of transactions that reached a block but must not commit.
 INVALID_REASONS = (INVALID_MVCC, INVALID_ENDORSEMENT, INVALID_DECODE, INVALID_STRUCTURAL)
+
+CUT_REASONS = ("count", "bytes", "timeout")
 
 
 class PipelineError(Exception):
@@ -511,7 +515,8 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     policy = config.policy()
     endorsers = frozenset(config.orgs)
     timeout_s = config.block_timeout_ms / 1000.0
-    orderer = Orderer(config.max_tx_count, config.max_bytes, timeout_s, first_height=len(log))
+    orderer = Orderer(config.max_tx_count, config.max_bytes, timeout_s,
+                      first_height=log.next_height)
     report = RunReport()
     by_tx_id: dict = {}
 
@@ -578,10 +583,10 @@ def transaction_to_jsonable(tx: Transaction) -> dict:
 def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Transaction:
     """Transaction from its log record; raise ValueError unless, as
     transaction_to_jsonable writes them, the id, org names and keys are text,
-    the submit time a float, each version two ints and each CRDT flag a bool
-    (a bool or a float is no int, and an int no float). shared maps a base64
-    value to its bytes and an endorsement list to its set, so that equal ones
-    load as one object."""
+    the submit time a float, each version two ints, each CRDT flag a bool (a
+    bool or a float is no int, and an int no float) and each value canonical
+    base64. shared maps a base64 value to its bytes and an endorsement list to
+    its set, so that equal ones load as one object and each is checked once."""
     shared = {} if shared is None else shared
     tx_id, submit_time = doc["tx_id"], doc["submit_time"]
     if type(tx_id) is not str:
@@ -614,7 +619,10 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Trans
         if type(is_crdt) is not bool:
             raise ValueError(f"CRDT flag {is_crdt!r} is not a bool")
         if value not in shared:
-            shared[value] = base64.b64decode(value)
+            decoded = base64.b64decode(value)
+            if base64.b64encode(decoded).decode("ascii") != value:
+                raise ValueError(f"write value {value!r} is not canonical base64")
+            shared[value] = decoded
         writes.append(Write(key, shared[value], is_crdt))
     return Transaction(
         tx_id=tx_id,
@@ -634,13 +642,16 @@ def block_to_jsonable(block: Block) -> dict:
 
 
 def block_from_jsonable(doc: dict) -> Block:
-    """Block from its log record; raise ValueError unless it has an int height
-    and one verdict per transaction, each a known reason with its implied flag.
-    Equal write values and endorsement lists within the block load as one
-    object each, and each verdict is the one VERDICTS holds for its reason."""
-    height = doc["height"]
+    """Block from its log record; raise ValueError unless it has an int height,
+    a known cut reason and one verdict per transaction, each a known reason
+    with its implied flag. Equal write values and endorsement lists within the
+    block load as one object each, and each verdict is the one VERDICTS holds
+    for its reason."""
+    height, cut_reason = doc["height"], doc["cut_reason"]
     if type(height) is not int:
         raise ValueError(f"height {height!r} is not an int")
+    if cut_reason not in CUT_REASONS:
+        raise ValueError(f"unknown cut reason {cut_reason!r}")
     shared: dict = {}
     transactions = tuple(transaction_from_jsonable(t, shared) for t in doc["transactions"])
     validity = []
@@ -653,34 +664,75 @@ def block_from_jsonable(doc: dict) -> Block:
         validity.append(verdict)
     if len(validity) != len(transactions):
         raise ValueError(f"{len(validity)} verdicts for {len(transactions)} transactions")
-    return Block(height, transactions, doc["cut_reason"], tuple(validity))
+    return Block(height, transactions, cut_reason, tuple(validity))
 
 
-def save_block_log(log: BlockLog, path) -> None:
-    write_record_file(path, (canonical_json_bytes(block_to_jsonable(b)) for b in log))
+def genesis_to_jsonable(genesis: Genesis) -> dict:
+    return {"chunk": genesis.chunk, "genesis": list(genesis.keys)}
 
 
-def load_block_log(path) -> list:
-    """Blocks from a saved log, read one record at a time; a record that does
-    not decode, or whose height is not its index, raises LedgerError naming
-    the file and the record index, after the file is closed."""
-    blocks = []
+def genesis_from_jsonable(doc: dict) -> Genesis:
+    """Genesis from its log record; raise ValueError unless it holds exactly
+    a list of distinct text keys and an int chunk of at least 1."""
+    for name in doc:
+        if name not in ("chunk", "genesis"):
+            raise ValueError(f"unknown genesis field {name!r}")
+    keys = doc["genesis"]
+    if type(keys) is not list:
+        raise ValueError(f"genesis keys {keys!r} are not a list")
+    return Genesis(tuple(keys), doc["chunk"])
+
+
+def save_block_log(log, path) -> None:
+    """Write the log's genesis, if it has one, as record 0, then one record
+    per block; log is a BlockLog or any sequence of blocks."""
+    def records():
+        genesis = getattr(log, "genesis", None)
+        if genesis is not None:
+            yield canonical_json_bytes(genesis_to_jsonable(genesis))
+        for block in log:
+            yield canonical_json_bytes(block_to_jsonable(block))
+
+    write_record_file(path, records())
+
+
+def load_block_log(path) -> BlockLog:
+    """The log saved in a file, read one record at a time. Record 0 may be a
+    genesis; each block's height must follow the genesis heights and the
+    blocks before it, so a log saved without a genesis loads too. A record
+    that does not decode or is out of order raises LedgerError naming the
+    file and the record index, after the file is closed."""
+    log = BlockLog()
     with closing(read_record_file(path)) as records:
         for index, record in enumerate(records):
             try:
-                block = block_from_jsonable(json.loads(record))
-                if block.height != index:
-                    raise ValueError(f"height {block.height} out of order")
-                blocks.append(block)
+                _load_record(log, index, json.loads(record))
             except (ValueError, KeyError, TypeError, IndexError) as exc:
                 raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
-    return blocks
+    return log
 
 
-def replay_block_log(blocks: Iterable[Block]) -> tuple:
-    """Rebuild world state and log by re-committing stored blocks in order."""
+def _load_record(log: BlockLog, index: int, doc) -> None:
+    # The parsed record is a parameter, not a loop variable, so it is freed
+    # on return instead of living on while the next record is parsed.
+    if "genesis" in doc:
+        if index != 0:
+            raise ValueError("genesis record after record 0")
+        log.genesis = genesis_from_jsonable(doc)
+        return
+    block = block_from_jsonable(doc)
+    if block.height != log.next_height:
+        raise ValueError(f"height {block.height} out of order")
+    log.append(block)
+
+
+def replay_block_log(loaded: BlockLog) -> tuple:
+    """Rebuild world state and log: install the loaded genesis, if any, then
+    re-commit the stored blocks in order."""
     ws = WorldState()
     log = BlockLog()
-    for block in blocks:
+    if loaded.genesis is not None:
+        install_genesis(ws, log, loaded.genesis)
+    for block in loaded:
         commit_block(ws, log, block)
     return ws, log

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .jsoncrdt import JsonValue, canonical_json_bytes, parse_json_bytes
+from .ledger import device_skeleton
 from .txpipeline import (
     ChaincodeSpec,
     Proposal,
@@ -82,10 +83,6 @@ def json_union(base: JsonValue, addition: JsonValue) -> JsonValue:
     if isinstance(base, list) and isinstance(addition, list):
         return base + addition
     return addition
-
-
-def device_skeleton(key: str) -> JsonValue:
-    return {"deviceID": key}
 
 
 def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:

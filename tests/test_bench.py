@@ -16,9 +16,11 @@ from crdtsim.bench import (
     run_experiment,
     run_single,
 )
-from crdtsim.ledger import BlockLog, Version, WorldState
+from crdtsim.jsoncrdt import canonical_json_bytes
+from crdtsim.ledger import (BlockLog, Genesis, LedgerError, Version, WorldState, commit_block,
+                            device_skeleton)
 from crdtsim.txpipeline import (CRDT, FABRIC, INVALID_MVCC, VALID, Block, PipelineConfig,
-                                ReadWriteSet, Transaction, TxVerdict, Write)
+                                ReadWriteSet, Transaction, TxVerdict, Write, validate_merge_block)
 from crdtsim.workload import WorkloadConfig
 
 
@@ -74,12 +76,47 @@ def test_populate_writes_skeletons_without_consuming_heights_twice():
     ws = WorldState()
     log = BlockLog()
     pipeline = PipelineConfig(max_tx_count=3)
-    populate_world_state(ws, log, pipeline, [f"k{i}" for i in range(7)])
-    assert len(log) == 3  # ceil(7 / 3) bootstrap blocks
+    keys = [f"k{i}" for i in range(7)]
+    populate_world_state(ws, log, pipeline, keys)
+    assert log.genesis == Genesis(tuple(keys), 3)
+    assert len(log) == 0
+    assert log.next_height == 3  # ceil(7 / 3) bootstrap heights
     entry = ws.get_state("k0")
     assert entry is not None
     assert json.loads(entry[0]) == {"deviceID": "k0"}
     assert entry[1] == Version(0, 0)
+
+
+@pytest.mark.parametrize("mode", [CRDT, FABRIC])
+def test_populate_installs_what_one_bootstrap_transaction_per_key_commits(mode):
+    # The bootstrap as blocks of one transaction per key: no reads, one
+    # non-CRDT skeleton write, endorsed by every org.
+    pipeline = PipelineConfig(mode=mode, max_tx_count=3)
+    keys = [f"k{i}" for i in range(7)]
+    ws, log = WorldState(), BlockLog()
+    for start in range(0, len(keys), 3):
+        txs = tuple(Transaction(f"populate-{start + i:06d}",
+                                ReadWriteSet(writes=(Write(key, canonical_json_bytes(
+                                    device_skeleton(key))),)),
+                                frozenset(pipeline.orgs), 0.0)
+                    for i, key in enumerate(keys[start:start + 3]))
+        block = validate_merge_block(Block(len(log), txs, "count"), ws, mode, pipeline.policy())
+        assert all(v.valid for v in block.validity)
+        commit_block(ws, log, block)
+    genesis_ws, genesis_log = WorldState(), BlockLog()
+    populate_world_state(genesis_ws, genesis_log, pipeline, keys)
+    assert genesis_ws.canonical_bytes() == ws.canonical_bytes()
+    assert genesis_log.next_height == len(log)
+
+
+def test_populate_refuses_a_log_that_is_not_empty():
+    ws, log = WorldState(), BlockLog()
+    populate_world_state(ws, log, PipelineConfig(), ["k0"])
+    with pytest.raises(LedgerError, match="empty block log"):
+        populate_world_state(ws, log, PipelineConfig(), ["k1"])
+    log = BlockLog([Block(0, (), "count", ())])
+    with pytest.raises(LedgerError, match="empty block log"):
+        populate_world_state(WorldState(), log, PipelineConfig(), ["k1"])
 
 
 def test_populate_handles_empty_key_set():

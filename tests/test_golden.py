@@ -2,10 +2,13 @@
 
 Each case runs the full pipeline on a bootstrapped ledger exactly as
 ``crdtsim run --save-blocklog`` does and compares the world-state digest, the
-sha256 of the saved block-log file and the report summary with pinned
-values. A refactor must leave every value unchanged; a deliberate behaviour
-change updates the affected cases and says why. The sha256 of every metric
-table of one small ``crdtsim bench`` sweep is pinned the same way.
+sha256 of the saved block-log file, the sha256 of its bytes after the genesis
+record (the run's block records) and the report summary with pinned values.
+The run's block records are byte for byte the ones the bootstrap as one
+transaction per key saved after its bootstrap blocks. A refactor must leave
+every value unchanged; a deliberate behaviour change updates the affected
+cases and says why. The sha256 of every metric table of one small
+``crdtsim bench`` sweep is pinned the same way.
 
 crdt mode on the fresh snapshot policy stays at 40 transactions: there the
 hot documents grow about 25-fold per block, because the crdt chaincode writes
@@ -14,6 +17,7 @@ re-appends the stored history; larger runs are slow.
 """
 
 import hashlib
+import struct
 
 import pytest
 
@@ -22,14 +26,16 @@ from crdtsim.cli import main
 from crdtsim.txpipeline import PipelineConfig, save_block_log
 from crdtsim.workload import WorkloadConfig
 
-# (id, pipeline fields, workload fields, cut reasons, digest, block-log sha256, summary)
+# (id, pipeline fields, workload fields, cut reasons, digest, block-log sha256,
+#  sha256 of the block records after the genesis record, summary)
 CASES = [
     (
         "crdt-batch-hot", {"mode": "crdt"},
         {"total_txs": 100, "conflict_pct": 100},
         ("count",),
         "2521acbaf6318aec0481bc856c4aa866d7801025b3f1ba889c69f01a6b0202c3",
-        "f63c3dd0bd95d2a54eee2f1a7b167e1cdf6a8ec3f2f4223d7c5c85fea51c72b2",
+        "d15b670b4d93bdb497e8732397ff116c0a917f6cf02c73b85608dd4bc64d575c",
+        "fe5b70e1ae50f2f4b1385b000bb484e638483b0617c89d943e590dbb8dfba648",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -37,7 +43,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 0},
         ("count",),
         "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
-        "fb79aa13b3dc1849eaf6b35ffeb83928095ab68e67580a3c81f7951dc9eb2fe1",
+        "a67869349d2547d20025a354c6613e570c9bd677b76635b915393576ecbff505",
+        "12b5508d4bdbe605479adb853a54747f12a3b4ba390f1e1231d04e4ce2e3c6dd",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -45,7 +52,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 100, "crdt_writes": False},
         ("count",),
         "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
-        "40e8b79890b2544657395cfb456aae20576456192ba33955dab038f615fd04c4",
+        "f967710739638079ff89b0d3a4efde1f5c55ed9bf8e3f97d2d428901cfea2fe2",
+        "f8e0a774bc1d094f0b60532ef257ab073280d4239c58cc1d2c60c4290a34f812",
         {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
     ),
     (
@@ -53,7 +61,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 0, "crdt_writes": False},
         ("count",),
         "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
-        "ad2bba890f7eca1617a1f98726c603ca9d1b774c38e9b996e0667466aa06cc23",
+        "b171a2a4da1d1feb11e88317131a3430046c3bf502a9ba0a009fd03a8a149363",
+        "62e4f1d660fb0c5520b969f8942204488775a850856ffcc8dfecf48c7a624770",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -61,7 +70,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 100},
         ("count",),
         "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
-        "ac569d6bfd2eb993204e943c02979e516be935723a431630b3d151cee44c632a",
+        "37f90b7b63ee035a999a67af33cb20dc3d648102ee5ff807e7593e99bcc93212",
+        "bde90c39cf68022025956e6b1c92fd6781a0f206cd0357f4d532050aa7d66514",
         {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
     ),
     (
@@ -69,7 +79,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 0},
         ("count",),
         "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
-        "fb79aa13b3dc1849eaf6b35ffeb83928095ab68e67580a3c81f7951dc9eb2fe1",
+        "a67869349d2547d20025a354c6613e570c9bd677b76635b915393576ecbff505",
+        "12b5508d4bdbe605479adb853a54747f12a3b4ba390f1e1231d04e4ce2e3c6dd",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -77,7 +88,8 @@ CASES = [
         {"total_txs": 40, "conflict_pct": 100},
         ("count", "timeout"),
         "3121fa1f1c237928a5748bb35b96b73e88b0ba09554856efe471cf4f1feb8474",
-        "10ee68cd4f61b2276aad1106c96e65a2c446f564683e52b1070c24a339822c76",
+        "cdc231f93dab0f3c430c5ab98b357f90ba527ef4e72f641c7bae97fec2d6b3fe",
+        "38b2b9f896370ab2d2cf0437ad33077c1d2a3916da80b87b28c250e1f2067533",
         {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
     ),
     (
@@ -85,7 +97,8 @@ CASES = [
         {"total_txs": 40, "conflict_pct": 0},
         ("count", "timeout"),
         "d18b766edc25bfd7a38e41ac2669c180b342142eace54b27eebe61459f6ec15d",
-        "7ee4d6f8219d5c81d48d92df2c3c160f11edd720ac46caf6a76589488d2fdfa2",
+        "ac264cdb4ec654e2431cf1c01e6588f431d465925f79fbed7bdf41415863a2c9",
+        "806af4fde8aeaa8fd591ecc6f563f626d9dbb95f0af5f0cd7cdec518520d3e07",
         {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
     ),
     (
@@ -93,7 +106,8 @@ CASES = [
         {"total_txs": 40, "conflict_pct": 100, "crdt_writes": False},
         ("count", "timeout"),
         "93fc513599824a3e72d424c5d77c832e2b53b5b99a4798f0c704e3da32086ca4",
-        "de59a0f2d373bf3697a328c47453b34fb9c06b6cba14526b8e94872dd11b7c3b",
+        "488e92d9b5e55a9f2b9fe26db6cd5717f9bd4686cd74576feaad74604c8483cd",
+        "d7f76f69f69ad00ed9cc3f412249b6eccce74b2e5a1e96c51b87a845a8645f33",
         {"throughput_tps": 0.96, "avg_latency_ms": 1040.0, "success_count": 2, "failure_count": 38},
     ),
     (
@@ -101,7 +115,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 100},
         ("count",),
         "bbeab584ce8adae0c5322ef7d52258c4491e347c2c493b7054339c640ccf774a",
-        "7ddd13328ddbe76890794a489eb1e3918fefa166c9ed6ca7e991fd59d5ff3ba1",
+        "732c0480b439f4c32ac91bed44245425beee3e3216835c4e56296843714b03a5",
+        "fa0d3d9c0738eca882bdd9d355f729a4e9def521088408ffcfbea449d25edb57",
         {"throughput_tps": 12.121212121212121, "avg_latency_ms": 80.00000000000001, "success_count": 4, "failure_count": 96},
     ),
     (
@@ -109,7 +124,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 30, "crdt_writes": False},
         ("count",),
         "09ebf305fd826f6a5a32e40c4c80f21687ecd7fe1be9bd42b64f47bd0074a8cf",
-        "c18b7c80fb6ccabd55b2145ac72c69f7ab9249b33795160f71732ba0d7270851",
+        "55d07fcbd51780f8e7160a7c73e81308049c8d5d89e9f16059ef7caa11fb1dde",
+        "f9439c9babb9bc41edcdba5b533558f04643e5153ccf8f1b3ec347bc5b91a170",
         {"throughput_tps": 224.24242424242422, "avg_latency_ms": 38.82882882882884, "success_count": 74, "failure_count": 26},
     ),
     (
@@ -117,7 +133,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 30, "n_read_keys": 3, "n_write_keys": 2, "json_keys": 2, "json_depth": 3},
         ("count",),
         "b643954591ee3b4bf26665779046c4cc8c2b9928c33be983d35f62202d782918",
-        "968c29087c04713cfce177e0ea289dc176d1b3f50dd73a229b79809b93ae02a0",
+        "1d13a476ee36d65cdfa6613866c508716dffc53fd5609191e57376f8b4cac0cc",
+        "ac9a3f7dd6fd2dd5d0396cbb99aba697be651f76878d541064fe96b0318b23dc",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -125,7 +142,8 @@ CASES = [
         {"total_txs": 100, "conflict_pct": 30, "n_read_keys": 3, "n_write_keys": 2, "json_keys": 2, "json_depth": 3},
         ("count",),
         "1985aa87cbd1210815e7fbba15c8d136bc298f52ac9573a2e0b43dfc2c672ba2",
-        "537d86a92ab1e464ad863822b014aec6c9e8dca4d5c957c230d643e216ac27df",
+        "206492287175fe23764ad468fb416d35c2cd079838549128a47e0ce929394b10",
+        "c4f1abc2a0d26d231bb38aee0e34775571b8a20ec36ae943fea02e9291494719",
         {"throughput_tps": 215.15151515151513, "avg_latency_ms": 37.230046948356815, "success_count": 71, "failure_count": 29},
     ),
     (
@@ -133,7 +151,8 @@ CASES = [
         {"total_txs": 60, "conflict_pct": 30, "json_keys": 2, "json_depth": 3},
         ("bytes", "timeout"),
         "b4bd9215913ed36c461eed9ea074c94710e847ffe988f6fbf4c2afc4e2e0fe7b",
-        "d015ccdfb839e39e42eee1e27eb3117f40627b89f19e1ba8091fda78cfa66525",
+        "4199e98379205be2abba42bb40c534e2aefa576ddc8fc1fe85ef056532879fb8",
+        "10a43be14ac7ea2d628809874357e85f03af0f80bda0ebf560261f271369c9e9",
         {"throughput_tps": 27.480916030534353, "avg_latency_ms": 175.27777777777777, "success_count": 60, "failure_count": 0},
     ),
     (
@@ -141,7 +160,8 @@ CASES = [
         {"total_txs": 60, "conflict_pct": 30, "json_keys": 2, "json_depth": 3},
         ("bytes", "timeout"),
         "2a027645fc3ee4241ba4aa9f85f4156f34fb355b11aea4b296453ab56fb3afe3",
-        "06547de1d219b54f9cbfc5ad68991a429a7e4f552ec5cc8bfc85d198247c4c73",
+        "3a53249ff5abcc5dc4fa8b8eaf6bd834332a3a405032444f7ba93b2a94a18746",
+        "a8b4195ca0ae95b5412a12b086805a3ab6e941b42392b2b57f7a5df934bc2caf",
         {"throughput_tps": 22.085889570552148, "avg_latency_ms": 306.18055555555554, "success_count": 48, "failure_count": 12},
     ),
     (
@@ -149,7 +169,8 @@ CASES = [
         {"total_txs": 60, "conflict_pct": 30},
         ("timeout",),
         "6241d070a5d88fbc723e43e1fd62d9c4c3e587de3242901ce9612fcefc0595be",
-        "09a366e92a4978c45a15edd99a785924f74a04a182bb1952bf3ea514622c07cd",
+        "c8b30b19ffd9d30458d9c17a5e478604c81a81ace0b25df9b939aaa1b3ec2ca7",
+        "200ea9f7f8ca9e2ba15bc98c24e177def7dabec323440befa4ab0df4fb3eba1c",
         {"throughput_tps": 211.4754098360656, "avg_latency_ms": 26.434108527131784, "success_count": 43, "failure_count": 17},
     ),
     (
@@ -157,7 +178,8 @@ CASES = [
         {"total_txs": 60, "conflict_pct": 30},
         ("timeout",),
         "ef8065679c0035d8b1b2b4029661e7e45b21064d7cba13587705da5e131bac9b",
-        "1afedd4b1cc4388e143681846773b1280a6261b2088f63ec14ba62015d9b7754",
+        "69561923fa0882beadd52ee5850f58ace11cb3004ca74b0ff94c49a7611af74f",
+        "9310238e7f315656bf277bd2fcde4117a0dde9d604515a4cc0323b82bd224ff7",
         {"throughput_tps": 295.0819672131148, "avg_latency_ms": 26.61111111111111, "success_count": 60, "failure_count": 0},
     ),
 ]
@@ -165,14 +187,17 @@ CASES = [
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_golden_outputs_are_unchanged(tmp_path, case):
-    _, pipeline, workload, cuts, digest, log_sha256, summary = case
+    _, pipeline, workload, cuts, digest, log_sha256, blocks_sha256, summary = case
     outcome = run_single(PipelineConfig(**pipeline), WorkloadConfig(**workload))
     path = tmp_path / "blocks.log"
     save_block_log(outcome.log, path)
     run_heights = {t.block_height for t in outcome.report.txs}
     assert tuple(sorted({b.cut_reason for b in outcome.log if b.height in run_heights})) == cuts
     assert outcome.ws.digest() == digest
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == log_sha256
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == log_sha256
+    (genesis_length,) = struct.unpack(">I", data[:4])
+    assert hashlib.sha256(data[4 + genesis_length:]).hexdigest() == blocks_sha256
     assert outcome.report.summary() == summary
 
 

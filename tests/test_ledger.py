@@ -7,11 +7,13 @@ import pytest
 from crdtsim.jsoncrdt import canonical_json_bytes
 from crdtsim.ledger import (
     BlockLog,
+    Genesis,
     LedgerError,
     OrderingViolationError,
     Version,
     WorldState,
     commit_block,
+    install_genesis,
     read_record_file,
     write_record_file,
 )
@@ -161,6 +163,20 @@ def test_commit_block_height_must_match_log():
             commit_block(ws, log, make_validated(height, [later], [TxVerdict(True, None)]))
         assert ws.digest() == digest
         assert len(log) == 1
+
+
+def test_blocks_after_a_genesis_start_at_its_height_count():
+    ws, log = WorldState(), BlockLog()
+    install_genesis(ws, log, Genesis(("a", "b", "c"), 2))
+    assert ws.get_state("a") == (b'{"deviceID":"a"}', Version(0, 0))
+    assert ws.get_state("c") == (b'{"deviceID":"c"}', Version(1, 0))
+    assert len(log) == 0 and log.next_height == 2
+    with pytest.raises(OrderingViolationError):
+        commit_block(ws, log, make_validated(0, [], []))
+    commit_block(ws, log, make_validated(2, [], []))
+    assert log.next_height == 3
+    with pytest.raises(LedgerError, match="empty block log"):
+        install_genesis(WorldState(), log, Genesis(("d",), 2))
 
 
 def test_commit_of_an_unvalidated_block_fails_and_changes_nothing():

@@ -1,8 +1,10 @@
 import io
 import json
+import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 from unittest import mock
 
@@ -14,7 +16,8 @@ from crdtsim import jsoncrdt, txpipeline
 from crdtsim.bench import run_single
 from crdtsim.cli import main
 from crdtsim.jsoncrdt import canonical_json_bytes
-from crdtsim.ledger import (BlockLog, LedgerError, Version, WorldState, commit_block,
+from crdtsim.bench import populate_world_state
+from crdtsim.ledger import (BlockLog, Genesis, LedgerError, Version, WorldState, commit_block,
                             write_record_file)
 from crdtsim.txpipeline import (
     CRDT,
@@ -1131,11 +1134,19 @@ def damage_record_1(edit):
      "record 1: ValueError: endorsements 'org1' are not a list"),
     (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'[7,[5,1]]')),
      "record 1: ValueError: read key 7 is not text"),
+    (damage_record_1(lambda record: record.replace(b'"cut_reason":"count"', b'"cut_reason":7')),
+     "record 1: ValueError: unknown cut reason 7"),
+    # both decode to b"v", as "dg==" does, but would save as "dg=="
+    (damage_record_1(lambda record: record.replace(b'"dg=="', b'"d!g=="')),
+     "record 1: ValueError: write value 'd!g==' is not canonical base64"),
+    (damage_record_1(lambda record: record.replace(b'"dg=="', b'"dh=="')),
+     "record 1: ValueError: write value 'dh==' is not canonical base64"),
 ], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
         "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated",
         "float-height", "bool-height", "float-version", "bool-version", "int-write-key",
         "text-crdt-flag", "int-tx-id", "text-submit-time", "int-submit-time", "int-org",
-        "text-endorsements", "int-read-key"])
+        "text-endorsements", "int-read-key", "int-cut-reason", "non-base64-value",
+        "non-canonical-base64-value"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")])),
@@ -1146,6 +1157,93 @@ def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, erro
     with pytest.raises(LedgerError) as info:
         load_block_log(path)
     assert str(info.value).startswith(f"{path}: {error}")
+
+
+def genesis_then_blocks(genesis=b'{"chunk":2,"genesis":["a","b","c"]}', first_height=2):
+    """A genesis record, ["a","b","c"] in chunks of 2 by default, so two
+    heights, then two block records from first_height on."""
+    block = Block(0, (make_tx("t1", reads=[Read("a", Version(0, 0))], writes=[Write("a", b"v")]),),
+                  "count", (TxVerdict(True, VALID),))
+    return [genesis] + [canonical_json_bytes(block_to_jsonable(replace(block, height=h)))
+                        for h in (first_height, first_height + 1)]
+
+
+@pytest.mark.parametrize("records, error", [
+    (genesis_then_blocks(b'{"chunk":2,"genesis":"abc"}'),
+     "record 0: ValueError: genesis keys 'abc' are not a list"),
+    (genesis_then_blocks(b'{"chunk":2,"genesis":["a",7,"c"]}'),
+     "record 0: ValueError: genesis key 7 is not text"),
+    (genesis_then_blocks(b'{"chunk":2,"genesis":["a","b","a"]}'),
+     "record 0: ValueError: duplicate genesis keys"),
+    (genesis_then_blocks(b'{"chunk":true,"genesis":["a","b","c"]}'),
+     "record 0: ValueError: genesis chunk True is not an int of at least 1"),
+    (genesis_then_blocks(b'{"chunk":2.0,"genesis":["a","b","c"]}'),
+     "record 0: ValueError: genesis chunk 2.0 is not an int of at least 1"),
+    (genesis_then_blocks(b'{"chunk":"2","genesis":["a","b","c"]}'),
+     "record 0: ValueError: genesis chunk '2' is not an int of at least 1"),
+    (genesis_then_blocks(b'{"chunk":0,"genesis":["a","b","c"]}'),
+     "record 0: ValueError: genesis chunk 0 is not an int of at least 1"),
+    (genesis_then_blocks(b'{"chunk":-2,"genesis":["a","b","c"]}'),
+     "record 0: ValueError: genesis chunk -2 is not an int of at least 1"),
+    (genesis_then_blocks(b'{"genesis":["a","b","c"]}'), "record 0: KeyError: 'chunk'"),
+    (genesis_then_blocks(b'{"chunk":2,"genesis":["a","b","c"],"height":0}'),
+     "record 0: ValueError: unknown genesis field 'height'"),
+    (genesis_then_blocks(first_height=0)[1:2] + genesis_then_blocks()[:1],
+     "record 1: ValueError: genesis record after record 0"),
+    (genesis_then_blocks()[:1] * 2, "record 1: ValueError: genesis record after record 0"),
+    (genesis_then_blocks(first_height=0), "record 1: ValueError: height 0 out of order"),
+    (genesis_then_blocks(first_height=1), "record 1: ValueError: height 1 out of order"),
+    (genesis_then_blocks(first_height=3), "record 1: ValueError: height 3 out of order"),
+], ids=["keys-not-a-list", "int-key", "duplicate-key", "bool-chunk", "float-chunk", "text-chunk",
+        "zero-chunk", "negative-chunk", "no-chunk", "unknown-field", "genesis-second",
+        "genesis-twice", "first-block-at-0", "first-block-inside-genesis",
+        "first-block-after-a-gap"])
+def test_load_block_log_names_the_file_and_the_bad_genesis_record(tmp_path, records, error):
+    path = tmp_path / "blocks.log"
+    write_record_file(path, records)
+    with pytest.raises(LedgerError) as info:
+        load_block_log(path)
+    assert str(info.value).startswith(f"{path}: {error}")
+
+
+def test_genesis_saves_as_record_0_and_loads_and_replays_as_one_record(tmp_path):
+    config = PipelineConfig(mode=CRDT, max_tx_count=2)
+    ws, log = WorldState(), BlockLog()
+    populate_world_state(ws, log, config, ["Device0", "Device1", "Device2"])
+    proposals = [Proposal("client1", i * 0.01, ()) for i in range(4)]
+    cc = plain_chaincode(write_key="Device1", value=jbytes(TX1_DOC), is_crdt=True,
+                         read_keys=("Device1",))
+    report = run_pipeline(config, proposals, cc, ws=ws, log=log)
+    assert [t.block_height for t in report.txs] == [2, 2, 3, 3]
+    path = tmp_path / "blocks.log"
+    save_block_log(log, path)
+    record = b'{"chunk":2,"genesis":["Device0","Device1","Device2"]}'
+    assert path.read_bytes()[:4 + len(record)] == struct.pack(">I", len(record)) + record
+    loaded = load_block_log(path)
+    assert loaded.genesis == Genesis(("Device0", "Device1", "Device2"), 2)
+    assert loaded == list(log) and loaded.next_height == 4
+    replayed_ws, replayed_log = replay_block_log(loaded)
+    assert replayed_ws.canonical_bytes() == ws.canonical_bytes()
+    assert replayed_log.genesis == log.genesis and replayed_log == list(log)
+
+
+# Saved by `crdtsim run --mode crdt --txs 8 --conflict-pct 50 --block-size 3
+# --seed 7 --save-blocklog` before the bootstrap became a genesis record: two
+# bootstrap blocks of one transaction per key, then three run blocks.
+PRE_GENESIS_LOG = Path(__file__).parent / "data" / "pre-genesis-crdt-txs8-seed7.blocklog"
+PRE_GENESIS_DIGEST = "804fbf9753f1b79e6b6e70252b7adbeaf34488d1903cc6851ba15f14bb249380"
+
+
+def test_a_log_saved_with_bootstrap_blocks_replays_to_its_digest():
+    loaded = load_block_log(PRE_GENESIS_LOG)
+    assert loaded.genesis is None
+    assert [b.height for b in loaded] == [0, 1, 2, 3, 4]
+    assert loaded[0].transactions[0].tx_id == "populate-000000"
+    ws, _ = replay_block_log(loaded)
+    assert ws.digest() == PRE_GENESIS_DIGEST
+    outcome = run_single(PipelineConfig(mode=CRDT, max_tx_count=3),
+                         WorkloadConfig(total_txs=8, conflict_pct=50.0, seed=7))
+    assert outcome.ws.digest() == PRE_GENESIS_DIGEST
 
 
 def test_failed_load_closes_the_record_file(tmp_path, monkeypatch):
