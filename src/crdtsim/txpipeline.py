@@ -25,8 +25,10 @@ from __future__ import annotations
 import base64
 import json
 import math
+from binascii import b2a_base64
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from typing import Callable, Iterable, Optional
 
 from .jsoncrdt import (
@@ -192,10 +194,13 @@ class PipelineConfig:
 
 
 def transaction_encoded_size(tx: Transaction) -> int:
-    return len(canonical_json_bytes(transaction_to_jsonable(tx)))
+    """The length of tx's canonical record, as a block record holds it."""
+    pieces: list = []
+    _write_transaction(tx, pieces, {})
+    return sum(map(len, pieces))
 
 
-# Bytes of the canonical encoding (transaction_to_jsonable) that no field
+# Bytes of the canonical record (_write_transaction) that no field
 # length changes, with one separating comma per list element. A text field
 # takes at most 6 bytes per character (a \uXXXX escape; raw UTF-8 takes at
 # most 4) beside these quotes.
@@ -564,25 +569,61 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
 # block serialization for the log file
 
 
-def transaction_to_jsonable(tx: Transaction) -> dict:
-    return {
-        "tx_id": tx.tx_id,
-        "submit_time": tx.submit_time,
-        "endorsements": sorted(tx.endorsements),
-        "reads": [
-            [r.key, None if r.version is None else [r.version.block_height, r.version.tx_index]]
-            for r in tx.rwset.reads
-        ],
-        "writes": [
-            [w.key, base64.b64encode(w.value).decode("ascii"), w.is_crdt]
-            for w in tx.rwset.writes
-        ],
-    }
+# A block record is the canonical JSON (jsoncrdt.canonical_json_bytes) of
+#   {"cut_reason": text, "height": int, "transactions": [transaction, ...],
+#    "validity": [[valid, reason], ...]}
+# with each transaction the canonical JSON of
+#   {"endorsements": [org, ...], "reads": [[key, null | [height, index]], ...],
+#    "submit_time": float, "tx_id": text, "writes": [[key, base64 value, is_crdt], ...]}
+# and the orgs sorted. The writers below emit those bytes directly, as the
+# canonical encoder would for the field types the dataclasses declare (not for
+# a bool in an int slot, which it writes true and an f-string True): keys in
+# sorted order, text escaped by encode_basestring (the encoder's own escaper
+# without ensure_ascii), a float as float.__repr__ or NaN, Infinity and
+# -Infinity, and base64 unescaped, since its alphabet needs no escape.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_transaction(tx: Transaction, out: list, base64s: dict) -> None:
+    """Append the UTF-8 pieces of tx's canonical record to out; base64s maps
+    a value to its base64, so that equal values are encoded once."""
+    submit_time = repr(tx.submit_time)
+    reads = ",".join([f"[{encode_basestring(r.key)},null]" if r.version is None else
+                      f"[{encode_basestring(r.key)},[{r.version.block_height},{r.version.tx_index}]]"
+                      for r in tx.rwset.reads])
+    out.append(f'{{"endorsements":[{",".join(map(encode_basestring, sorted(tx.endorsements)))}],'
+               f'"reads":[{reads}],"submit_time":{_NON_FINITE.get(submit_time, submit_time)},'
+               f'"tx_id":{encode_basestring(tx.tx_id)},"writes":['.encode("utf-8"))
+    opening = "["
+    for w in tx.rwset.writes:
+        value = base64s.get(w.value)
+        if value is None:
+            value = base64s[w.value] = b2a_base64(w.value, newline=False)
+        out.append(f'{opening}{encode_basestring(w.key)},"'.encode("utf-8"))
+        out.append(value)
+        out.append(b'",true]' if w.is_crdt else b'",false]')
+        opening = ",["
+    out.append(b"]}")
+
+
+def block_record(block: Block) -> bytes:
+    """The canonical bytes of block's log record."""
+    base64s: dict = {}
+    out = [f'{{"cut_reason":{encode_basestring(block.cut_reason)},"height":{block.height},'
+           f'"transactions":['.encode("utf-8")]
+    for i, tx in enumerate(block.transactions):
+        if i:
+            out.append(b",")
+        _write_transaction(tx, out, base64s)
+    validity = ",".join([f'[{"true" if v.valid else "false"},{encode_basestring(v.reason)}]'
+                         for v in block.validity])
+    out.append(f'],"validity":[{validity}]}}'.encode("utf-8"))
+    return b"".join(out)
 
 
 def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Transaction:
     """Transaction from its log record; raise ValueError unless, as
-    transaction_to_jsonable writes them, the id, org names and keys are text,
+    _write_transaction writes them, the id, org names and keys are text,
     the submit time a float, each version two ints, each CRDT flag a bool (a
     bool or a float is no int, and an int no float) and each value canonical
     base64. shared maps a base64 value to its bytes and an endorsement list to
@@ -596,11 +637,11 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Trans
     orgs = doc["endorsements"]
     if type(orgs) is not list:
         raise ValueError(f"endorsements {orgs!r} are not a list")
-    for org in orgs:
-        if type(org) is not str:
-            raise ValueError(f"endorsing org {org!r} is not text")
     orgs = tuple(orgs)
-    if orgs not in shared:
+    if orgs not in shared:  # a shared list holds only text, which no other value equals
+        for org in orgs:
+            if type(org) is not str:
+                raise ValueError(f"endorsing org {org!r} is not text")
         shared[orgs] = frozenset(orgs)
     reads = []
     for key, version in doc["reads"]:
@@ -630,15 +671,6 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Trans
         endorsements=shared[orgs],
         submit_time=submit_time,
     )
-
-
-def block_to_jsonable(block: Block) -> dict:
-    return {
-        "height": block.height,
-        "cut_reason": block.cut_reason,
-        "transactions": [transaction_to_jsonable(tx) for tx in block.transactions],
-        "validity": [[v.valid, v.reason] for v in block.validity],
-    }
 
 
 def block_from_jsonable(doc: dict) -> Block:
@@ -690,8 +722,7 @@ def save_block_log(log, path) -> None:
         genesis = getattr(log, "genesis", None)
         if genesis is not None:
             yield canonical_json_bytes(genesis_to_jsonable(genesis))
-        for block in log:
-            yield canonical_json_bytes(block_to_jsonable(block))
+        yield from map(block_record, log)
 
     write_record_file(path, records())
 

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import struct
@@ -42,7 +43,7 @@ from crdtsim.txpipeline import (
     TxVerdict,
     Write,
     block_from_jsonable,
-    block_to_jsonable,
+    block_record,
     load_block_log,
     mvcc_validate,
     replay_block_log,
@@ -50,7 +51,6 @@ from crdtsim.txpipeline import (
     save_block_log,
     transaction_encoded_size,
     transaction_from_jsonable,
-    transaction_to_jsonable,
     validate_merge_block,
 )
 from crdtsim.workload import WorkloadConfig
@@ -1041,12 +1041,99 @@ def test_run_pipeline_report_json_lines_shape():
 # serialization and replay
 
 
+def reference_transaction_jsonable(tx):
+    """tx's record as a dict: canonical_json_bytes of it is the reference
+    that block_record and transaction_encoded_size are checked against."""
+    return {
+        "tx_id": tx.tx_id,
+        "submit_time": tx.submit_time,
+        "endorsements": sorted(tx.endorsements),
+        "reads": [
+            [r.key, None if r.version is None else [r.version.block_height, r.version.tx_index]]
+            for r in tx.rwset.reads
+        ],
+        "writes": [
+            [w.key, base64.b64encode(w.value).decode("ascii"), w.is_crdt]
+            for w in tx.rwset.writes
+        ],
+    }
+
+
+def reference_block_jsonable(block):
+    return {
+        "height": block.height,
+        "cut_reason": block.cut_reason,
+        "transactions": [reference_transaction_jsonable(tx) for tx in block.transactions],
+        "validity": [[v.valid, v.reason] for v in block.validity],
+    }
+
+
+# Every field of the declared type, drawn wide: text from all of Unicode but
+# surrogates, with the characters the encoder escapes; every float, extreme
+# ones and ints among them; ints beyond 64 bits; empty lists; every verdict.
+ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12) | TEXT
+ANY_TIMES = (st.floats() | st.integers()
+             | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                                1.7976931348623157e308]))
+ANY_INTS = st.integers() | st.integers(min_value=-2 ** 70, max_value=2 ** 70) | st.just(2 ** 64)
+ANY_TRANSACTIONS = st.builds(
+    Transaction,
+    tx_id=ANY_TEXT,
+    rwset=st.builds(
+        ReadWriteSet,
+        reads=st.lists(st.builds(Read, ANY_TEXT, st.none() | st.builds(Version, ANY_INTS, ANY_INTS)),
+                       max_size=3, unique_by=lambda r: r.key).map(tuple),
+        writes=st.lists(st.builds(Write, ANY_TEXT, st.binary(max_size=40), st.booleans()),
+                        max_size=3, unique_by=lambda w: w.key).map(tuple),
+    ),
+    endorsements=st.frozensets(ANY_TEXT, max_size=3),
+    submit_time=ANY_TIMES,
+)
+ANY_BLOCKS = st.builds(
+    Block,
+    height=ANY_INTS,
+    transactions=st.lists(ANY_TRANSACTIONS, max_size=4).map(tuple),
+    cut_reason=st.sampled_from(txpipeline.CUT_REASONS) | ANY_TEXT,
+    validity=st.lists(st.sampled_from(sorted(txpipeline.VERDICTS.values(), key=lambda v: v.reason)),
+                      max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=400)
+@given(ANY_BLOCKS)
+@example(Block(2 ** 70, tuple(make_tx('"\\\x00\u2028é😀', orgs=(), submit_time=t) for t in
+                              (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 2 ** 70)),
+               "count"))
+def test_block_record_equals_the_canonical_encoding_of_the_reference(block):
+    assert block_record(block) == canonical_json_bytes(reference_block_jsonable(block))
+    for tx in block.transactions:
+        assert transaction_encoded_size(tx) == len(canonical_json_bytes(reference_transaction_jsonable(tx)))
+
+
+@pytest.mark.parametrize("tx, cut_reason", [
+    (make_tx("\udc80"), "count"),
+    (make_tx("t", orgs=("\ud800",)), "count"),
+    (make_tx("t", reads=[Read("\udfff", None)]), "count"),
+    (make_tx("t", writes=[Write("a\udc80b", b"v")]), "count"),
+    (make_tx("t"), "\udc80"),
+], ids=["tx-id", "org", "read-key", "write-key", "cut-reason"])
+def test_lone_surrogate_text_fails_the_record_as_it_fails_the_reference(tx, cut_reason):
+    block = Block(0, (tx,), cut_reason, (TxVerdict(True, VALID),))
+    with pytest.raises(UnicodeEncodeError):
+        canonical_json_bytes(reference_block_jsonable(block))
+    with pytest.raises(UnicodeEncodeError):
+        block_record(block)
+    if cut_reason == "count":
+        with pytest.raises(UnicodeEncodeError):
+            transaction_encoded_size(tx)
+
+
 def test_transaction_round_trips_through_jsonable():
     tx = make_tx("t1",
                  reads=[Read("a", Version(1, 2)), Read("b", None)],
                  writes=[Write("k", bytes([0, 255, 128]), True), Write("m", b"plain")],
                  orgs=("org2", "org1"), submit_time=1.25)
-    doc = json.loads(canonical_json_bytes(transaction_to_jsonable(tx)))
+    (doc,) = json.loads(block_record(Block(0, (tx,), "count")))["transactions"]
     assert transaction_from_jsonable(doc) == tx
 
 
@@ -1056,7 +1143,7 @@ def test_transaction_round_trips_through_jsonable():
 def test_property_transaction_encoding_equals_sorted_compact_dumps(tx_id, key, value, submit_time):
     tx = make_tx(tx_id, reads=[Read(key, Version(1, 2))], writes=[Write(key, value, True)],
                  submit_time=submit_time)
-    jsonable = transaction_to_jsonable(tx)
+    jsonable = reference_transaction_jsonable(tx)
     assert canonical_json_bytes(jsonable) == json.dumps(
         jsonable, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
@@ -1064,7 +1151,7 @@ def test_property_transaction_encoding_equals_sorted_compact_dumps(tx_id, key, v
 def test_block_round_trips_through_jsonable():
     vblock = Block(3, (make_tx("t1", writes=[Write("k", b"v")]),), "bytes",
                    (TxVerdict(False, INVALID_MVCC),))
-    assert block_from_jsonable(block_to_jsonable(vblock)) == vblock
+    assert block_from_jsonable(json.loads(block_record(vblock))) == vblock
 
 
 def test_save_load_replay_reproduces_state(tmp_path):
@@ -1085,6 +1172,12 @@ def test_save_load_replay_reproduces_state(tmp_path):
 
 def damage_record_1(edit):
     return lambda records: [records[0], edit(records[1]), *records[2:]]
+
+
+def replace_last(record, old, new):
+    head, found, tail = record.rpartition(old)
+    assert found
+    return head + new + tail
 
 
 @pytest.mark.parametrize("damage, error", [
@@ -1118,8 +1211,8 @@ def damage_record_1(edit):
     # a key that is not text would fail the digest naming no file
     (damage_record_1(lambda record: record.replace(b'[["k","dg=="', b'[[7,"dg=="')),
      "record 1: ValueError: write key 7 is not text"),
-    # fields transaction_to_jsonable never writes so: the loaded block would
-    # save as a different file
+    # fields block_record never writes so: the loaded block would save as a
+    # different file
     (damage_record_1(lambda record: record.replace(b'"dg==",false', b'"dg==","no"')),
      "record 1: ValueError: CRDT flag 'no' is not a bool"),
     (damage_record_1(lambda record: record.replace(b'"tx_id":"t1"', b'"tx_id":1')),
@@ -1132,6 +1225,11 @@ def damage_record_1(edit):
      "record 1: ValueError: endorsing org 1 is not text"),
     (damage_record_1(lambda record: record.replace(b'["org1"]', b'"org1"')),
      "record 1: ValueError: endorsements 'org1' are not a list"),
+    # t2's list differs from t1's, which loaded first, so it is checked too
+    (damage_record_1(lambda record: replace_last(record, b'["org1"]', b'["org1",7]')),
+     "record 1: ValueError: endorsing org 7 is not text"),
+    (damage_record_1(lambda record: replace_last(record, b'["org1"]', b'[["org1"]]')),
+     "record 1: TypeError: unhashable type: 'list'"),
     (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'[7,[5,1]]')),
      "record 1: ValueError: read key 7 is not text"),
     (damage_record_1(lambda record: record.replace(b'"cut_reason":"count"', b'"cut_reason":7')),
@@ -1145,13 +1243,13 @@ def damage_record_1(edit):
         "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated",
         "float-height", "bool-height", "float-version", "bool-version", "int-write-key",
         "text-crdt-flag", "int-tx-id", "text-submit-time", "int-submit-time", "int-org",
-        "text-endorsements", "int-read-key", "int-cut-reason", "non-base64-value",
-        "non-canonical-base64-value"])
+        "text-endorsements", "int-org-in-a-later-list", "list-org", "int-read-key",
+        "int-cut-reason", "non-base64-value", "non-canonical-base64-value"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")])),
                   "count", (TxVerdict(True, VALID), TxVerdict(False, INVALID_MVCC)))
-    records = [canonical_json_bytes(block_to_jsonable(replace(block, height=h))) for h in range(3)]
+    records = [block_record(replace(block, height=h)) for h in range(3)]
     path = tmp_path / "blocks.log"
     write_record_file(path, damage(records))
     with pytest.raises(LedgerError) as info:
@@ -1164,8 +1262,7 @@ def genesis_then_blocks(genesis=b'{"chunk":2,"genesis":["a","b","c"]}', first_he
     heights, then two block records from first_height on."""
     block = Block(0, (make_tx("t1", reads=[Read("a", Version(0, 0))], writes=[Write("a", b"v")]),),
                   "count", (TxVerdict(True, VALID),))
-    return [genesis] + [canonical_json_bytes(block_to_jsonable(replace(block, height=h)))
-                        for h in (first_height, first_height + 1)]
+    return [genesis] + [block_record(replace(block, height=h)) for h in (first_height, first_height + 1)]
 
 
 @pytest.mark.parametrize("records, error", [
@@ -1247,7 +1344,7 @@ def test_a_log_saved_with_bootstrap_blocks_replays_to_its_digest():
 
 
 def test_failed_load_closes_the_record_file(tmp_path, monkeypatch):
-    records = [canonical_json_bytes(block_to_jsonable(Block(h, (), "count"))) for h in range(3)]
+    records = [block_record(Block(h, (), "count")) for h in range(3)]
     path = tmp_path / "blocks.log"
     write_record_file(path, [records[0], b"{", records[2]])
     read_record_file = txpipeline.read_record_file
@@ -1281,13 +1378,26 @@ def test_loaded_block_holds_one_object_per_equal_value_and_endorsement_list(tmp_
             assert tx.endorsements is first.endorsements
 
 
+def test_a_record_loads_each_distinct_endorsement_list_as_one_set():
+    txs = tuple(make_tx(f"t{i}", orgs=orgs) for i, orgs in
+                enumerate([("org1", "org2"), ("org2", "org1"), ("org3",), ("org1", "org2")]))
+    shared = {}
+    doc = json.loads(block_record(Block(0, txs, "count")))
+    loaded = [transaction_from_jsonable(t, shared) for t in doc["transactions"]]
+    assert loaded == list(txs)
+    assert loaded[0].endorsements is loaded[1].endorsements is loaded[3].endorsements
+    assert loaded[2].endorsements is not loaded[0].endorsements
+    assert {key: value for key, value in shared.items() if type(key) is tuple} == {
+        ("org1", "org2"): frozenset({"org1", "org2"}), ("org3",): frozenset({"org3"})}
+
+
 def test_validator_and_loader_give_each_reason_one_verdict():
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")]),
                       make_tx("t3", writes=[Write("k", b"x")], orgs=("stranger",))), "count")
     vblock = validate_merge_block(block, WorldState(), FABRIC, POLICY)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, INVALID_ENDORSEMENT]
-    loaded = block_from_jsonable(json.loads(canonical_json_bytes(block_to_jsonable(vblock))))
+    loaded = block_from_jsonable(json.loads(block_record(vblock)))
     for verdicts in (vblock.validity, loaded.validity):
         assert all(v is txpipeline.VERDICTS[v.reason] for v in verdicts)
     assert set(txpipeline.VERDICTS) == {VALID, *txpipeline.INVALID_REASONS}
