@@ -56,18 +56,26 @@ def _pruned_copy(value: JsonValue) -> tuple:
     containers that hold no text leaf, and its number of text leaves."""
     if isinstance(value, str):
         return value, 1
+    leaves = 0
     if isinstance(value, list):
-        pairs = [_pruned_copy(item) for item in value]
-        return [copy for copy, count in pairs if count], sum(count for _, count in pairs)
+        copy = []
+        for item in value:
+            kept, count = _pruned_copy(item)
+            if count:
+                copy.append(kept)
+                leaves += count
+        return copy, leaves
     if not isinstance(value, dict):
         raise _leaf_error(value)
-    pairs = {}
+    copy = {}
     for key, item in value.items():
         if not (isinstance(key, str) and key):
             raise _key_error(key)
-        pairs[key] = _pruned_copy(item)
-    return ({key: copy for key, (copy, count) in pairs.items() if count},
-            sum(count for _, count in pairs.values()))
+        kept, count = _pruned_copy(item)
+        if count:
+            copy[key] = kept
+            leaves += count
+    return copy, leaves
 
 
 def parse_json_bytes(value: bytes):

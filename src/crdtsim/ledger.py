@@ -10,15 +10,14 @@ record for the genesis and one per block.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import itertools
 import os
 import struct
+from binascii import b2a_base64
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Iterator, Optional
-
-from .jsoncrdt import canonical_json_bytes
 
 
 class LedgerError(Exception):
@@ -59,12 +58,18 @@ class WorldState:
         self._entries[key] = (value, version)
 
     def canonical_bytes(self) -> bytes:
-        """Canonical serialization of the full state, for convergence checks."""
-        doc = {
-            key: [base64.b64encode(value).decode("ascii"), version.block_height, version.tx_index]
-            for key, (value, version) in self._entries.items()
-        }
-        return canonical_json_bytes(doc)
+        """Canonical serialization of the full state, for convergence checks:
+        the canonical JSON (jsoncrdt.canonical_json_bytes) of {key: [base64
+        value, height, index]}, written directly. Keys are sorted and escaped
+        by encode_basestring (the encoder's own escaper without ensure_ascii);
+        base64 needs no escape."""
+        entries = self._entries
+        pieces = []
+        for key in sorted(entries):
+            value, version = entries[key]
+            value64 = b2a_base64(value, newline=False).decode("ascii")
+            pieces.append(f'{encode_basestring(key)}:["{value64}",{version.block_height},{version.tx_index}]')
+        return ("{" + ",".join(pieces) + "}").encode("utf-8")
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -74,6 +79,11 @@ def device_skeleton(key: str) -> dict:
     """A device's document before its first reading: the genesis value of a
     bootstrapped key and the chaincode's default for an absent one."""
     return {"deviceID": key}
+
+
+def device_skeleton_bytes(key: str) -> bytes:
+    """The canonical JSON bytes of device_skeleton(key), written directly."""
+    return f'{{"deviceID":{encode_basestring(key)}}}'.encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +128,7 @@ def install_genesis(ws: WorldState, log: BlockLog, genesis: Genesis) -> None:
         raise LedgerError("a genesis goes only onto an empty block log")
     chunk = genesis.chunk
     for i, key in enumerate(genesis.keys):
-        ws._put(key, canonical_json_bytes(device_skeleton(key)), Version(i // chunk, i % chunk))
+        ws._put(key, device_skeleton_bytes(key), Version(i // chunk, i % chunk))
     log.genesis = genesis
 
 

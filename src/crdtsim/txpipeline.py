@@ -27,7 +27,7 @@ import json
 import math
 from binascii import b2a_base64
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Optional
 
@@ -420,9 +420,10 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
         tx = txs[i]
         writes = tuple(Write(w.key, canonical_json_bytes(crdts[w.key].to_json()), True)
                        if w.is_crdt else w for w in tx.rwset.writes)
-        txs[i] = replace(tx, rwset=replace(tx.rwset, writes=writes))
+        txs[i] = Transaction(tx.tx_id, ReadWriteSet(tx.rwset.reads, writes), tx.endorsements,
+                             tx.submit_time)
     verdicts = tuple(VERDICTS[r] for r in reasons)
-    return replace(block, transactions=tuple(txs), validity=verdicts)
+    return Block(block.height, tuple(txs), block.cut_reason, verdicts)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crdtsim import jsoncrdt
 from crdtsim.jsoncrdt import (
     CrdtError,
     DocumentShapeError,
@@ -574,8 +575,48 @@ def _shape_error(check, doc):
 
 
 @settings(max_examples=300)
-@given(BAD_SHAPES)
+@given(BAD_SHAPES | JSON_VALUES)
 def test_property_check_raises_the_shape_error_decoding_raises(doc):
     # JsonCrdt.check walks the document once, copying it as it checks the
     # shape; the first error it meets is the one the reference walk meets.
     assert _shape_error(JsonCrdt("k").check, doc) == _shape_error(check_document, doc)
+
+
+def two_pass_pruned_copy(value):
+    """The shape check and pruned copy as two passes per container: copy
+    every child first, then keep the copies that hold a text leaf and add up
+    their leaves. The reference for jsoncrdt._pruned_copy's one pass."""
+    if isinstance(value, str):
+        return value, 1
+    if isinstance(value, list):
+        pairs = [two_pass_pruned_copy(item) for item in value]
+        return [copy for copy, count in pairs if count], sum(count for _, count in pairs)
+    if not isinstance(value, dict):
+        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
+    pairs = {}
+    for key, item in value.items():
+        if not (isinstance(key, str) and key):
+            raise DocumentShapeError("map keys must be non-empty" if key == ""
+                                     else f"map key {key!r} is not text")
+        pairs[key] = two_pass_pruned_copy(item)
+    return ({key: copy for key, (copy, count) in pairs.items() if count},
+            sum(count for _, count in pairs.values()))
+
+
+@settings(max_examples=500)
+@given(BAD_SHAPES | JSON_VALUES)
+@example({})
+@example([])
+@example({"a": {}, "b": [[], {"c": []}], "d": "x"})
+@example([[[]], {"a": [{}]}, "x", [["y"]]])
+@example({"a": [{"b": []}, None]})
+@example({"a": [[], {"": "x"}]})
+def test_property_one_pass_pruned_copy_equals_the_two_pass_walk(doc):
+    try:
+        expected = two_pass_pruned_copy(doc)
+    except DocumentShapeError as exc:
+        with pytest.raises(DocumentShapeError) as info:
+            jsoncrdt._pruned_copy(doc)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        assert jsoncrdt._pruned_copy(doc) == expected

@@ -1,8 +1,11 @@
+import base64
 import hashlib
 import struct
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crdtsim.jsoncrdt import canonical_json_bytes
 from crdtsim.ledger import (
@@ -13,6 +16,8 @@ from crdtsim.ledger import (
     Version,
     WorldState,
     commit_block,
+    device_skeleton,
+    device_skeleton_bytes,
     install_genesis,
     read_record_file,
     write_record_file,
@@ -230,6 +235,62 @@ def test_equal_states_share_a_digest():
     assert first.digest() == second.digest()
     assert first.canonical_bytes() == canonical_json_bytes(
         {"a": ["MQ==", 0, 0], "b": ["Mg==", 0, 1]})
+
+
+def reference_state_bytes(ws):
+    """The state as the generic canonical encoder writes it: the reference
+    for WorldState.canonical_bytes, which writes the same bytes directly."""
+    return canonical_json_bytes({
+        key: [base64.b64encode(value).decode("ascii"), version.block_height, version.tx_index]
+        for key, (value, version) in ws._entries.items()
+    })
+
+
+def state_of(entries):
+    ws = WorldState()
+    for key, (value, height, index) in entries.items():
+        ws._put(key, value, Version(height, index))
+    return ws
+
+
+# Text the canonical encoder escapes (quote, backslash, control characters),
+# passes raw (U+2028, non-ASCII, astral) or both, beside arbitrary text.
+KEYS = (st.text(alphabet=st.sampled_from('"\\\x00\x1f\n\u2028\x7f/é€😀a'), max_size=12)
+        | st.text(max_size=8))
+BIG_INTS = st.integers(min_value=-2 ** 70, max_value=2 ** 70) | st.integers()
+ENTRIES = st.dictionaries(KEYS, st.tuples(st.binary(max_size=24), BIG_INTS, BIG_INTS), max_size=8)
+
+
+@settings(max_examples=500)
+@given(ENTRIES)
+@example({})
+@example({"": (b"", 0, 0)})
+@example({"b": (b"\xff\xfe", -2 ** 70, 2 ** 70), "a": (b"\x00", 0, -1), "é": (b"v" * 7, 1, 2)})
+@example({"\x00\"\\\n\u2028😀": (bytes(range(256)), 3, 4)})
+def test_property_state_bytes_equal_the_generic_encoders(entries):
+    ws = state_of(entries)
+    assert ws.canonical_bytes() == reference_state_bytes(ws)
+
+
+@settings(max_examples=300)
+@given(KEYS)
+@example("")
+@example('"\\\x00\x1f\u2028é😀')
+def test_property_skeleton_bytes_equal_the_generic_encoders(key):
+    assert device_skeleton_bytes(key) == canonical_json_bytes(device_skeleton(key))
+
+
+@pytest.mark.parametrize("key", ["\ud800", "a\udfffb", "😀\udc00"])
+def test_lone_surrogate_key_fails_the_direct_writers_as_it_fails_the_encoder(key):
+    ws = state_of({"a": (b"v", 0, 0), key: (b"", 1, 0)})
+    with pytest.raises(UnicodeEncodeError):
+        reference_state_bytes(ws)
+    with pytest.raises(UnicodeEncodeError):
+        ws.canonical_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        canonical_json_bytes(device_skeleton(key))
+    with pytest.raises(UnicodeEncodeError):
+        device_skeleton_bytes(key)
 
 
 def test_record_file_round_trips_frames(tmp_path):
