@@ -29,12 +29,12 @@ def set_field(cfg, name: str, value) -> None:
 
 
 def read_json_object(path) -> dict:
-    """The JSON object in path; malformed JSON or another top-level type
-    raises ValueError naming the path."""
+    """The JSON object in path; malformed or too deeply nested JSON or
+    another top-level type raises ValueError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")

@@ -194,9 +194,11 @@ class PipelineConfig:
 
 
 def transaction_encoded_size(tx: Transaction) -> int:
-    """The length of tx's canonical record, as a block record holds it."""
+    """The length of tx's stand-alone record, every write value inline: the
+    envelope as ordered, which a block record may shorten by referring back
+    to an equal value earlier in the block."""
     pieces: list = []
-    _write_transaction(tx, pieces, {})
+    _write_transaction(tx, pieces, None)
     return sum(map(len, pieces))
 
 
@@ -575,19 +577,25 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
 #    "validity": [[valid, reason], ...]}
 # with each transaction the canonical JSON of
 #   {"endorsements": [org, ...], "reads": [[key, null | [height, index]], ...],
-#    "submit_time": float, "tx_id": text, "writes": [[key, base64 value, is_crdt], ...]}
-# and the orgs sorted. The writers below emit those bytes directly, as the
-# canonical encoder would for the field types the dataclasses declare (not for
-# a bool in an int slot, which it writes true and an f-string True): keys in
-# sorted order, text escaped by encode_basestring (the encoder's own escaper
-# without ensure_ascii), a float as float.__repr__ or NaN, Infinity and
-# -Infinity, and base64 unescaped, since its alphabet needs no escape.
+#    "submit_time": float, "tx_id": text, "writes": [[key, value, is_crdt], ...]}
+# and the orgs sorted. In block order (transactions, then their writes), the
+# first write of each distinct value holds its base64 text, an inline value;
+# every later write of an equal value holds instead the int index of that
+# value among the record's inline values (0 for the first). A record of a
+# block without a repeated value holds no index. The writers below emit those
+# bytes directly, as the canonical encoder would for the field types the
+# dataclasses declare (not for a bool in an int slot, which it writes true and
+# an f-string True): keys in sorted order, text escaped by encode_basestring
+# (the encoder's own escaper without ensure_ascii), a float as float.__repr__
+# or NaN, Infinity and -Infinity, and base64 unescaped, since its alphabet
+# needs no escape.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_transaction(tx: Transaction, out: list, base64s: dict) -> None:
-    """Append the UTF-8 pieces of tx's canonical record to out; base64s maps
-    a value to its base64, so that equal values are encoded once."""
+def _write_transaction(tx: Transaction, out: list, refs: Optional[dict]) -> None:
+    """Append the UTF-8 pieces of tx's record to out. refs maps each value
+    written inline earlier in the record to its index, and gains the values
+    tx writes inline; with refs None every value is written inline."""
     submit_time = repr(tx.submit_time)
     reads = ",".join([f"[{encode_basestring(r.key)},null]" if r.version is None else
                       f"[{encode_basestring(r.key)},[{r.version.block_height},{r.version.tx_index}]]"
@@ -597,39 +605,49 @@ def _write_transaction(tx: Transaction, out: list, base64s: dict) -> None:
                f'"tx_id":{encode_basestring(tx.tx_id)},"writes":['.encode("utf-8"))
     opening = "["
     for w in tx.rwset.writes:
-        value = base64s.get(w.value)
-        if value is None:
-            value = base64s[w.value] = b2a_base64(w.value, newline=False)
-        out.append(f'{opening}{encode_basestring(w.key)},"'.encode("utf-8"))
-        out.append(value)
-        out.append(b'",true]' if w.is_crdt else b'",false]')
+        index = refs.get(w.value) if refs is not None else None
+        if index is None:
+            out.append(f'{opening}{encode_basestring(w.key)},"'.encode("utf-8"))
+            out.append(b2a_base64(w.value, newline=False))
+            out.append(b'",true]' if w.is_crdt else b'",false]')
+            if refs is not None:
+                refs[w.value] = len(refs)
+        else:
+            out.append(f'{opening}{encode_basestring(w.key)},{index},'
+                       f'{"true" if w.is_crdt else "false"}]'.encode("utf-8"))
         opening = ",["
     out.append(b"]}")
 
 
 def block_record(block: Block) -> bytes:
-    """The canonical bytes of block's log record."""
-    base64s: dict = {}
+    """The canonical bytes of block's log record, each distinct write value
+    inline once."""
+    refs: dict = {}
     out = [f'{{"cut_reason":{encode_basestring(block.cut_reason)},"height":{block.height},'
            f'"transactions":['.encode("utf-8")]
     for i, tx in enumerate(block.transactions):
         if i:
             out.append(b",")
-        _write_transaction(tx, out, base64s)
+        _write_transaction(tx, out, refs)
     validity = ",".join([f'[{"true" if v.valid else "false"},{encode_basestring(v.reason)}]'
                          for v in block.validity])
     out.append(f'],"validity":[{validity}]}}'.encode("utf-8"))
     return b"".join(out)
 
 
-def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Transaction:
+def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
+                              inline: Optional[list] = None) -> Transaction:
     """Transaction from its log record; raise ValueError unless, as
     _write_transaction writes them, the id, org names and keys are text,
     the submit time a float, each version two ints, each CRDT flag a bool (a
     bool or a float is no int, and an int no float) and each value canonical
-    base64. shared maps a base64 value to its bytes and an endorsement list to
-    its set, so that equal ones load as one object and each is checked once."""
+    base64 text or the int index of an inline value of the record before it.
+    inline holds the record's inline values decoded so far, and gains tx's;
+    a repeated text, which older logs hold in place of an index, loads too.
+    shared maps an endorsement list to its set, so that equal ones load as
+    one object and each is checked once."""
     shared = {} if shared is None else shared
+    inline = [] if inline is None else inline
     tx_id, submit_time = doc["tx_id"], doc["submit_time"]
     if type(tx_id) is not str:
         raise ValueError(f"tx id {tx_id!r} is not text")
@@ -660,12 +678,17 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Trans
             raise ValueError(f"write key {key!r} is not text")
         if type(is_crdt) is not bool:
             raise ValueError(f"CRDT flag {is_crdt!r} is not a bool")
-        if value not in shared:
+        if type(value) is str:
             decoded = base64.b64decode(value)
             if base64.b64encode(decoded).decode("ascii") != value:
                 raise ValueError(f"write value {value!r} is not canonical base64")
-            shared[value] = decoded
-        writes.append(Write(key, shared[value], is_crdt))
+            inline.append(decoded)
+        elif type(value) is int and 0 <= value < len(inline):
+            decoded = inline[value]
+        else:
+            raise ValueError(f"write value {value!r} is neither base64 text nor the index "
+                             f"of one of the record's {len(inline)} inline values before it")
+        writes.append(Write(key, decoded, is_crdt))
     return Transaction(
         tx_id=tx_id,
         rwset=ReadWriteSet(reads=tuple(reads), writes=tuple(writes)),
@@ -677,16 +700,17 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Trans
 def block_from_jsonable(doc: dict) -> Block:
     """Block from its log record; raise ValueError unless it has an int height,
     a known cut reason and one verdict per transaction, each a known reason
-    with its implied flag. Equal write values and endorsement lists within the
-    block load as one object each, and each verdict is the one VERDICTS holds
-    for its reason."""
+    with its implied flag. A write value referred back to and an equal
+    endorsement list within the block load as one object each, and each
+    verdict is the one VERDICTS holds for its reason."""
     height, cut_reason = doc["height"], doc["cut_reason"]
     if type(height) is not int:
         raise ValueError(f"height {height!r} is not an int")
     if cut_reason not in CUT_REASONS:
         raise ValueError(f"unknown cut reason {cut_reason!r}")
     shared: dict = {}
-    transactions = tuple(transaction_from_jsonable(t, shared) for t in doc["transactions"])
+    inline: list = []
+    transactions = tuple(transaction_from_jsonable(t, shared, inline) for t in doc["transactions"])
     validity = []
     for valid, reason in doc["validity"]:
         verdict = VERDICTS.get(reason)
@@ -739,7 +763,7 @@ def load_block_log(path) -> BlockLog:
         for index, record in enumerate(records):
             try:
                 _load_record(log, index, json.loads(record))
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
     return log
 

@@ -68,6 +68,14 @@ def test_unknown_section_is_rejected(tmp_path):
     assert "unknown section 'visualization'" in message
 
 
+def test_too_deeply_nested_file_is_rejected_naming_the_path(tmp_path):
+    path = tmp_path / "sim.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: not a UTF-8 JSON file: maximum recursion depth")
+
+
 def test_missing_file_is_rejected(tmp_path):
     with pytest.raises(FileNotFoundError, match="absent.json"):
         load(tmp_path / "absent.json")

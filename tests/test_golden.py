@@ -2,10 +2,13 @@
 
 Each case runs the full pipeline on a bootstrapped ledger exactly as
 ``crdtsim run --save-blocklog`` does and compares the world-state digest, the
-sha256 of the saved block-log file, the sha256 of its bytes after the genesis
-record (the run's block records) and the report summary with pinned values.
-The run's block records are byte for byte the ones the bootstrap as one
-transaction per key saved after its bootstrap blocks. A refactor must leave
+sha256 of the saved block-log file and the report summary with pinned values.
+With each write value that refers back to an equal one of its record
+expanded to its base64 text, the file and its bytes after the genesis record
+(the run's block records) also keep their pinned sha256: the file as saved
+when every write held its text, and, after the genesis record, the block
+records the bootstrap as one transaction per key saved after its bootstrap
+blocks. A refactor must leave
 every value unchanged; a deliberate behaviour change updates the affected
 cases and says why. The sha256 of every metric table of one small
 ``crdtsim bench`` sweep is pinned the same way.
@@ -17,17 +20,20 @@ re-appends the stored history; larger runs are slow.
 """
 
 import hashlib
+import json
 import struct
 
 import pytest
 
 from crdtsim.bench import run_single
 from crdtsim.cli import main
+from crdtsim.jsoncrdt import canonical_json_bytes
 from crdtsim.txpipeline import PipelineConfig, save_block_log
 from crdtsim.workload import WorkloadConfig
 
-# (id, pipeline fields, workload fields, cut reasons, digest, block-log sha256,
-#  sha256 of the block records after the genesis record, summary)
+# (id, pipeline fields, workload fields, cut reasons, digest, block-log sha256
+#  and sha256 of the block records after the genesis record, both with every
+#  write-value index expanded, sha256 of the saved file itself, summary)
 CASES = [
     (
         "crdt-batch-hot", {"mode": "crdt"},
@@ -36,6 +42,7 @@ CASES = [
         "2521acbaf6318aec0481bc856c4aa866d7801025b3f1ba889c69f01a6b0202c3",
         "d15b670b4d93bdb497e8732397ff116c0a917f6cf02c73b85608dd4bc64d575c",
         "fe5b70e1ae50f2f4b1385b000bb484e638483b0617c89d943e590dbb8dfba648",
+        "86408f054fb8289b02fab1c78a47b09e7a146fbfc06471788fb9f7b1b09778b3",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -45,6 +52,7 @@ CASES = [
         "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
         "a67869349d2547d20025a354c6613e570c9bd677b76635b915393576ecbff505",
         "12b5508d4bdbe605479adb853a54747f12a3b4ba390f1e1231d04e4ce2e3c6dd",
+        "a67869349d2547d20025a354c6613e570c9bd677b76635b915393576ecbff505",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -54,6 +62,7 @@ CASES = [
         "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
         "f967710739638079ff89b0d3a4efde1f5c55ed9bf8e3f97d2d428901cfea2fe2",
         "f8e0a774bc1d094f0b60532ef257ab073280d4239c58cc1d2c60c4290a34f812",
+        "14d3dd12f829834620ff2af7be59e86d8b92347fa09121ea3e4b3d7826b77672",
         {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
     ),
     (
@@ -63,6 +72,7 @@ CASES = [
         "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
         "b171a2a4da1d1feb11e88317131a3430046c3bf502a9ba0a009fd03a8a149363",
         "62e4f1d660fb0c5520b969f8942204488775a850856ffcc8dfecf48c7a624770",
+        "b171a2a4da1d1feb11e88317131a3430046c3bf502a9ba0a009fd03a8a149363",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -72,6 +82,7 @@ CASES = [
         "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
         "37f90b7b63ee035a999a67af33cb20dc3d648102ee5ff807e7593e99bcc93212",
         "bde90c39cf68022025956e6b1c92fd6781a0f206cd0357f4d532050aa7d66514",
+        "7e02015842b4410f40544eb62fe7b77688c690dc84a132446f2bd594c49ee870",
         {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
     ),
     (
@@ -81,6 +92,7 @@ CASES = [
         "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
         "a67869349d2547d20025a354c6613e570c9bd677b76635b915393576ecbff505",
         "12b5508d4bdbe605479adb853a54747f12a3b4ba390f1e1231d04e4ce2e3c6dd",
+        "a67869349d2547d20025a354c6613e570c9bd677b76635b915393576ecbff505",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -90,6 +102,7 @@ CASES = [
         "3121fa1f1c237928a5748bb35b96b73e88b0ba09554856efe471cf4f1feb8474",
         "cdc231f93dab0f3c430c5ab98b357f90ba527ef4e72f641c7bae97fec2d6b3fe",
         "38b2b9f896370ab2d2cf0437ad33077c1d2a3916da80b87b28c250e1f2067533",
+        "9de50b7f8ac6c8f159827d7cf579124d6a2f7349ede2d33daf540c1ca36170bd",
         {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
     ),
     (
@@ -99,6 +112,7 @@ CASES = [
         "d18b766edc25bfd7a38e41ac2669c180b342142eace54b27eebe61459f6ec15d",
         "ac264cdb4ec654e2431cf1c01e6588f431d465925f79fbed7bdf41415863a2c9",
         "806af4fde8aeaa8fd591ecc6f563f626d9dbb95f0af5f0cd7cdec518520d3e07",
+        "ac264cdb4ec654e2431cf1c01e6588f431d465925f79fbed7bdf41415863a2c9",
         {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
     ),
     (
@@ -108,6 +122,7 @@ CASES = [
         "93fc513599824a3e72d424c5d77c832e2b53b5b99a4798f0c704e3da32086ca4",
         "488e92d9b5e55a9f2b9fe26db6cd5717f9bd4686cd74576feaad74604c8483cd",
         "d7f76f69f69ad00ed9cc3f412249b6eccce74b2e5a1e96c51b87a845a8645f33",
+        "d0cf0422e219589eea0eb2921783ea91d135d99017cdffff23069c86c8a40cc1",
         {"throughput_tps": 0.96, "avg_latency_ms": 1040.0, "success_count": 2, "failure_count": 38},
     ),
     (
@@ -117,6 +132,7 @@ CASES = [
         "bbeab584ce8adae0c5322ef7d52258c4491e347c2c493b7054339c640ccf774a",
         "732c0480b439f4c32ac91bed44245425beee3e3216835c4e56296843714b03a5",
         "fa0d3d9c0738eca882bdd9d355f729a4e9def521088408ffcfbea449d25edb57",
+        "41e54c450ce10e8c0d571ec1a471729f9a278548f884ba3c2542f6e8b192c73e",
         {"throughput_tps": 12.121212121212121, "avg_latency_ms": 80.00000000000001, "success_count": 4, "failure_count": 96},
     ),
     (
@@ -126,6 +142,7 @@ CASES = [
         "09ebf305fd826f6a5a32e40c4c80f21687ecd7fe1be9bd42b64f47bd0074a8cf",
         "55d07fcbd51780f8e7160a7c73e81308049c8d5d89e9f16059ef7caa11fb1dde",
         "f9439c9babb9bc41edcdba5b533558f04643e5153ccf8f1b3ec347bc5b91a170",
+        "da2be9127a46561a882e7272688ebb5f90c90b10e2398f626310b8d3a272ed8f",
         {"throughput_tps": 224.24242424242422, "avg_latency_ms": 38.82882882882884, "success_count": 74, "failure_count": 26},
     ),
     (
@@ -135,6 +152,7 @@ CASES = [
         "b643954591ee3b4bf26665779046c4cc8c2b9928c33be983d35f62202d782918",
         "1d13a476ee36d65cdfa6613866c508716dffc53fd5609191e57376f8b4cac0cc",
         "ac9a3f7dd6fd2dd5d0396cbb99aba697be651f76878d541064fe96b0318b23dc",
+        "2fb69d3a067de2bd43738afefd5f91af40f7dad12fd5de255bf83364a1bd2f3a",
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
@@ -144,6 +162,7 @@ CASES = [
         "1985aa87cbd1210815e7fbba15c8d136bc298f52ac9573a2e0b43dfc2c672ba2",
         "206492287175fe23764ad468fb416d35c2cd079838549128a47e0ce929394b10",
         "c4f1abc2a0d26d231bb38aee0e34775571b8a20ec36ae943fea02e9291494719",
+        "206492287175fe23764ad468fb416d35c2cd079838549128a47e0ce929394b10",
         {"throughput_tps": 215.15151515151513, "avg_latency_ms": 37.230046948356815, "success_count": 71, "failure_count": 29},
     ),
     (
@@ -153,6 +172,7 @@ CASES = [
         "b4bd9215913ed36c461eed9ea074c94710e847ffe988f6fbf4c2afc4e2e0fe7b",
         "4199e98379205be2abba42bb40c534e2aefa576ddc8fc1fe85ef056532879fb8",
         "10a43be14ac7ea2d628809874357e85f03af0f80bda0ebf560261f271369c9e9",
+        "bee47616e99fb0c4bf5b7a35d9e878361c0559862d9878545885b5127b560e0c",
         {"throughput_tps": 27.480916030534353, "avg_latency_ms": 175.27777777777777, "success_count": 60, "failure_count": 0},
     ),
     (
@@ -162,6 +182,7 @@ CASES = [
         "2a027645fc3ee4241ba4aa9f85f4156f34fb355b11aea4b296453ab56fb3afe3",
         "3a53249ff5abcc5dc4fa8b8eaf6bd834332a3a405032444f7ba93b2a94a18746",
         "a8b4195ca0ae95b5412a12b086805a3ab6e941b42392b2b57f7a5df934bc2caf",
+        "3a53249ff5abcc5dc4fa8b8eaf6bd834332a3a405032444f7ba93b2a94a18746",
         {"throughput_tps": 22.085889570552148, "avg_latency_ms": 306.18055555555554, "success_count": 48, "failure_count": 12},
     ),
     (
@@ -171,6 +192,7 @@ CASES = [
         "6241d070a5d88fbc723e43e1fd62d9c4c3e587de3242901ce9612fcefc0595be",
         "c8b30b19ffd9d30458d9c17a5e478604c81a81ace0b25df9b939aaa1b3ec2ca7",
         "200ea9f7f8ca9e2ba15bc98c24e177def7dabec323440befa4ab0df4fb3eba1c",
+        "c8b30b19ffd9d30458d9c17a5e478604c81a81ace0b25df9b939aaa1b3ec2ca7",
         {"throughput_tps": 211.4754098360656, "avg_latency_ms": 26.434108527131784, "success_count": 43, "failure_count": 17},
     ),
     (
@@ -180,14 +202,42 @@ CASES = [
         "ef8065679c0035d8b1b2b4029661e7e45b21064d7cba13587705da5e131bac9b",
         "69561923fa0882beadd52ee5850f58ace11cb3004ca74b0ff94c49a7611af74f",
         "9310238e7f315656bf277bd2fcde4117a0dde9d604515a4cc0323b82bd224ff7",
+        "3ed119400f8ac32875410b1efa2e51d4382fbeccaa6448a959abad279d6a4b64",
         {"throughput_tps": 295.0819672131148, "avg_latency_ms": 26.61111111111111, "success_count": 60, "failure_count": 0},
     ),
 ]
 
 
+def expand_references(data: bytes) -> bytes:
+    """The block-log file with each write value that refers back to an
+    earlier inline value of its record replaced by that value's base64 text:
+    the file as saved before the log wrote each distinct value once per
+    record. A record without a reference is kept as it is."""
+    out = []
+    offset = 0
+    while offset < len(data):
+        (length,) = struct.unpack(">I", data[offset:offset + 4])
+        record = data[offset + 4:offset + 4 + length]
+        offset += 4 + length
+        doc = json.loads(record)
+        inline = []
+        expanded = False
+        for tx in doc.get("transactions", ()):
+            for write in tx["writes"]:
+                if type(write[1]) is int:
+                    write[1] = inline[write[1]]
+                    expanded = True
+                else:
+                    inline.append(write[1])
+        if expanded:
+            record = canonical_json_bytes(doc)
+        out.append(struct.pack(">I", len(record)) + record)
+    return b"".join(out)
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_golden_outputs_are_unchanged(tmp_path, case):
-    _, pipeline, workload, cuts, digest, log_sha256, blocks_sha256, summary = case
+    _, pipeline, workload, cuts, digest, log_sha256, blocks_sha256, file_sha256, summary = case
     outcome = run_single(PipelineConfig(**pipeline), WorkloadConfig(**workload))
     path = tmp_path / "blocks.log"
     save_block_log(outcome.log, path)
@@ -195,9 +245,11 @@ def test_golden_outputs_are_unchanged(tmp_path, case):
     assert tuple(sorted({b.cut_reason for b in outcome.log if b.height in run_heights})) == cuts
     assert outcome.ws.digest() == digest
     data = path.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == log_sha256
-    (genesis_length,) = struct.unpack(">I", data[:4])
-    assert hashlib.sha256(data[4 + genesis_length:]).hexdigest() == blocks_sha256
+    assert hashlib.sha256(data).hexdigest() == file_sha256
+    expanded = expand_references(data)
+    assert hashlib.sha256(expanded).hexdigest() == log_sha256
+    (genesis_length,) = struct.unpack(">I", expanded[:4])
+    assert hashlib.sha256(expanded[4 + genesis_length:]).hexdigest() == blocks_sha256
     assert outcome.report.summary() == summary
 
 

@@ -1060,22 +1060,36 @@ def reference_transaction_jsonable(tx):
 
 
 def reference_block_jsonable(block):
+    """block's record as a dict: its transactions' records in which every
+    write of a value equal to an earlier one of the block, in transaction
+    then write order, holds the index of that value among the first ones."""
+    transactions = [reference_transaction_jsonable(tx) for tx in block.transactions]
+    first: list = []
+    for tx, jsonable in zip(block.transactions, transactions):
+        for write, written in zip(tx.rwset.writes, jsonable["writes"]):
+            if write.value in first:
+                written[1] = first.index(write.value)
+            else:
+                first.append(write.value)
     return {
         "height": block.height,
         "cut_reason": block.cut_reason,
-        "transactions": [reference_transaction_jsonable(tx) for tx in block.transactions],
+        "transactions": transactions,
         "validity": [[v.valid, v.reason] for v in block.validity],
     }
 
 
 # Every field of the declared type, drawn wide: text from all of Unicode but
 # surrogates, with the characters the encoder escapes; every float, extreme
-# ones and ints among them; ints beyond 64 bits; empty lists; every verdict.
+# ones and ints among them; ints beyond 64 bits; empty lists; every verdict;
+# write values often from a small pool, so that equal values repeat within a
+# transaction, across transactions and across keys.
 ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12) | TEXT
 ANY_TIMES = (st.floats() | st.integers()
              | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
                                 1.7976931348623157e308]))
 ANY_INTS = st.integers() | st.integers(min_value=-2 ** 70, max_value=2 ** 70) | st.just(2 ** 64)
+ANY_VALUES = st.sampled_from([b"", b"v", b"w", bytes(range(40))]) | st.binary(max_size=40)
 ANY_TRANSACTIONS = st.builds(
     Transaction,
     tx_id=ANY_TEXT,
@@ -1083,7 +1097,7 @@ ANY_TRANSACTIONS = st.builds(
         ReadWriteSet,
         reads=st.lists(st.builds(Read, ANY_TEXT, st.none() | st.builds(Version, ANY_INTS, ANY_INTS)),
                        max_size=3, unique_by=lambda r: r.key).map(tuple),
-        writes=st.lists(st.builds(Write, ANY_TEXT, st.binary(max_size=40), st.booleans()),
+        writes=st.lists(st.builds(Write, ANY_TEXT, ANY_VALUES, st.booleans()),
                         max_size=3, unique_by=lambda w: w.key).map(tuple),
     ),
     endorsements=st.frozensets(ANY_TEXT, max_size=3),
@@ -1239,12 +1253,14 @@ def replace_last(record, old, new):
      "record 1: ValueError: write value 'd!g==' is not canonical base64"),
     (damage_record_1(lambda record: record.replace(b'"dg=="', b'"dh=="')),
      "record 1: ValueError: write value 'dh==' is not canonical base64"),
+    (damage_record_1(lambda record: b"[" * 200_000),
+     "record 1: RecursionError: maximum recursion depth exceeded"),
 ], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
         "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated",
         "float-height", "bool-height", "float-version", "bool-version", "int-write-key",
         "text-crdt-flag", "int-tx-id", "text-submit-time", "int-submit-time", "int-org",
         "text-endorsements", "int-org-in-a-later-list", "list-org", "int-read-key",
-        "int-cut-reason", "non-base64-value", "non-canonical-base64-value"])
+        "int-cut-reason", "non-base64-value", "non-canonical-base64-value", "too-deep"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")])),
@@ -1255,6 +1271,60 @@ def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, erro
     with pytest.raises(LedgerError) as info:
         load_block_log(path)
     assert str(info.value).startswith(f"{path}: {error}")
+
+
+def test_a_record_writes_each_distinct_value_once():
+    block = Block(0, (make_tx("t1", writes=[Write("k", b"v"), Write("m", b"v", True)]),
+                      make_tx("t2", writes=[Write("k", b"w", True), Write("m", b"v")])),
+                  "count", (TxVerdict(True, VALID),) * 2)
+    record = block_record(block)
+    assert b'"writes":[["k","dg==",false],["m",0,true]]' in record
+    assert b'"writes":[["k","dw==",true],["m",0,false]]' in record
+    # the orderer sizes the stand-alone envelope, every value inline
+    assert transaction_encoded_size(block.transactions[0]) == len(
+        b'{"endorsements":["org1"],"reads":[],"submit_time":0.0,"tx_id":"t1",'
+        b'"writes":[["k","dg==",false],["m","dg==",true]]}')
+
+
+@settings(max_examples=200)
+@given(st.lists(ANY_TRANSACTIONS.filter(lambda tx: type(tx.submit_time) is float
+                                        and tx.submit_time == tx.submit_time),
+                max_size=4, unique_by=lambda tx: tx.tx_id))
+def test_property_blocks_round_trip_and_equal_values_load_as_one_object(txs):
+    block = Block(7, tuple(txs), "count", (TxVerdict(True, VALID),) * len(txs))
+    loaded = block_from_jsonable(json.loads(block_record(block)))
+    assert loaded == block
+    values = {}
+    for tx in loaded.transactions:
+        for write in tx.rwset.writes:
+            assert values.setdefault(write.value, write.value) is write.value
+
+
+# t1 writes b"v" and b"w" inline as values 0 and 1; t2's write of b"w" refers to 1.
+REFERRING_BLOCK = Block(0, (make_tx("t1", writes=[Write("k", b"v"), Write("m", b"w")]),
+                            make_tx("t2", writes=[Write("k", b"w")])),
+                        "count", (TxVerdict(True, VALID),) * 2)
+
+
+@pytest.mark.parametrize("old, new, shown, inline", [
+    (b'["k",1,false]', b'["k",true,false]', "True", 2),  # True == 1, a valid index
+    (b'["k",1,false]', b'["k",1.0,false]', "1.0", 2),
+    (b'["k",1,false]', b'["k",-1,false]', "-1", 2),  # a list index from the end
+    (b'["k",1,false]', b'["k",2,false]', "2", 2),
+    (b'["k",1,false]', b'["k",null,false]', "None", 2),
+    (b'["k","dg==",false]', b'["k",0,false]', "0", 0),
+], ids=["bool", "float", "negative", "out-of-range", "null", "before-any-inline-value"])
+def test_load_block_log_rejects_a_bad_value_reference_naming_the_file_and_record(
+        tmp_path, old, new, shown, inline):
+    records = [block_record(replace(REFERRING_BLOCK, height=h)) for h in range(3)]
+    assert b'"writes":[["k",1,false]]' in records[1]
+    path = tmp_path / "blocks.log"
+    write_record_file(path, damage_record_1(lambda record: record.replace(old, new))(records))
+    with pytest.raises(LedgerError) as info:
+        load_block_log(path)
+    assert str(info.value).startswith(
+        f"{path}: record 1: ValueError: write value {shown} is neither base64 text nor the index "
+        f"of one of the record's {inline} inline values before it")
 
 
 def genesis_then_blocks(genesis=b'{"chunk":2,"genesis":["a","b","c"]}', first_height=2):
@@ -1343,6 +1413,27 @@ def test_a_log_saved_with_bootstrap_blocks_replays_to_its_digest():
     assert outcome.ws.digest() == PRE_GENESIS_DIGEST
 
 
+# Saved by `crdtsim run --mode crdt --txs 8 --conflict-pct 100 --block-size 4
+# --seed 7 --save-blocklog` while every write held its value's base64 text:
+# a genesis record, then two blocks of four equal merged writes each.
+REPEATED_INLINE_LOG = Path(__file__).parent / "data" / "repeated-inline-crdt-hot-txs8-seed7.blocklog"
+REPEATED_INLINE_DIGEST = "39820f4fe33fddf0003cdfffc4694f3583b5bce3fe2391404505f75ecddd59ff"
+
+
+def test_a_log_with_repeated_inline_values_loads_as_the_log_with_references(tmp_path):
+    old = load_block_log(REPEATED_INLINE_LOG)
+    outcome = run_single(PipelineConfig(mode=CRDT, max_tx_count=4),
+                         WorkloadConfig(total_txs=8, conflict_pct=100.0, seed=7))
+    path = tmp_path / "blocks.log"
+    save_block_log(outcome.log, path)
+    assert path.stat().st_size < REPEATED_INLINE_LOG.stat().st_size
+    new = load_block_log(path)
+    assert old.genesis == new.genesis and old == new == list(outcome.log)
+    assert [len({w.value for tx in b.transactions for w in tx.rwset.writes}) for b in old] == [1, 1]
+    ws, _ = replay_block_log(old)
+    assert ws.digest() == outcome.ws.digest() == REPEATED_INLINE_DIGEST
+
+
 def test_failed_load_closes_the_record_file(tmp_path, monkeypatch):
     records = [block_record(Block(h, (), "count")) for h in range(3)]
     path = tmp_path / "blocks.log"
@@ -1406,8 +1497,9 @@ def test_validator_and_loader_give_each_reason_one_verdict():
 
 def test_load_block_log_memory_is_bounded_by_one_record_and_the_distinct_values(tmp_path):
     # 20 records of 25 equal 20 KB writes: 10 MB decoded one by one, 13.6 MB
-    # of records held at once; streamed and shared, the distinct values take
-    # 0.4 MB and one record about 0.7 MB.
+    # if every write held its text and every record were held at once;
+    # streamed, with each record holding its value once, the distinct values
+    # take 0.4 MB and one record about 27 KB.
     value = bytes(range(256)) * 80
     txs = tuple(make_tx(f"t{i}", writes=[Write("k", value, True)]) for i in range(25))
     path = tmp_path / "blocks.log"
