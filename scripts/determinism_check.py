@@ -2,8 +2,9 @@
 
 For each combination the pipeline runs twice from scratch, both block logs
 are saved and must be byte-identical, and the block log of the first run is
-replayed into a fresh state; all three world-state digests must agree. Exits
-non-zero on the first mismatch.
+loaded, saved again, which must give the same bytes, and replayed into a
+fresh state; all three world-state digests must agree. Exits non-zero on the
+first mismatch.
 
 Usage:
     python3 scripts/determinism_check.py --txs 200 --seeds 0 1 2
@@ -26,11 +27,15 @@ def check(mode: str, conflict_pct: float, txs: int, seed: int, scratch: Path) ->
     second = run_single(pipeline, workload)
     path = scratch / f"{mode}-{conflict_pct}-{seed}.blocklog"
     second_path = scratch / f"{mode}-{conflict_pct}-{seed}-second.blocklog"
+    resaved_path = scratch / f"{mode}-{conflict_pct}-{seed}-resaved.blocklog"
     save_block_log(first.log, path)
     save_block_log(second.log, second_path)
-    replayed, _ = replay_block_log(load_block_log(path))
+    loaded = load_block_log(path)
+    save_block_log(loaded, resaved_path)
+    replayed, _ = replay_block_log(loaded)
     digests = {first.ws.digest(), second.ws.digest(), replayed.digest()}
-    ok = len(digests) == 1 and path.read_bytes() == second_path.read_bytes()
+    saved = path.read_bytes()
+    ok = len(digests) == 1 and saved == second_path.read_bytes() == resaved_path.read_bytes()
     label = "ok" if ok else "MISMATCH"
     print(f"{label}  mode={mode} conflict={conflict_pct:5.1f} seed={seed} "
           f"success={first.report.success_count} digest={first.ws.digest()[:12]}")

@@ -22,10 +22,9 @@ per-block record of a run.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from contextlib import closing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -588,7 +587,10 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
 # an f-string True): keys in sorted order, text escaped by encode_basestring
 # (the encoder's own escaper without ensure_ascii), a float as float.__repr__
 # or NaN, Infinity and -Infinity, and base64 unescaped, since its alphabet
-# needs no escape.
+# needs no escape. A record loads only if they write back its exact bytes
+# from the block it decodes to, with indices or, as logs saved before indices
+# hold it, with every value inline; the loader itself checks only the fields
+# whose bad values they would write back unchanged.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -619,10 +621,10 @@ def _write_transaction(tx: Transaction, out: list, refs: Optional[dict]) -> None
     out.append(b"]}")
 
 
-def block_record(block: Block) -> bytes:
+def block_record(block: Block, references: bool = True) -> bytes:
     """The canonical bytes of block's log record, each distinct write value
-    inline once."""
-    refs: dict = {}
+    inline once; with references False, every value inline."""
+    refs = {} if references else None
     out = [f'{{"cut_reason":{encode_basestring(block.cut_reason)},"height":{block.height},'
            f'"transactions":['.encode("utf-8")]
     for i, tx in enumerate(block.transactions):
@@ -637,35 +639,23 @@ def block_record(block: Block) -> bytes:
 
 def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
                               inline: Optional[list] = None) -> Transaction:
-    """Transaction from its log record; raise ValueError unless, as
-    _write_transaction writes them, the id, org names and keys are text,
-    the submit time a float, each version two ints, each CRDT flag a bool (a
-    bool or a float is no int, and an int no float) and each value canonical
-    base64 text or the int index of an inline value of the record before it.
-    inline holds the record's inline values decoded so far, and gains tx's;
-    a repeated text, which older logs hold in place of an index, loads too.
-    shared maps an endorsement list to its set, so that equal ones load as
-    one object and each is checked once."""
+    """Transaction from its log record; raise ValueError unless the submit
+    time is a float and each version two ints (a bool or a float is no int,
+    and an int no float), which the writer would write back unchanged. Every
+    other field is checked by the load rule, which load_block_log applies.
+    A text value decodes as base64 and joins inline, the record's inline
+    values before it; any other value indexes inline. shared maps an
+    endorsement list to its set, so that equal ones load as one object."""
     shared = {} if shared is None else shared
     inline = [] if inline is None else inline
-    tx_id, submit_time = doc["tx_id"], doc["submit_time"]
-    if type(tx_id) is not str:
-        raise ValueError(f"tx id {tx_id!r} is not text")
+    submit_time = doc["submit_time"]
     if type(submit_time) is not float:
         raise ValueError(f"submit time {submit_time!r} is not a float")
-    orgs = doc["endorsements"]
-    if type(orgs) is not list:
-        raise ValueError(f"endorsements {orgs!r} are not a list")
-    orgs = tuple(orgs)
-    if orgs not in shared:  # a shared list holds only text, which no other value equals
-        for org in orgs:
-            if type(org) is not str:
-                raise ValueError(f"endorsing org {org!r} is not text")
+    orgs = tuple(doc["endorsements"])
+    if orgs not in shared:
         shared[orgs] = frozenset(orgs)
     reads = []
     for key, version in doc["reads"]:
-        if type(key) is not str:
-            raise ValueError(f"read key {key!r} is not text")
         if version is not None:
             height, index = version
             if type(height) is not int or type(index) is not int:
@@ -674,35 +664,22 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
         reads.append(Read(key, version))
     writes = []
     for key, value, is_crdt in doc["writes"]:
-        if type(key) is not str:
-            raise ValueError(f"write key {key!r} is not text")
-        if type(is_crdt) is not bool:
-            raise ValueError(f"CRDT flag {is_crdt!r} is not a bool")
         if type(value) is str:
-            decoded = base64.b64decode(value)
-            if base64.b64encode(decoded).decode("ascii") != value:
-                raise ValueError(f"write value {value!r} is not canonical base64")
-            inline.append(decoded)
-        elif type(value) is int and 0 <= value < len(inline):
-            decoded = inline[value]
+            value = a2b_base64(value)
+            inline.append(value)
         else:
-            raise ValueError(f"write value {value!r} is neither base64 text nor the index "
-                             f"of one of the record's {len(inline)} inline values before it")
-        writes.append(Write(key, decoded, is_crdt))
-    return Transaction(
-        tx_id=tx_id,
-        rwset=ReadWriteSet(reads=tuple(reads), writes=tuple(writes)),
-        endorsements=shared[orgs],
-        submit_time=submit_time,
-    )
+            value = inline[value]
+        writes.append(Write(key, value, is_crdt))
+    return Transaction(doc["tx_id"], ReadWriteSet(tuple(reads), tuple(writes)), shared[orgs], submit_time)
 
 
 def block_from_jsonable(doc: dict) -> Block:
-    """Block from its log record; raise ValueError unless it has an int height,
-    a known cut reason and one verdict per transaction, each a known reason
-    with its implied flag. A write value referred back to and an equal
-    endorsement list within the block load as one object each, and each
-    verdict is the one VERDICTS holds for its reason."""
+    """Block from its log record; raise ValueError unless it has an int
+    height, a known cut reason and one verdict per transaction, which the
+    writer would write back unchanged (the load rule checks the rest). A
+    write value referred back to and an equal endorsement list within the
+    block load as one object each, and each verdict is the one VERDICTS
+    holds for its reason."""
     height, cut_reason = doc["height"], doc["cut_reason"]
     if type(height) is not int:
         raise ValueError(f"height {height!r} is not an int")
@@ -711,33 +688,14 @@ def block_from_jsonable(doc: dict) -> Block:
     shared: dict = {}
     inline: list = []
     transactions = tuple(transaction_from_jsonable(t, shared, inline) for t in doc["transactions"])
-    validity = []
-    for valid, reason in doc["validity"]:
-        verdict = VERDICTS.get(reason)
-        if verdict is None:
-            raise ValueError(f"unknown verdict reason {reason!r}")
-        if valid is not verdict.valid:
-            raise ValueError(f"verdict flag {valid!r} contradicts reason {reason!r}")
-        validity.append(verdict)
+    validity = tuple(VERDICTS[reason] for _, reason in doc["validity"])
     if len(validity) != len(transactions):
         raise ValueError(f"{len(validity)} verdicts for {len(transactions)} transactions")
-    return Block(height, transactions, cut_reason, tuple(validity))
+    return Block(height, transactions, cut_reason, validity)
 
 
 def genesis_to_jsonable(genesis: Genesis) -> dict:
     return {"chunk": genesis.chunk, "genesis": list(genesis.keys)}
-
-
-def genesis_from_jsonable(doc: dict) -> Genesis:
-    """Genesis from its log record; raise ValueError unless it holds exactly
-    a list of distinct text keys and an int chunk of at least 1."""
-    for name in doc:
-        if name not in ("chunk", "genesis"):
-            raise ValueError(f"unknown genesis field {name!r}")
-    keys = doc["genesis"]
-    if type(keys) is not list:
-        raise ValueError(f"genesis keys {keys!r} are not a list")
-    return Genesis(tuple(keys), doc["chunk"])
 
 
 def save_block_log(log, path) -> None:
@@ -753,33 +711,55 @@ def save_block_log(log, path) -> None:
 
 
 def load_block_log(path) -> BlockLog:
-    """The log saved in a file, read one record at a time. Record 0 may be a
-    genesis; each block's height must follow the genesis heights and the
-    blocks before it, so a log saved without a genesis loads too. A record
-    that does not decode or is out of order raises LedgerError naming the
-    file and the record index, after the file is closed."""
+    """The log saved in a file, read one record at a time. A record loads
+    only if the writer gives back its exact bytes: the canonical JSON of the
+    genesis it decodes to, or block_record of its block, with references or
+    every value inline. Record 0 may be a genesis; each block's height must
+    follow the genesis heights and the blocks before it, so a log saved
+    without a genesis loads too. A record that does not decode, is out of
+    order or is not the writer's raises LedgerError naming the file and the
+    record index, and for the last the first byte that differs, after the
+    file is closed."""
     log = BlockLog()
     with closing(read_record_file(path)) as records:
         for index, record in enumerate(records):
             try:
-                _load_record(log, index, json.loads(record))
+                _load_record(log, index, record)
             except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
     return log
 
 
-def _load_record(log: BlockLog, index: int, doc) -> None:
-    # The parsed record is a parameter, not a loop variable, so it is freed
-    # on return instead of living on while the next record is parsed.
+def _load_record(log: BlockLog, index: int, record: bytes) -> None:
+    doc = json.loads(record)
     if "genesis" in doc:
         if index != 0:
             raise ValueError("genesis record after record 0")
-        log.genesis = genesis_from_jsonable(doc)
+        genesis = Genesis(tuple(doc["genesis"]), doc["chunk"])
+        written = canonical_json_bytes(genesis_to_jsonable(genesis))
+        if record != written:
+            raise _not_written(record, written)
+        log.genesis = genesis
         return
     block = block_from_jsonable(doc)
     if block.height != log.next_height:
         raise ValueError(f"height {block.height} out of order")
+    written = block_record(block)
+    if record != written and record != (inline := block_record(block, references=False)):
+        raise _not_written(record, written, inline)
     log.append(block)
+
+
+def _not_written(record: bytes, *forms: bytes) -> ValueError:
+    """The error for a record that equals none of the writer's forms: it
+    names the first byte at which the form agreeing longest differs."""
+    def differs_at(form: bytes) -> int:
+        return next((i for i, (a, b) in enumerate(zip(record, form)) if a != b),
+                    min(len(record), len(form)))
+
+    offset, form = max((differs_at(form), form) for form in forms)
+    return ValueError(f"not the writer's bytes from byte {offset} on: "
+                      f"{record[offset:offset + 16]!r} where it writes {form[offset:offset + 16]!r}")
 
 
 def replay_block_log(loaded: BlockLog) -> tuple:

@@ -1184,6 +1184,11 @@ def test_save_load_replay_reproduces_state(tmp_path):
     assert again_ws.canonical_bytes() == replayed_ws.canonical_bytes()
 
 
+# The start of the error for record 1 when it decodes to a block whose
+# writer bytes differ from it.
+NOT_WRITTEN = "record 1: ValueError: not the writer's bytes from byte"
+
+
 def damage_record_1(edit):
     return lambda records: [records[0], edit(records[1]), *records[2:]]
 
@@ -1205,9 +1210,9 @@ def replace_last(record, old, new):
     (damage_record_1(lambda record: record.replace(b',[false,"mvcc"]]', b']')),
      "record 1: ValueError: 1 verdicts for 2 transactions"),
     (damage_record_1(lambda record: record.replace(b'[false,"mvcc"]', b'[true,"mvcc"]')),
-     "record 1: ValueError: verdict flag True contradicts reason 'mvcc'"),
+     NOT_WRITTEN + " 285 on: b'true,\"mvcc\"]]}' where it writes b'false,\"mvcc\"]]}'"),
     (damage_record_1(lambda record: record.replace(b'"mvcc"', b'"stale"')),
-     "record 1: ValueError: unknown verdict reason 'stale'"),
+     "record 1: KeyError: 'stale'"),
     # records out of height order would fail later without naming the file
     (lambda records: [records[0], records[2], records[1]], "record 1: ValueError: height 2 out of order"),
     (lambda records: [records[0], records[2]], "record 1: ValueError: height 2 out of order"),
@@ -1224,43 +1229,61 @@ def replace_last(record, old, new):
      "record 1: ValueError: version [5, False] is not two ints"),
     # a key that is not text would fail the digest naming no file
     (damage_record_1(lambda record: record.replace(b'[["k","dg=="', b'[[7,"dg=="')),
-     "record 1: ValueError: write key 7 is not text"),
+     "record 1: TypeError: first argument must be a string, not int"),
     # fields block_record never writes so: the loaded block would save as a
     # different file
     (damage_record_1(lambda record: record.replace(b'"dg==",false', b'"dg==","no"')),
-     "record 1: ValueError: CRDT flag 'no' is not a bool"),
+     NOT_WRITTEN + " 138 on: b'\"no\"]]},{\"endors' where it writes b'true]]},{\"endors'"),
     (damage_record_1(lambda record: record.replace(b'"tx_id":"t1"', b'"tx_id":1')),
-     "record 1: ValueError: tx id 1 is not text"),
+     "record 1: TypeError: first argument must be a string, not int"),
     (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":"soon"')),
      "record 1: ValueError: submit time 'soon' is not a float"),
     (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":0')),
      "record 1: ValueError: submit time 0 is not a float"),
     (damage_record_1(lambda record: record.replace(b'["org1"]', b'[1]')),
-     "record 1: ValueError: endorsing org 1 is not text"),
+     "record 1: TypeError: first argument must be a string, not int"),
     (damage_record_1(lambda record: record.replace(b'["org1"]', b'"org1"')),
-     "record 1: ValueError: endorsements 'org1' are not a list"),
-    # t2's list differs from t1's, which loaded first, so it is checked too
+     NOT_WRITTEN + " 65 on: b'\"org1\",\"reads\":[' where it writes b'[\"1\",\"g\",\"o\",\"r\"'"),
+    # t2's list differs from t1's, so it loads as a set of its own, which the
+    # writer cannot sort; the order of the operands follows the set's hashes
     (damage_record_1(lambda record: replace_last(record, b'["org1"]', b'["org1",7]')),
-     "record 1: ValueError: endorsing org 7 is not text"),
+     "record 1: TypeError: '<' not supported between instances of"),
     (damage_record_1(lambda record: replace_last(record, b'["org1"]', b'[["org1"]]')),
      "record 1: TypeError: unhashable type: 'list'"),
     (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'[7,[5,1]]')),
-     "record 1: ValueError: read key 7 is not text"),
+     "record 1: TypeError: first argument must be a string, not int"),
     (damage_record_1(lambda record: record.replace(b'"cut_reason":"count"', b'"cut_reason":7')),
      "record 1: ValueError: unknown cut reason 7"),
     # both decode to b"v", as "dg==" does, but would save as "dg=="
     (damage_record_1(lambda record: record.replace(b'"dg=="', b'"d!g=="')),
-     "record 1: ValueError: write value 'd!g==' is not canonical base64"),
+     NOT_WRITTEN + " 133 on: b'!g==\",false]]},{' where it writes b'g==\",false]]},{\"'"),
     (damage_record_1(lambda record: record.replace(b'"dg=="', b'"dh=="')),
-     "record 1: ValueError: write value 'dh==' is not canonical base64"),
+     NOT_WRITTEN + " 133 on: b'h==\",false]]},{\"' where it writes b'g==\",false]]},{\"'"),
     (damage_record_1(lambda record: b"[" * 200_000),
      "record 1: RecursionError: maximum recursion depth exceeded"),
+    # json.loads reads each of these as the block of the unedited record, so
+    # only the comparison with the writer's bytes rejects them
+    (damage_record_1(lambda record: record.replace(b'"validity"', b'"note":"x","validity"')),
+     NOT_WRITTEN + " 258 on"),
+    (damage_record_1(lambda record: record.replace(b'"tx_id":"t1",', b'"tx_id":"t1","note":"x",')),
+     NOT_WRITTEN + " 117 on"),
+    (damage_record_1(lambda record: record.replace(b'"height":1', b'"height": 1')),
+     NOT_WRITTEN + " 31 on"),
+    (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":0.00', 1)),
+     NOT_WRITTEN + " 102 on"),
+    (damage_record_1(lambda record: record.replace(b'"cut_reason":"count","height":1,',
+                                                   b'"height":1,"cut_reason":"count",')),
+     NOT_WRITTEN + " 2 on"),
+    (damage_record_1(lambda record: record.replace(b'"height":1,', b'"height":1,"height":1,')),
+     NOT_WRITTEN + " 34 on"),
 ], ids=["not-json", "no-height", "bad-verdict", "verdict-missing", "verdict-contradicts-reason",
         "verdict-unknown-reason", "records-swapped", "record-dropped", "last-record-repeated",
         "float-height", "bool-height", "float-version", "bool-version", "int-write-key",
         "text-crdt-flag", "int-tx-id", "text-submit-time", "int-submit-time", "int-org",
         "text-endorsements", "int-org-in-a-later-list", "list-org", "int-read-key",
-        "int-cut-reason", "non-base64-value", "non-canonical-base64-value", "too-deep"])
+        "int-cut-reason", "non-base64-value", "non-canonical-base64-value", "too-deep",
+        "unknown-field", "unknown-transaction-field", "space-after-colon", "float-written-0.00",
+        "fields-reordered", "height-duplicated"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")])),
@@ -1306,25 +1329,74 @@ REFERRING_BLOCK = Block(0, (make_tx("t1", writes=[Write("k", b"v"), Write("m", b
                         "count", (TxVerdict(True, VALID),) * 2)
 
 
-@pytest.mark.parametrize("old, new, shown, inline", [
-    (b'["k",1,false]', b'["k",true,false]', "True", 2),  # True == 1, a valid index
-    (b'["k",1,false]', b'["k",1.0,false]', "1.0", 2),
-    (b'["k",1,false]', b'["k",-1,false]', "-1", 2),  # a list index from the end
-    (b'["k",1,false]', b'["k",2,false]', "2", 2),
-    (b'["k",1,false]', b'["k",null,false]', "None", 2),
-    (b'["k","dg==",false]', b'["k",0,false]', "0", 0),
+@pytest.mark.parametrize("old, new, error", [
+    # True == 1, a valid index, but the writer writes 1
+    (b'["k",1,false]', b'["k",true,false]', NOT_WRITTEN + " 248 on: b'true,false]]}],\"'"),
+    (b'["k",1,false]', b'["k",1.0,false]',
+     "record 1: TypeError: list indices must be integers or slices, not float"),
+    # a list index from the end, but the writer writes 1
+    (b'["k",1,false]', b'["k",-1,false]', NOT_WRITTEN + " 248 on: b'-1,false]]}],\"va'"),
+    (b'["k",1,false]', b'["k",2,false]', "record 1: IndexError: list index out of range"),
+    (b'["k",1,false]', b'["k",null,false]',
+     "record 1: TypeError: list indices must be integers or slices, not NoneType"),
+    (b'["k","dg==",false]', b'["k",0,false]', "record 1: IndexError: list index out of range"),
 ], ids=["bool", "float", "negative", "out-of-range", "null", "before-any-inline-value"])
 def test_load_block_log_rejects_a_bad_value_reference_naming_the_file_and_record(
-        tmp_path, old, new, shown, inline):
+        tmp_path, old, new, error):
     records = [block_record(replace(REFERRING_BLOCK, height=h)) for h in range(3)]
     assert b'"writes":[["k",1,false]]' in records[1]
     path = tmp_path / "blocks.log"
     write_record_file(path, damage_record_1(lambda record: record.replace(old, new))(records))
     with pytest.raises(LedgerError) as info:
         load_block_log(path)
-    assert str(info.value).startswith(
-        f"{path}: record 1: ValueError: write value {shown} is neither base64 text nor the index "
-        f"of one of the record's {inline} inline values before it")
+    assert str(info.value).startswith(f"{path}: {error}")
+
+
+def test_a_record_loads_with_references_or_every_value_inline_but_not_mixed(tmp_path):
+    block = Block(1, tuple(make_tx(f"t{i}", writes=[Write("k", b"v")]) for i in range(3)), "count",
+                  (TxVerdict(True, VALID),) * 3)
+    with_references = block_record(block)
+    all_inline = block_record(block, references=False)
+    assert with_references.count(b'["k",0,false]') == 2 and all_inline.count(b'"dg=="') == 3
+    # one repeated inline text, then one index: neither of the writer's forms
+    mixed = with_references.replace(b'["k",0,false]', b'["k","dg==",false]', 1)
+    path = tmp_path / "blocks.log"
+    for record in (with_references, all_inline):
+        write_record_file(path, [block_record(Block(0, (), "count")), record])
+        assert load_block_log(path)[1] == block
+    write_record_file(path, [block_record(Block(0, (), "count")), mixed])
+    with pytest.raises(LedgerError) as info:
+        load_block_log(path)
+    assert str(info.value).startswith(f"{path}: {NOT_WRITTEN} {mixed.rindex(b'0,false')} on")
+
+
+LOADABLE_BLOCKS = st.lists(ANY_TRANSACTIONS.filter(lambda tx: type(tx.submit_time) is float),
+                           max_size=3).flatmap(lambda txs: st.builds(
+                               Block, st.just(1), st.just(tuple(txs)),
+                               st.sampled_from(txpipeline.CUT_REASONS),
+                               st.lists(st.sampled_from(sorted(txpipeline.VERDICTS.values(),
+                                                               key=lambda v: v.reason)),
+                                        min_size=len(txs), max_size=len(txs)).map(tuple)))
+
+
+@settings(max_examples=300)
+@given(LOADABLE_BLOCKS, st.sampled_from(["insert", "delete", "substitute"]), st.data())
+def test_property_a_record_loads_only_as_the_writers_bytes(tmp_path_factory, block, edit, data):
+    path = tmp_path_factory.getbasetemp() / "edited.log"
+    first = block_record(Block(0, (), "count"))
+    record = block_record(block)
+    write_record_file(path, [first, record])
+    assert block_record(load_block_log(path)[1]) == record
+    at = data.draw(st.integers(0, len(record) - (edit != "insert")))
+    byte = b"" if edit == "delete" else bytes([data.draw(st.integers(0, 255))])
+    edited = record[:at] + byte + record[at + (edit != "insert"):]
+    write_record_file(path, [first, edited])
+    try:
+        loaded = load_block_log(path)
+    except LedgerError as exc:
+        assert str(exc).startswith(f"{path}: record 1: ")
+    else:
+        assert edited in (block_record(loaded[1]), block_record(loaded[1], references=False))
 
 
 def genesis_then_blocks(genesis=b'{"chunk":2,"genesis":["a","b","c"]}', first_height=2):
@@ -1337,7 +1409,7 @@ def genesis_then_blocks(genesis=b'{"chunk":2,"genesis":["a","b","c"]}', first_he
 
 @pytest.mark.parametrize("records, error", [
     (genesis_then_blocks(b'{"chunk":2,"genesis":"abc"}'),
-     "record 0: ValueError: genesis keys 'abc' are not a list"),
+     "record 0: ValueError: not the writer's bytes from byte 21 on: b'\"abc\"}' where it writes b'[\"a\","),
     (genesis_then_blocks(b'{"chunk":2,"genesis":["a",7,"c"]}'),
      "record 0: ValueError: genesis key 7 is not text"),
     (genesis_then_blocks(b'{"chunk":2,"genesis":["a","b","a"]}'),
@@ -1354,7 +1426,7 @@ def genesis_then_blocks(genesis=b'{"chunk":2,"genesis":["a","b","c"]}', first_he
      "record 0: ValueError: genesis chunk -2 is not an int of at least 1"),
     (genesis_then_blocks(b'{"genesis":["a","b","c"]}'), "record 0: KeyError: 'chunk'"),
     (genesis_then_blocks(b'{"chunk":2,"genesis":["a","b","c"],"height":0}'),
-     "record 0: ValueError: unknown genesis field 'height'"),
+     "record 0: ValueError: not the writer's bytes from byte 34 on: b',\"height\":0}' where it writes b'}'"),
     (genesis_then_blocks(first_height=0)[1:2] + genesis_then_blocks()[:1],
      "record 1: ValueError: genesis record after record 0"),
     (genesis_then_blocks()[:1] * 2, "record 1: ValueError: genesis record after record 0"),
