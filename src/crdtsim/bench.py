@@ -153,7 +153,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
 def block_merged_bytes(block: Block) -> int:
     """Bytes of the merged documents a crdt-mode block committed: the length
     of each key's value, over the keys its valid CRDT writes touch. All of a
-    key's valid writes in a block carry identical bytes, so each counts once."""
+    key's valid writes in a block share one value, so each counts once."""
     merged = {write.key: len(write.value)
               for tx, verdict in zip(block.transactions, block.validity) if verdict.valid
               for write in tx.rwset.writes if write.is_crdt}

@@ -11,7 +11,7 @@ flagged as CRDT values are merged per key into a fresh JSON CRDT in block
 order (a transaction's CRDT writes merge together, or none of them does),
 MVCC applies only to non-CRDT content, and only a valid transaction's CRDT
 writes are rewritten, to their key's merged canonical bytes, so a key's valid
-writes in a block are identical; every other write stays as submitted.
+writes in a block share one value; every other write stays as submitted.
 Validation fills in a block's verdicts, one per transaction.
 
 Time is simulated: submit times come from the workload, block timeouts and
@@ -414,13 +414,17 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
         reasons.append(reason)
 
     # Only once every merge is done, rewrite the CRDT writes of the
-    # transactions that merged to their keys' canonical merged bytes, so the
-    # valid writes of a key are byte-identical. No other write is touched.
+    # transactions that merged to their keys' canonical merged bytes: a key's
+    # valid writes share the one Write its first merged transaction gets. No
+    # other write is touched.
     txs = list(block.transactions)
+    shared: dict = {}  # key -> the Write its valid CRDT writes share
     for i in merged:
         tx = txs[i]
-        writes = tuple(Write(w.key, canonical_json_bytes(crdts[w.key].to_json()), True)
-                       if w.is_crdt else w for w in tx.rwset.writes)
+        # Each write still renders and the first is kept; render-once (ROADMAP 3a) stops here.
+        writes = tuple(shared.setdefault(w.key, Write(w.key, canonical_json_bytes(
+                           crdts[w.key].to_json()), True)) if w.is_crdt else w
+                       for w in tx.rwset.writes)
         txs[i] = Transaction(tx.tx_id, ReadWriteSet(tx.rwset.reads, writes), tx.endorsements,
                              tx.submit_time)
     verdicts = tuple(VERDICTS[r] for r in reasons)
@@ -643,9 +647,10 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
     time is a float and each version two ints (a bool or a float is no int,
     and an int no float), which the writer would write back unchanged. Every
     other field is checked by the load rule, which load_block_log applies.
-    A text value decodes as base64 and joins inline, the record's inline
-    values before it; any other value indexes inline. shared maps an
-    endorsement list to its set, so that equal ones load as one object."""
+    A text value decodes as base64, or raises ValueError naming its write
+    key, and joins inline, the record's inline values before it; any other
+    value indexes inline. shared maps an endorsement list to its set, so
+    that equal ones load as one object."""
     shared = {} if shared is None else shared
     inline = [] if inline is None else inline
     submit_time = doc["submit_time"]
@@ -665,7 +670,10 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
     writes = []
     for key, value, is_crdt in doc["writes"]:
         if type(value) is str:
-            value = a2b_base64(value)
+            try:
+                value = a2b_base64(value)
+            except ValueError as exc:  # binascii.Error, or a non-ASCII text
+                raise ValueError(f"write {key!r}: value is not base64: {exc}") from None
             inline.append(value)
         else:
             value = inline[value]

@@ -588,6 +588,43 @@ def test_crdt_rewrites_are_byte_identical_across_three_writers():
     assert json.loads(values.pop()) == {"r": [{"t": "0"}, {"t": "10"}, {"t": "20"}]}
 
 
+def test_crdt_valid_writes_of_a_key_share_one_write_and_an_invalid_one_keeps_its_own():
+    block = Block(0, (
+        make_tx("t1", writes=[Write("k", jbytes({"r": [{"t": "1"}]}), True)]),
+        make_tx("t2", writes=[Write("k", jbytes({"r": [{"t": "2"}]}), True)], orgs=()),
+        make_tx("t3", writes=[Write("k", jbytes({"r": [{"t": "3"}]}), True)]),
+        make_tx("t4", writes=[Write("k", jbytes({"r": [{"t": "4"}]}), True)]),
+    ), "count")
+    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT, VALID, VALID]
+    first, unendorsed, *rest = [tx.rwset.writes[0] for tx in vblock.transactions]
+    assert all(write is first for write in rest)
+    assert json.loads(first.value) == {"r": [{"t": "1"}, {"t": "3"}, {"t": "4"}]}
+    assert unendorsed is block.transactions[1].rwset.writes[0]
+
+
+def test_fabric_validation_keeps_every_submitted_write():
+    block = Block(0, (
+        make_tx("t1", writes=[Write("k", b"1"), Write("m", b"2")]),
+        make_tx("t2", reads=[Read("k", None)], writes=[Write("k", b"3")]),
+        make_tx("t3", writes=[Write("k", b"4")], orgs=()),
+    ), "count")
+    vblock = validate_merge_block(block, WorldState(), FABRIC, POLICY)
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, INVALID_ENDORSEMENT]
+    for tx, submitted in zip(vblock.transactions, block.transactions):
+        assert all(a is b for a, b in zip(tx.rwset.writes, submitted.rwset.writes, strict=True))
+
+
+def test_crdt_run_log_holds_one_value_object_per_merged_key_and_block():
+    outcome = run_single(PipelineConfig(mode=CRDT, max_tx_count=25),
+                         WorkloadConfig(total_txs=100, conflict_pct=100, seed=1))
+    values = [w.value for block in outcome.log
+              for tx, verdict in zip(block.transactions, block.validity) if verdict.valid
+              for w in tx.rwset.writes if w.is_crdt]
+    assert len(outcome.log) == 4 and len(values) == 100
+    assert len({id(value) for value in values}) == 4
+
+
 def test_crdt_endorsement_failures_never_merge():
     ws = WorldState()
     block = Block(0, (
@@ -1259,6 +1296,8 @@ def replace_last(record, old, new):
      NOT_WRITTEN + " 133 on: b'!g==\",false]]},{' where it writes b'g==\",false]]},{\"'"),
     (damage_record_1(lambda record: record.replace(b'"dg=="', b'"dh=="')),
      NOT_WRITTEN + " 133 on: b'h==\",false]]},{\"' where it writes b'g==\",false]]},{\"'"),
+    (damage_record_1(lambda record: record.replace(b'"dg=="', b'"dg="')),
+     "record 1: ValueError: write 'k': value is not base64: Incorrect padding"),
     (damage_record_1(lambda record: b"[" * 200_000),
      "record 1: RecursionError: maximum recursion depth exceeded"),
     # json.loads reads each of these as the block of the unedited record, so
@@ -1281,7 +1320,8 @@ def replace_last(record, old, new):
         "float-height", "bool-height", "float-version", "bool-version", "int-write-key",
         "text-crdt-flag", "int-tx-id", "text-submit-time", "int-submit-time", "int-org",
         "text-endorsements", "int-org-in-a-later-list", "list-org", "int-read-key",
-        "int-cut-reason", "non-base64-value", "non-canonical-base64-value", "too-deep",
+        "int-cut-reason", "non-base64-value", "non-canonical-base64-value",
+        "unpadded-base64-value", "too-deep",
         "unknown-field", "unknown-transaction-field", "space-after-colon", "float-written-0.00",
         "fields-reordered", "height-duplicated"])
 def test_load_block_log_names_the_file_and_the_bad_record(tmp_path, damage, error):
