@@ -6,7 +6,9 @@ inside one replica, so no per-insert ids or cursors are kept (they make
 concurrent replicas' operations commute, arXiv:1608.03960). A merge is an
 in-place union: maps merge per key, lists append, a text leaf keeps its latest
 value, and containers holding no text leaf are dropped. A merge that meets a
-key holding another kind of value raises and changes nothing.
+key holding another kind of value raises and changes nothing. `union` is the
+one document union; the chaincode uses it too. The validator checks a write
+with `JsonCrdt.check` and hands the result to `merge_json`.
 """
 
 from __future__ import annotations
@@ -101,13 +103,15 @@ def _check_union(held: dict, doc: dict) -> None:
             _check_union(old, value)
 
 
-def _union(held: dict, doc: dict) -> dict:
-    """Union a checked, pruned copy into held in place, and return held."""
+def union(held: dict, doc: dict) -> dict:
+    """Union map doc into map held in place, and return held: a map merges
+    into a map, a list extends a list, and any other pair takes doc's value.
+    doc is not changed, though its values may end up inside held."""
     for key, value in doc.items():
         old = held.get(key)
-        if isinstance(old, dict):
-            _union(old, value)
-        elif isinstance(old, list):
+        if isinstance(old, dict) and isinstance(value, dict):
+            union(old, value)
+        elif isinstance(old, list) and isinstance(value, list):
             old.extend(value)
         else:
             held[key] = value
@@ -123,7 +127,6 @@ class JsonCrdt:
         self.key = key
         self.clock = 0  # text leaves merged so far
         self.document: JsonValue = {}
-        self._checked = None  # (doc, copy, leaves) of the last check since a merge
 
     @property
     def applied(self) -> range:
@@ -132,8 +135,8 @@ class JsonCrdt:
 
     def check(self, doc: JsonValue) -> tuple:
         """Raise what merging doc would raise, changing nothing; return the
-        pruned copy of doc and its number of text leaves. merge_json(doc)
-        reuses this result until the next merge."""
+        pruned copy of doc and its number of text leaves, which
+        merge_json(doc, checked=...) takes until the next merge."""
         copy, leaves = _pruned_copy(doc)
         if isinstance(doc, list):
             raise DocumentShapeError("top-level document must be a map or a string")
@@ -144,20 +147,18 @@ class JsonCrdt:
             raise StructuralConflictError("map document merged into a bare string")
         else:
             _check_union(self.document, copy)
-        self._checked = (doc, copy, leaves)
         return copy, leaves
 
-    def merge_json(self, doc: JsonValue) -> None:
+    def merge_json(self, doc: JsonValue, *, checked: tuple | None = None) -> None:
         """Union doc, a map or a bare string, into the document, or raise and change nothing.
 
-        If doc is the object checked last and nothing was merged since, the
-        copy that check made and checked is merged without walking doc again.
+        checked, when given, is the caller's promise that it is check(doc)
+        with nothing merged since; its copy is merged without walking doc
+        again. Without it, doc is checked here.
         """
-        checked = self._checked
-        copy, leaves = checked[1:] if checked and checked[0] is doc else self.check(doc)
-        self.document = copy if isinstance(copy, str) else _union(self.document, copy)
+        copy, leaves = checked or self.check(doc)
+        self.document = copy if isinstance(copy, str) else union(self.document, copy)
         self.clock += leaves
-        self._checked = None
 
     def to_json(self) -> JsonValue:
         """The merged document itself; the CRDT owns it, so callers only read it."""

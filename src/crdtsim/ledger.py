@@ -75,14 +75,10 @@ class WorldState:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
-def device_skeleton(key: str) -> dict:
-    """A device's document before its first reading: the genesis value of a
-    bootstrapped key and the chaincode's default for an absent one."""
-    return {"deviceID": key}
-
-
 def device_skeleton_bytes(key: str) -> bytes:
-    """The canonical JSON bytes of device_skeleton(key), written directly."""
+    """A device's document before its first reading, {"deviceID": key}, as
+    canonical JSON bytes written directly: the genesis value of a
+    bootstrapped key and the chaincode's default for an absent one."""
     return f'{{"deviceID":{encode_basestring(key)}}}'.encode("utf-8")
 
 

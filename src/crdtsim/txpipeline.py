@@ -362,7 +362,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     merging = mode == CRDT
     reasons: list = []
-    crdts: dict = {}  # key -> CRDT, from the key's first merge on
+    crdts: dict = {}  # key -> its CRDT for this block, made at the key's first checked write
     merged: list = []  # indices of the valid transactions that merged CRDT writes
     overlay: dict = {}
 
@@ -373,39 +373,40 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     # first decode or merge failure invalidates it. MVCC checks the rest:
     # transactions whose writes are all CRDT are exempt, others skip reads of
     # keys they themselves write as CRDT values. Only a valid transaction
-    # merges its CRDT writes, reusing their checks, so no payload of an
-    # invalid one reaches a merged document, and its writes, CRDT or not,
-    # advance the intra-block overlay.
+    # merges its CRDT writes, each passing its check's result to merge_json
+    # in the same iteration, so no check goes stale and no payload of an
+    # invalid one reaches a merged document; its writes, CRDT or not, advance
+    # the intra-block overlay.
     for i, tx in enumerate(block.transactions):
         writes = tx.rwset.writes
         endorsed = len(tx.endorsements & policy.known_orgs) >= policy.required_orgs
         reason = None if endorsed else INVALID_ENDORSEMENT
         crdt_written = frozenset(w.key for w in writes if w.is_crdt) if merging else frozenset()
-        docs = []
+        checks = []
         if merging and reason is None:
             for write in writes:
                 if not write.is_crdt:
                     continue
                 try:
                     doc = parse_json_bytes(write.value)
-                    crdt = crdts.get(write.key) or init_empty_crdt(write.key, doc)
-                    crdt.check(doc)
+                    crdt = crdts.get(write.key)
+                    if crdt is None:
+                        crdt = crdts[write.key] = init_empty_crdt(write.key, doc)
+                    checks.append((crdt, doc, crdt.check(doc)))
                 except StructuralConflictError:
                     reason = INVALID_STRUCTURAL
                     break
                 except DocumentShapeError:
                     reason = INVALID_DECODE
                     break
-                docs.append((crdt, doc))
         if reason is None:
             all_crdt = writes and len(crdt_written) == len(writes)
             if all_crdt or mvcc_validate(tx, ws, overlay, skip_keys=crdt_written):
                 reason = VALID
                 # Write keys are distinct, so no merge can fail after the checks.
-                for crdt, doc in docs:
-                    crdts[crdt.key] = crdt
-                    crdt.merge_json(doc)
-                if docs:
+                for crdt, doc, checked in checks:
+                    crdt.merge_json(doc, checked=checked)
+                if checks:
                     merged.append(i)
                 for write in writes:
                     overlay[write.key] = Version(block.height, i)
@@ -627,14 +628,18 @@ def _write_transaction(tx: Transaction, out: list, refs: Optional[dict]) -> None
 
 def block_record(block: Block, references: bool = True) -> bytes:
     """The canonical bytes of block's log record, each distinct write value
-    inline once; with references False, every value inline."""
+    inline once; with references False, every value inline. A field of the
+    wrong type raises TypeError naming its transaction's index."""
     refs = {} if references else None
     out = [f'{{"cut_reason":{encode_basestring(block.cut_reason)},"height":{block.height},'
            f'"transactions":['.encode("utf-8")]
     for i, tx in enumerate(block.transactions):
         if i:
             out.append(b",")
-        _write_transaction(tx, out, refs)
+        try:
+            _write_transaction(tx, out, refs)
+        except TypeError as exc:
+            raise TypeError(f"transaction {i}: {exc}") from exc
     validity = ",".join([f'[{"true" if v.valid else "false"},{encode_basestring(v.reason)}]'
                          for v in block.validity])
     out.append(f'],"validity":[{validity}]}}'.encode("utf-8"))

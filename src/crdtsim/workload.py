@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .jsoncrdt import JsonValue, canonical_json_bytes, parse_json_bytes
-from .ledger import device_skeleton
+from .jsoncrdt import JsonValue, canonical_json_bytes, parse_json_bytes, union
+from .ledger import device_skeleton_bytes
 from .txpipeline import (
     ChaincodeSpec,
     Proposal,
@@ -73,26 +73,15 @@ def gen_iot_json(keys: int, depth: int, rng: random.Random) -> JsonValue:
     return doc
 
 
-def json_union(base: JsonValue, addition: JsonValue) -> JsonValue:
-    """Recursive union: maps merge per key, lists concatenate, scalars overwrite."""
-    if isinstance(base, dict) and isinstance(addition, dict):
-        merged = dict(base)
-        for key, value in addition.items():
-            merged[key] = json_union(merged[key], value) if key in merged else value
-        return merged
-    if isinstance(base, list) and isinstance(addition, list):
-        return base + addition
-    return addition
-
-
 def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
     """Read device documents, union in the new reading, write them back.
 
     Proposal args are (keys, reading): the first n_read_keys keys are read,
-    the first n_write_keys keys are written. Absent devices start from a
-    skeleton document carrying only the device id. Stored documents are
-    parsed without a shape check: only this chaincode, the bootstrap and the
-    validator's merged renders write state, each a well-shaped document.
+    the first n_write_keys keys are written. The reading is merged with
+    jsoncrdt.union into a fresh parse of each stored document, or of the
+    device skeleton for an absent key, so it is never changed. Stored
+    documents are parsed without a shape check: only this chaincode, the
+    genesis and the validator's merged renders write state, each well-shaped.
     """
 
     def fn(args, snap) -> ReadWriteSet:
@@ -104,9 +93,8 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
         writes = []
         for key in keys[: config.n_write_keys]:
             entry = snap.get_state(key)
-            stored = parse_json_bytes(entry[0]) if entry is not None else device_skeleton(key)
-            merged = json_union(stored, reading)
-            writes.append(Write(key, canonical_json_bytes(merged), config.crdt_writes))
+            stored = parse_json_bytes(entry[0] if entry is not None else device_skeleton_bytes(key))
+            writes.append(Write(key, canonical_json_bytes(union(stored, reading)), config.crdt_writes))
         return ReadWriteSet(tuple(reads), tuple(writes))
 
     return ChaincodeSpec(name="iot_readings", fn=fn)

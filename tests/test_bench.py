@@ -17,8 +17,7 @@ from crdtsim.bench import (
     run_single,
 )
 from crdtsim.jsoncrdt import canonical_json_bytes
-from crdtsim.ledger import (BlockLog, Genesis, LedgerError, Version, WorldState, commit_block,
-                            device_skeleton)
+from crdtsim.ledger import BlockLog, Genesis, LedgerError, Version, WorldState, commit_block
 from crdtsim.txpipeline import (CRDT, FABRIC, INVALID_MVCC, VALID, Block, PipelineConfig,
                                 ReadWriteSet, Transaction, TxVerdict, Write, validate_merge_block)
 from crdtsim.workload import WorkloadConfig
@@ -97,7 +96,7 @@ def test_populate_installs_what_one_bootstrap_transaction_per_key_commits(mode):
     for start in range(0, len(keys), 3):
         txs = tuple(Transaction(f"populate-{start + i:06d}",
                                 ReadWriteSet(writes=(Write(key, canonical_json_bytes(
-                                    device_skeleton(key))),)),
+                                    {"deviceID": key})),)),
                                 frozenset(pipeline.orgs), 0.0)
                     for i, key in enumerate(keys[start:start + 3]))
         block = validate_merge_block(Block(len(log), txs, "count"), ws, mode, pipeline.policy())

@@ -534,6 +534,26 @@ def test_property_a_check_before_a_merge_changes_no_outcome(steps):
         previous = doc
 
 
+def merge_outcome(crdt, merge) -> tuple:
+    """The error merge() raises, if any, then crdt's document and clock."""
+    try:
+        merge()
+        error = None
+    except CrdtError as exc:
+        error = (type(exc), str(exc))
+    return error, canonical_json_bytes(crdt.to_json()), crdt.clock
+
+
+@settings(max_examples=300)
+@given(st.lists(ANY_DOCS, max_size=6))
+def test_property_merging_a_check_result_equals_merging_the_document(docs):
+    handed = init_empty_crdt("k", "s")
+    unchecked = init_empty_crdt("k", "s")
+    for doc in docs:
+        assert (merge_outcome(handed, lambda: handed.merge_json(doc, checked=handed.check(doc)))
+                == merge_outcome(unchecked, lambda: unchecked.merge_json(doc)))
+
+
 BAD_SHAPES = st.one_of(
     ANY_DOCS,
     st.lists(st.none() | NESTED, max_size=3),

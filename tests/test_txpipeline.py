@@ -706,9 +706,9 @@ def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch)
     calls = {"check": 0, "merge_json": 0, "_pruned_copy": [], "init_empty_crdt": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     nested = []
@@ -760,6 +760,29 @@ def test_crdt_transaction_failing_mvcc_after_its_check_leaves_the_crdt_unchanged
     vblock = validate_merge_block(block, ws, CRDT, POLICY)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, VALID]
     assert [(crdt.to_json(), crdt.clock) for crdt in made] == [({"x": "1", "z": "4"}, 2)]
+
+
+def test_crdt_each_key_gets_one_crdt_per_block(monkeypatch):
+    made = []
+
+    def init(key, sample):
+        made.append(jsoncrdt.init_empty_crdt(key, sample))
+        return made[-1]
+
+    monkeypatch.setattr(txpipeline, "init_empty_crdt", init)
+    block = Block(0, (
+        make_tx("t0", writes=[Write("B", jbytes({"x": "1"}), True)]),
+        # A's first write: checked against a new CRDT, then B's conflict fails t1
+        make_tx("t1", writes=[Write("A", jbytes({"a": ["1"]}), True),
+                              Write("B", jbytes({"x": ["2"]}), True)]),
+        make_tx("t2", writes=[Write("A", jbytes({"a": "2"}), True)]),
+        make_tx("t3", writes=[Write("A", jbytes({"b": "3"}), True)]),
+    ), "count")
+    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    assert [v.reason for v in vblock.validity] == [VALID, INVALID_STRUCTURAL, VALID, VALID]
+    assert [(crdt.key, crdt.to_json(), crdt.clock) for crdt in made] == [
+        ("B", {"x": "1"}, 1), ("A", {"a": "2", "b": "3"}, 2)]
+    assert json.loads(vblock.transactions[3].rwset.writes[0].value) == {"a": "2", "b": "3"}
 
 
 def test_crdt_structural_conflict_precedes_a_later_undecodable_write():
@@ -1266,29 +1289,29 @@ def replace_last(record, old, new):
      "record 1: ValueError: version [5, False] is not two ints"),
     # a key that is not text would fail the digest naming no file
     (damage_record_1(lambda record: record.replace(b'[["k","dg=="', b'[[7,"dg=="')),
-     "record 1: TypeError: first argument must be a string, not int"),
+     "record 1: TypeError: transaction 0: first argument must be a string, not int"),
     # fields block_record never writes so: the loaded block would save as a
     # different file
     (damage_record_1(lambda record: record.replace(b'"dg==",false', b'"dg==","no"')),
      NOT_WRITTEN + " 138 on: b'\"no\"]]},{\"endors' where it writes b'true]]},{\"endors'"),
     (damage_record_1(lambda record: record.replace(b'"tx_id":"t1"', b'"tx_id":1')),
-     "record 1: TypeError: first argument must be a string, not int"),
+     "record 1: TypeError: transaction 0: first argument must be a string, not int"),
     (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":"soon"')),
      "record 1: ValueError: submit time 'soon' is not a float"),
     (damage_record_1(lambda record: record.replace(b'"submit_time":0.0', b'"submit_time":0')),
      "record 1: ValueError: submit time 0 is not a float"),
     (damage_record_1(lambda record: record.replace(b'["org1"]', b'[1]')),
-     "record 1: TypeError: first argument must be a string, not int"),
+     "record 1: TypeError: transaction 0: first argument must be a string, not int"),
     (damage_record_1(lambda record: record.replace(b'["org1"]', b'"org1"')),
      NOT_WRITTEN + " 65 on: b'\"org1\",\"reads\":[' where it writes b'[\"1\",\"g\",\"o\",\"r\"'"),
     # t2's list differs from t1's, so it loads as a set of its own, which the
     # writer cannot sort; the order of the operands follows the set's hashes
     (damage_record_1(lambda record: replace_last(record, b'["org1"]', b'["org1",7]')),
-     "record 1: TypeError: '<' not supported between instances of"),
+     "record 1: TypeError: transaction 1: '<' not supported between instances of"),
     (damage_record_1(lambda record: replace_last(record, b'["org1"]', b'[["org1"]]')),
      "record 1: TypeError: unhashable type: 'list'"),
     (damage_record_1(lambda record: record.replace(b'["k",[5,1]]', b'[7,[5,1]]')),
-     "record 1: TypeError: first argument must be a string, not int"),
+     "record 1: TypeError: transaction 1: first argument must be a string, not int"),
     (damage_record_1(lambda record: record.replace(b'"cut_reason":"count"', b'"cut_reason":7')),
      "record 1: ValueError: unknown cut reason 7"),
     # both decode to b"v", as "dg==" does, but would save as "dg=="

@@ -1,19 +1,20 @@
+import copy
 import json
 import random
 
 import pytest
 
-from crdtsim.jsoncrdt import DocumentShapeError, JsonCrdt, canonical_json_bytes
-from crdtsim.ledger import Version, WorldState
+from crdtsim.jsoncrdt import DocumentShapeError, JsonCrdt, canonical_json_bytes, union
+from crdtsim.bench import populate_world_state
+from crdtsim.ledger import BlockLog, Version, WorldState, device_skeleton_bytes
+from crdtsim.txpipeline import CRDT, FABRIC, PipelineConfig, run_pipeline
 from crdtsim.workload import (
     CLIENT_COUNT,
     WorkloadConfig,
-    device_skeleton,
     gen_iot_json,
     gen_stream,
     hot_keys,
     iot_chaincode,
-    json_union,
     read_key_universe,
 )
 
@@ -93,28 +94,31 @@ def test_gen_iot_json_rejects_degenerate_sizes():
 
 
 # ----------------------------------------------------------------------
-# union helper
+# union, the one document union: jsoncrdt's merge and the chaincode share it
 
 
-def test_json_union_merges_maps_recursively():
-    base = {"a": {"x": "1"}, "keep": "old"}
-    addition = {"a": {"y": "2"}, "new": "n"}
-    assert json_union(base, addition) == {
-        "a": {"x": "1", "y": "2"}, "keep": "old", "new": "n"}
-
-
-def test_json_union_concatenates_lists():
-    assert json_union({"l": ["1"]}, {"l": ["2"]}) == {"l": ["1", "2"]}
-
-
-def test_json_union_overwrites_scalars():
-    assert json_union({"k": "old"}, {"k": "new"}) == {"k": "new"}
-
-
-def test_json_union_keeps_inputs_unchanged():
-    base = {"l": ["1"]}
-    json_union(base, {"l": ["2"]})
-    assert base == {"l": ["1"]}
+@pytest.mark.parametrize("held, doc, expected", [
+    ({"a": {"x": "1"}, "keep": "old"}, {"a": {"y": "2"}, "new": "n"},
+     {"a": {"x": "1", "y": "2"}, "keep": "old", "new": "n"}),
+    ({"l": ["1"]}, {"l": ["2"]}, {"l": ["1", "2"]}),
+    ({"m": {"l": ["1"]}}, {"m": {"l": [{"t": "2"}]}}, {"m": {"l": ["1", {"t": "2"}]}}),
+    ({"k": "old"}, {"k": "new"}, {"k": "new"}),
+    ({"k": ["1"]}, {"k": {"a": "2"}}, {"k": {"a": "2"}}),
+    ({"k": {"a": "1"}}, {"k": ["2"]}, {"k": ["2"]}),
+    ({"k": {"a": "1"}}, {"k": "2"}, {"k": "2"}),
+    ({"k": "1"}, {"k": {"a": "2"}}, {"k": {"a": "2"}}),
+    ({"k": ["1"]}, {"k": "2"}, {"k": "2"}),
+    ({"k": "1"}, {"k": ["2"]}, {"k": ["2"]}),
+    ({"k": None}, {"k": ["2"]}, {"k": ["2"]}),
+], ids=["maps-merge-per-key", "lists-extend", "nested-lists-extend", "leaf-takes-doc",
+        "list-then-map-takes-doc", "map-then-list-takes-doc", "map-then-leaf-takes-doc",
+        "leaf-then-map-takes-doc", "list-then-leaf-takes-doc", "leaf-then-list-takes-doc",
+        "null-takes-doc"])
+def test_union_changes_held_in_place_and_leaves_doc_unchanged(held, doc, expected):
+    doc_before = copy.deepcopy(doc)
+    assert union(held, doc) is held
+    assert held == expected
+    assert doc == doc_before
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +163,25 @@ def test_chaincode_fails_on_stored_bytes_that_are_not_json():
     ws._put("dev", b"{not json", Version(0, 0))
     with pytest.raises(DocumentShapeError, match="not a JSON document"):
         iot_chaincode(WorkloadConfig()).fn((("dev",), {"t": "1"}), ws.snapshot())
+
+
+@pytest.mark.parametrize("n_read_keys", [0, 2])
+@pytest.mark.parametrize("policy", ["batch", "fresh"])
+@pytest.mark.parametrize("mode", [CRDT, FABRIC])
+def test_a_run_leaves_every_proposals_reading_unchanged(mode, policy, n_read_keys):
+    # The chaincode unions each reading into its own parse of a stored
+    # document, once per written key; readings are read again after the run.
+    # With no reads every written key is absent and starts from the skeleton.
+    workload = WorkloadConfig(total_txs=40, conflict_pct=50.0, n_read_keys=n_read_keys,
+                              n_write_keys=2, json_keys=2, json_depth=3, seed=3)
+    stream = gen_stream(workload)
+    readings = copy.deepcopy([p.args[1] for p in stream])
+    ws, log = WorldState(), BlockLog()
+    pipeline = PipelineConfig(mode=mode, snapshot_policy=policy, max_tx_count=5)
+    populate_world_state(ws, log, pipeline, read_key_universe(workload, stream))
+    report = run_pipeline(pipeline, stream, iot_chaincode(workload), ws=ws, log=log)
+    assert report.success_count > 1
+    assert [p.args[1] for p in stream] == readings
 
 
 def test_chaincode_plain_write_flag():
@@ -258,5 +281,5 @@ def test_read_key_universe_empty_when_no_reads():
 
 
 def test_device_skeleton_names_the_device():
-    assert device_skeleton("dev-1") == {"deviceID": "dev-1"}
+    assert json.loads(device_skeleton_bytes("dev-1")) == {"deviceID": "dev-1"}
 
