@@ -182,15 +182,15 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> Poi
 # named experiments and table output
 
 
-def named_experiments() -> dict:
-    """The standard sweep suite at desk scale (the WorkloadConfig defaults:
-    1,000 txs per point, seed 42)."""
+def named_experiments(workload: WorkloadConfig = WorkloadConfig()) -> dict:
+    """The standard sweep suite at desk scale, each on a copy of workload
+    (by default the WorkloadConfig defaults: 1,000 txs per point, seed 42)."""
 
     def spec(name, param, values) -> ExperimentSpec:
         return ExperimentSpec(
             name=name,
             pipeline=PipelineConfig(),
-            workload=WorkloadConfig(),
+            workload=replace(workload),
             sweep_param=param,
             sweep_values=values,
         )
@@ -204,8 +204,9 @@ def named_experiments() -> dict:
     }
 
 
-def load_experiment_file(path) -> ExperimentSpec:
-    """Experiment from a JSON file with pipeline/workload field overrides.
+def load_experiment_file(path, workload: WorkloadConfig = WorkloadConfig()) -> ExperimentSpec:
+    """Experiment from a JSON file with pipeline/workload field overrides,
+    applied to PipelineConfig's defaults and to a copy of workload.
 
     Malformed JSON, an unknown, missing or ill-typed field, an override that
     set_field refuses, or a spec that fails ExperimentSpec.validate (at any
@@ -221,7 +222,7 @@ def load_experiment_file(path) -> ExperimentSpec:
             if not isinstance(doc.get(name), kind):
                 raise ValueError(f"field {name!r} is missing or not a {kind.__name__}")
         spec = ExperimentSpec(name=doc["name"], pipeline=PipelineConfig(),
-                              workload=WorkloadConfig(), sweep_param=doc["sweep_param"],
+                              workload=replace(workload), sweep_param=doc["sweep_param"],
                               sweep_values=doc["sweep_values"])
         apply_overrides(doc, spec.pipeline, spec.workload)
         spec.validate()

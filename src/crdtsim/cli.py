@@ -24,14 +24,17 @@ from .workload import WorkloadConfig
 SEED_ENV = "CRDTSIM_SEED"
 
 
-def _env_seed():
+def _base_workload() -> WorkloadConfig:
+    """The default workload with the environment's seed, if set: the base
+    that config and spec files, then flags, override."""
+    workload = WorkloadConfig()
     raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
+    if raw is not None:
+        try:
+            workload.seed = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
+    return workload
 
 
 def _print_digest(digest: str, fmt: str, fh) -> None:
@@ -49,10 +52,7 @@ def _cmd_run(args) -> int:
     """Precedence: flag, then config file, then environment (seed only),
     then default. Sources apply from lowest to highest, each overriding the
     ones before it."""
-    pipeline, workload = PipelineConfig(), WorkloadConfig()
-    env_seed = _env_seed()
-    if env_seed is not None:
-        workload.seed = env_seed
+    pipeline, workload = PipelineConfig(), _base_workload()
     if args.config:
         load_config(args.config, pipeline, workload)
     flags = vars(args)
@@ -84,23 +84,25 @@ def _write_report(report, fmt: str, fh) -> None:
 
 
 def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    """Seed precedence as for run: flag, then spec file, then environment,
+    then default."""
+    base = _base_workload()
     modes = ["crdt", "fabric"] if args.mode == "both" else [args.mode]
     # Resolve and check every experiment, in every mode, before running any.
     specs = []
     for mode in modes:
-        named = named_experiments()
+        named = named_experiments(base)
         for experiment in args.experiment:
             if experiment in named:
                 spec = named[experiment]
             elif Path(experiment).is_file():
-                spec = load_experiment_file(experiment)
+                spec = load_experiment_file(experiment, base)
             else:
                 names = ", ".join(sorted(named))
                 raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
             spec.pipeline.mode = mode or spec.pipeline.mode  # flag, then file, then crdt
-            if seed is not None:
-                spec.workload.seed = seed
+            if args.seed is not None:
+                spec.workload.seed = args.seed
             scaled = spec.workload.total_txs * args.scale
             if not math.isfinite(scaled):
                 raise ValueError(f"--scale {args.scale!r} gives experiment {experiment!r} "

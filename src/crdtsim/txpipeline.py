@@ -164,7 +164,6 @@ class PipelineConfig:
     max_tx_count: int = 25
     max_bytes: int = 128 * 1024 * 1024
     block_timeout_ms: float = 2000.0
-    endorsement_k: int = 1
     orgs: tuple = ("org1", "org2", "org3")
     snapshot_policy: str = "batch"  # batch | fresh
 
@@ -185,7 +184,7 @@ class PipelineConfig:
         self.policy()
 
     def policy(self) -> EndorsementPolicy:
-        return EndorsementPolicy(self.endorsement_k, frozenset(self.orgs))
+        return EndorsementPolicy(1, frozenset(self.orgs))
 
 
 # ----------------------------------------------------------------------
@@ -713,9 +712,14 @@ def genesis_to_jsonable(genesis: Genesis) -> dict:
 
 def save_block_log(log, path) -> None:
     """Write the log's genesis, if it has one, as record 0, then one record
-    per block; log is a BlockLog or any sequence of blocks."""
+    per block; log is a BlockLog or any sequence of blocks. A log of neither
+    raises LedgerError and writes nothing, since its empty file would not
+    load."""
+    genesis = getattr(log, "genesis", None)
+    if genesis is None and not log:
+        raise LedgerError(f"{path}: a block log needs a genesis or a block to save")
+
     def records():
-        genesis = getattr(log, "genesis", None)
         if genesis is not None:
             yield canonical_json_bytes(genesis_to_jsonable(genesis))
         yield from map(block_record, log)
@@ -732,7 +736,8 @@ def load_block_log(path) -> BlockLog:
     without a genesis loads too. A record that does not decode, is out of
     order or is not the writer's raises LedgerError naming the file and the
     record index, and for the last the first byte that differs, after the
-    file is closed."""
+    file is closed. A file of no record raises LedgerError naming it: every
+    saved log holds its genesis or a block."""
     log = BlockLog()
     with closing(read_record_file(path)) as records:
         for index, record in enumerate(records):
@@ -740,6 +745,8 @@ def load_block_log(path) -> BlockLog:
                 _load_record(log, index, record)
             except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
+    if log.genesis is None and not log:
+        raise LedgerError(f"{path}: no record; a saved block log holds its genesis or a block")
     return log
 
 

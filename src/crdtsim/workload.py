@@ -25,6 +25,10 @@ from .txpipeline import (
 )
 
 CLIENT_COUNT = 4
+# A reading nests two JSON containers per level of json_depth, and encoding,
+# parsing and merging it recurse per container; this bound stays well inside
+# Python's default recursion limit of 1,000 (depth 500 exceeds it).
+MAX_JSON_DEPTH = 100
 
 
 @dataclass
@@ -42,17 +46,18 @@ class WorkloadConfig:
     def validate(self) -> None:
         if self.total_txs <= 0:
             raise ValueError(f"total_txs must be positive, not {self.total_txs!r}")
-        if self.json_depth < 1 or self.json_keys < 1:
-            raise ValueError(f"json_keys and json_depth must be at least 1, "
-                             f"not {self.json_keys!r} and {self.json_depth!r}")
+        if self.json_keys < 1:
+            raise ValueError(f"json_keys must be at least 1, not {self.json_keys!r}")
+        if not 1 <= self.json_depth <= MAX_JSON_DEPTH:
+            raise ValueError(f"json_depth must be within [1, {MAX_JSON_DEPTH}], not {self.json_depth!r}")
         rate = self.arrival_rate_tps
         if not 0 < rate < math.inf:
             raise ValueError(f"arrival_rate_tps must be {'positive' if rate <= 0 else 'finite'}, not {rate!r}")
         if not 0 <= self.conflict_pct <= 100:
             raise ValueError(f"conflict_pct must be within [0, 100], not {self.conflict_pct!r}")
-        if self.n_read_keys < 0 or self.n_write_keys < 1:
-            raise ValueError(f"need n_read_keys >= 0 and n_write_keys >= 1, "
-                             f"not {self.n_read_keys!r} and {self.n_write_keys!r}")
+        if not 1 <= self.n_write_keys <= self.n_read_keys:
+            raise ValueError(f"need 1 <= n_write_keys <= n_read_keys, as the chaincode reads each document it "
+                             f"writes, not n_write_keys={self.n_write_keys!r} and n_read_keys={self.n_read_keys!r}")
 
 
 def gen_iot_json(keys: int, depth: int, rng: random.Random) -> JsonValue:
@@ -77,24 +82,23 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
     """Read device documents, union in the new reading, write them back.
 
     Proposal args are (keys, reading): the first n_read_keys keys are read,
-    the first n_write_keys keys are written. The reading is merged with
-    jsoncrdt.union into a fresh parse of each stored document, or of the
-    device skeleton for an absent key, so it is never changed. Stored
-    documents are parsed without a shape check: only this chaincode, the
-    genesis and the validator's merged renders write state, each well-shaped.
+    one lookup each, and the first n_write_keys of those written. The reading
+    is merged with jsoncrdt.union into a fresh parse of each stored document,
+    or of the device skeleton for an absent key, so it is never changed.
+    Stored documents are parsed without a shape check: only this chaincode,
+    the genesis and the validator's merged renders write state, well-shaped.
     """
 
     def fn(args, snap) -> ReadWriteSet:
         keys, reading = args
         reads = []
-        for key in keys[: config.n_read_keys]:
+        writes = []
+        for i, key in enumerate(keys[: config.n_read_keys]):
             entry = snap.get_state(key)
             reads.append(Read(key, entry[1] if entry is not None else None))
-        writes = []
-        for key in keys[: config.n_write_keys]:
-            entry = snap.get_state(key)
-            stored = parse_json_bytes(entry[0] if entry is not None else device_skeleton_bytes(key))
-            writes.append(Write(key, canonical_json_bytes(union(stored, reading)), config.crdt_writes))
+            if i < config.n_write_keys:
+                stored = parse_json_bytes(entry[0] if entry is not None else device_skeleton_bytes(key))
+                writes.append(Write(key, canonical_json_bytes(union(stored, reading)), config.crdt_writes))
         return ReadWriteSet(tuple(reads), tuple(writes))
 
     return ChaincodeSpec(name="iot_readings", fn=fn)
@@ -109,14 +113,14 @@ def gen_stream(config: WorkloadConfig) -> list:
     """Seeded proposal stream: total_txs proposals over 4 clients at the
     configured rate; conflict_pct percent write the hot key set.
 
-    Key tuples are write-prefixed: the first n_write_keys entries are
-    written, the first n_read_keys are read. Conflicting proposals place the
-    hot keys first and fill any extra read width with per-proposal unique
-    keys, so their writes always collide while surplus reads stay private.
+    Each key tuple holds the n_read_keys keys a proposal reads, the
+    n_write_keys it writes first. Conflicting proposals place the hot keys
+    first and fill the rest with per-proposal unique keys, so their writes
+    always collide while surplus reads stay private.
     """
     config.validate()
     rng = random.Random(config.seed)
-    width = max(config.n_read_keys, config.n_write_keys)
+    width = config.n_read_keys
     shared = hot_keys(config)
     conflict_count = round(config.total_txs * config.conflict_pct / 100.0)
     conflicting = set(rng.sample(range(config.total_txs), conflict_count))

@@ -333,10 +333,15 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "sweep_param": "arrival_rate_tps", "sweep_values": [-1]},
      "'sweep_values' point arrival_rate_tps=-1: arrival_rate_tps must be positive, not -1"),
     ({**VALID_EXPERIMENT, "sweep_values": []}, "'sweep_values'"),
-    ({**VALID_EXPERIMENT, "pipeline": {"endorsement_k": 4}}, "k=4 of n=3"),
+    ({**VALID_EXPERIMENT, "pipeline": {"endorsement_k": 1}},
+     "'endorsement_k' is not a PipelineConfig field"),
     ({**VALID_EXPERIMENT, "sweep_param": "mode", "sweep_values": ["fabric"]}, "'mode'"),
     ({**VALID_EXPERIMENT, "pipeline": {"orgs": ["org1", 2]}}, "'orgs'"),
     ({**VALID_EXPERIMENT, "piepline": {"mode": "fabric"}}, "'piepline'"),
+    ({**VALID_EXPERIMENT, "workload": {"n_read_keys": 0}}, "n_read_keys=0"),
+    ({**VALID_EXPERIMENT, "sweep_param": "n_write_keys", "sweep_values": [1, 2]},
+     "'sweep_values' point n_write_keys=2: need 1 <= n_write_keys <= n_read_keys"),
+    ({**VALID_EXPERIMENT, "workload": {"json_depth": 101}}, "json_depth must be within [1, 100]"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"

@@ -138,9 +138,14 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"pipeline": {"block_timeout_ms": NaN}}', "block_timeout_ms must be finite, not nan"),
     (b'{"workload": {"arrival_rate_tps": Infinity}}', "arrival_rate_tps must be finite, not inf"),
     (b'{"pipeline": {"orgs": ["org1", "\\udc80"]}}', "orgs must be UTF-8 text"),
+    (b'{"pipeline": {"endorsement_k": 1}}', "'endorsement_k' is not a PipelineConfig field"),
+    (b'{"workload": {"n_read_keys": 0}}', "n_write_keys=1 and n_read_keys=0"),
+    (b'{"workload": {"n_write_keys": 2}}', "n_write_keys=2 and n_read_keys=1"),
+    (b'{"workload": {"json_depth": 101}}', "json_depth must be within [1, 100], not 101"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
         "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
-        "infinite-rate", "lone-surrogate-org"])
+        "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
+        "reads-narrower-than-writes", "too-deep"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)
@@ -185,6 +190,14 @@ def test_replay_truncated_log_fails_naming_the_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith(f"error: {blocklog}: record ")
     assert "truncated body" in err
+
+
+def test_replay_empty_file_fails_naming_it(capsys, tmp_path):
+    blocklog = tmp_path / "empty.log"
+    blocklog.write_bytes(b"")
+    code, out, err = run_cli(capsys, "replay", str(blocklog))
+    assert (code, out) == (1, "")
+    assert err == f"error: {blocklog}: no record; a saved block log holds its genesis or a block\n"
 
 
 def test_replay_missing_file_fails(capsys, tmp_path):
@@ -266,6 +279,43 @@ def test_bench_mode_flag_beats_the_spec_files_mode(capsys, tmp_path, flag, count
         tables = [(out_dir / f"m_{mode}_{metric}.csv").read_text().splitlines()
                   for metric in ("success_count", "failure_count")]
         assert tuple(int(t[1].split(",")[1]) for t in tables) == expected
+
+
+def bench_tables(capsys, out_dir, *argv) -> dict:
+    """Run bench with argv into out_dir and return each table's text by file name."""
+    code, out, err = run_cli(capsys, "bench", *argv, "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    return {Path(p).name: Path(p).read_text() for p in out.splitlines()}
+
+
+def test_bench_seed_order_is_flag_then_spec_file_then_env(capsys, monkeypatch, tmp_path):
+    spec_file = tmp_path / "seeded.json"
+    spec_file.write_text(json.dumps({
+        "name": "seeded",
+        "workload": {"total_txs": 60, "json_keys": 3, "seed": 5},
+        "sweep_param": "conflict_pct",
+        "sweep_values": [50],
+    }))
+    spec = ("--experiment", str(spec_file))
+    plain = bench_tables(capsys, tmp_path / "plain", *spec)
+    flagged = bench_tables(capsys, tmp_path / "flagged", *spec, "--seed", "9")
+    assert flagged != plain  # the seed shows in the tables
+    monkeypatch.setenv(SEED_ENV, "9")
+    assert bench_tables(capsys, tmp_path / "env", *spec) == plain
+    assert bench_tables(capsys, tmp_path / "env-flag", *spec, "--seed", "9") == flagged
+
+
+def test_bench_env_seed_applies_to_a_named_experiment(capsys, monkeypatch, tmp_path):
+    named = ("--experiment", "json_complexity", "--scale", "0.02")
+    default = bench_tables(capsys, tmp_path / "default", *named)
+    flagged = bench_tables(capsys, tmp_path / "flagged", *named, "--seed", "9")
+    assert flagged != default
+    monkeypatch.setenv(SEED_ENV, "9")
+    assert bench_tables(capsys, tmp_path / "env", *named) == flagged
+    monkeypatch.setenv(SEED_ENV, "not-a-number")
+    code, out, err = run_cli(capsys, "bench", *named, "--out", str(tmp_path / "bad"))
+    assert (code, out) == (1, "")
+    assert SEED_ENV in err
 
 
 @pytest.mark.parametrize("content", [

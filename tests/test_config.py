@@ -21,7 +21,7 @@ def load(path):
 
 def test_round_trip_preserves_every_field(tmp_path):
     pipeline = PipelineConfig(mode="fabric", max_tx_count=50, max_bytes=1024,
-                              block_timeout_ms=500.0, endorsement_k=2,
+                              block_timeout_ms=500.0,
                               orgs=("orgA", "orgB"), snapshot_policy="fresh")
     workload = WorkloadConfig(total_txs=77, arrival_rate_tps=150.0, n_read_keys=2,
                               n_write_keys=2, json_keys=3, json_depth=4,

@@ -4,7 +4,7 @@ import json
 import struct
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 from unittest import mock
@@ -105,8 +105,13 @@ def test_pipeline_config_validation():
         PipelineConfig(snapshot_policy="stale").validate()
     with pytest.raises(ValueError):
         PipelineConfig(max_tx_count=0).validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(endorsement_k=5).validate()
+    with pytest.raises(ValueError, match="k=1 of n=0 orgs"):
+        PipelineConfig(orgs=()).validate()
+    assert PipelineConfig(orgs=("org1", "org2")).policy() == EndorsementPolicy(
+        1, frozenset({"org1", "org2"}))
+    assert len(fields(PipelineConfig)) == 6
+    with pytest.raises(TypeError):
+        PipelineConfig(endorsement_k=1)
 
 
 # ----------------------------------------------------------------------
@@ -702,6 +707,46 @@ def test_crdt_structural_conflict_invalidates_the_later_writer():
     assert json.loads(vblock.transactions[0].rwset.writes[0].value) == {"a": "1"}
 
 
+def test_run_pipeline_gives_decode_and_structural_verdicts_and_commits_none_of_their_bytes(
+        tmp_path):
+    # Each proposal's args are the (key, value) CRDT writes it makes. A
+    # transaction with one bad write merges none of its writes, so "side",
+    # written only beside a kind conflict, never reaches the state.
+    def fn(args, snap):
+        return ReadWriteSet((), tuple(Write(key, value, True) for key, value in args))
+
+    bad = [b"{not json", jbytes({"room": {"t": "x"}}), jbytes({"room": "flat"}), b'{"z": 1}']
+    args = [
+        (("dev", jbytes({"room": [{"t": "1"}]})),),
+        (("dev", bad[0]),),
+        (("side", jbytes({"s": "1"})), ("dev", bad[1])),
+        (("dev", jbytes({"room": [{"t": "2"}]})),),
+        (("dev", bad[2]),),
+        (("other", bad[3]),),
+    ]
+    proposals = [Proposal("client1", i * 0.001, a) for i, a in enumerate(args)]
+    config = PipelineConfig(mode=CRDT, max_tx_count=3)
+    ws, log = WorldState(), BlockLog()
+    populate_world_state(ws, log, config, ["dev"])
+    report = run_pipeline(config, proposals, ChaincodeSpec("writer", fn), ws=ws, log=log)
+    assert [(t.validity, t.block_height) for t in report.txs] == [
+        (VALID, 1), (INVALID_DECODE, 1), (INVALID_STRUCTURAL, 1),
+        (VALID, 2), (INVALID_STRUCTURAL, 2), (INVALID_DECODE, 2)]
+    # Each block merges into a CRDT made empty for it, so its valid write is the value.
+    assert sorted(ws.keys()) == ["dev"]
+    assert ws.get_state("dev") == (jbytes({"room": [{"t": "2"}]}), Version(2, 0))
+    values = [ws.get_state(key)[0] for key in ws.keys()]
+    assert not any(payload in value for payload in bad for value in values)
+    # The log keeps every invalid payload as submitted.
+    logged = [w.value for block in log for tx in block.transactions for w in tx.rwset.writes]
+    assert all(payload in logged for payload in bad)
+
+    path = tmp_path / "blocks.log"
+    save_block_log(log, path)
+    replayed_ws, _ = replay_block_log(load_block_log(path))
+    assert replayed_ws.digest() == ws.digest()
+
+
 def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch):
     calls = {"check": 0, "merge_json": 0, "_pruned_copy": [], "init_empty_crdt": 0}
 
@@ -919,7 +964,7 @@ def run_both_modes(pipeline: PipelineConfig, workload: WorkloadConfig) -> tuple:
 @given(
     conflict_pct=st.integers(0, 100),
     snapshot_policy=st.sampled_from(["batch", "fresh"]),
-    rw_keys=st.sampled_from([(1, 1), (3, 2), (0, 1)]),
+    rw_keys=st.sampled_from([(1, 1), (3, 2), (2, 1)]),
     block_size=st.integers(1, 12),
     seed=st.integers(0, 1000),
 )
@@ -1042,9 +1087,10 @@ def test_run_pipeline_records_proposal_failures():
 
 
 def test_run_pipeline_endorsement_short_circuit():
-    config = PipelineConfig(mode=CRDT, max_tx_count=1, endorsement_k=2, orgs=("org1",))
-    with pytest.raises(ValueError):
-        run_pipeline(config, [], plain_chaincode())
+    # With no org to endorse, no policy can be met: the run fails before any proposal.
+    config = PipelineConfig(mode=CRDT, max_tx_count=1, orgs=())
+    with pytest.raises(ValueError, match="k=1 of n=0 orgs"):
+        run_pipeline(config, [Proposal("client1", 0.0, ())], plain_chaincode())
 
 
 def test_run_pipeline_batch_snapshot_marks_later_writers_stale():
@@ -1242,6 +1288,33 @@ def test_save_load_replay_reproduces_state(tmp_path):
     assert len(replayed_log) == len(log)
     again_ws, _ = replay_block_log(load_block_log(path))
     assert again_ws.canonical_bytes() == replayed_ws.canonical_bytes()
+
+
+def test_load_block_log_of_an_empty_file_fails_naming_it(tmp_path):
+    path = tmp_path / "empty.log"
+    path.write_bytes(b"")
+    with pytest.raises(LedgerError, match="no record; a saved block log holds its genesis") as info:
+        load_block_log(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("log", [BlockLog(), []], ids=["empty-block-log", "empty-list"])
+def test_save_block_log_refuses_a_log_that_would_save_as_an_empty_file(tmp_path, log):
+    path = tmp_path / "blocks.log"
+    with pytest.raises(LedgerError, match="needs a genesis or a block") as info:
+        save_block_log(log, path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert not path.exists()
+
+
+def test_a_genesis_of_no_keys_saves_and_loads(tmp_path):
+    # The empty genesis is a record, so the smallest log a run saves loads.
+    ws, log = WorldState(), BlockLog()
+    populate_world_state(ws, log, PipelineConfig(), [])
+    path = tmp_path / "blocks.log"
+    save_block_log(log, path)
+    loaded = load_block_log(path)
+    assert loaded.genesis == Genesis((), 25) and loaded == []
 
 
 # The start of the error for record 1 when it decodes to a block whose

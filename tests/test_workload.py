@@ -1,15 +1,19 @@
 import copy
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crdtsim.bench import populate_world_state, run_single
 from crdtsim.jsoncrdt import DocumentShapeError, JsonCrdt, canonical_json_bytes, union
-from crdtsim.bench import populate_world_state
 from crdtsim.ledger import BlockLog, Version, WorldState, device_skeleton_bytes
 from crdtsim.txpipeline import CRDT, FABRIC, PipelineConfig, run_pipeline
 from crdtsim.workload import (
     CLIENT_COUNT,
+    MAX_JSON_DEPTH,
     WorkloadConfig,
     gen_iot_json,
     gen_stream,
@@ -36,6 +40,21 @@ def test_config_rejects_bad_values():
         WorkloadConfig(json_keys=0).validate()
     with pytest.raises(ValueError):
         WorkloadConfig(json_depth=0).validate()
+
+
+def test_config_bounds_json_depth():
+    WorkloadConfig(json_depth=MAX_JSON_DEPTH).validate()
+    with pytest.raises(ValueError, match=r"json_depth must be within \[1, 100\], not 101"):
+        WorkloadConfig(json_depth=MAX_JSON_DEPTH + 1).validate()
+
+
+@pytest.mark.parametrize("mode", [CRDT, FABRIC])
+def test_a_run_at_the_json_depth_bound_encodes_every_reading(mode):
+    # Past the recursion limit every proposal would fail in the chaincode.
+    outcome = run_single(PipelineConfig(mode=mode),
+                         WorkloadConfig(total_txs=6, conflict_pct=50.0, json_depth=MAX_JSON_DEPTH))
+    assert outcome.report.success_count >= 4
+    assert {t.validity for t in outcome.report.txs} <= {"valid", "mvcc"}
 
 
 # ----------------------------------------------------------------------
@@ -165,14 +184,14 @@ def test_chaincode_fails_on_stored_bytes_that_are_not_json():
         iot_chaincode(WorkloadConfig()).fn((("dev",), {"t": "1"}), ws.snapshot())
 
 
-@pytest.mark.parametrize("n_read_keys", [0, 2])
+@pytest.mark.parametrize("surplus_reads", [0, 2])
 @pytest.mark.parametrize("policy", ["batch", "fresh"])
 @pytest.mark.parametrize("mode", [CRDT, FABRIC])
-def test_a_run_leaves_every_proposals_reading_unchanged(mode, policy, n_read_keys):
+def test_a_run_leaves_every_proposals_reading_unchanged(mode, policy, surplus_reads):
     # The chaincode unions each reading into its own parse of a stored
     # document, once per written key; readings are read again after the run.
-    # With no reads every written key is absent and starts from the skeleton.
-    workload = WorkloadConfig(total_txs=40, conflict_pct=50.0, n_read_keys=n_read_keys,
+    # Surplus reads are keys read but not written.
+    workload = WorkloadConfig(total_txs=40, conflict_pct=50.0, n_read_keys=2 + surplus_reads,
                               n_write_keys=2, json_keys=2, json_depth=3, seed=3)
     stream = gen_stream(workload)
     readings = copy.deepcopy([p.args[1] for p in stream])
@@ -182,6 +201,48 @@ def test_a_run_leaves_every_proposals_reading_unchanged(mode, policy, n_read_key
     report = run_pipeline(pipeline, stream, iot_chaincode(workload), ws=ws, log=log)
     assert report.success_count > 1
     assert [p.args[1] for p in stream] == readings
+
+
+class CountingState(WorldState):
+    """A state that counts its lookups per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = Counter()
+
+    def get_state(self, key):
+        self.lookups[key] += 1
+        return super().get_state(key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.integers(1, 4).flatmap(lambda w: st.tuples(st.integers(w, 6), st.just(w))),
+    n_keys=st.integers(0, 7),
+    stored=st.sets(st.integers(0, 6)),
+    crdt_writes=st.booleans(),
+)
+def test_property_chaincode_reads_each_key_once_and_every_written_key(widths, n_keys, stored,
+                                                                      crdt_writes):
+    n_read_keys, n_write_keys = widths
+    config = WorkloadConfig(n_read_keys=n_read_keys, n_write_keys=n_write_keys,
+                            crdt_writes=crdt_writes)
+    config.validate()
+    keys = tuple(f"dev-{j}" for j in range(n_keys))
+    snap = CountingState()
+    for j in sorted(stored):
+        if j < n_keys:
+            snap._put(keys[j], device_skeleton_bytes(keys[j]), Version(0, j))
+    rwset = iot_chaincode(config).fn((keys, {"t": "1"}), snap)
+    read_keys = [r.key for r in rwset.reads]
+    write_keys = [w.key for w in rwset.writes]
+    assert read_keys == list(keys[:n_read_keys])
+    assert write_keys == list(keys[:n_write_keys])
+    assert set(write_keys) <= set(read_keys)
+    assert snap.lookups == Counter(read_keys)
+    for read in rwset.reads:
+        entry = snap.get_state(read.key)
+        assert read.version == (entry[1] if entry is not None else None)
 
 
 def test_chaincode_plain_write_flag():
@@ -259,8 +320,10 @@ def test_stream_key_width_covers_reads_and_writes():
     config = WorkloadConfig(total_txs=4, n_read_keys=3, n_write_keys=1, conflict_pct=100.0)
     proposals = gen_stream(config)
     assert all(len(p.args[0]) == 3 for p in proposals)
-    config_w = WorkloadConfig(total_txs=4, n_read_keys=1, n_write_keys=3, conflict_pct=0.0)
+    config_w = WorkloadConfig(total_txs=4, n_read_keys=3, n_write_keys=3, conflict_pct=0.0)
     assert all(len(p.args[0]) == 3 for p in gen_stream(config_w))
+    with pytest.raises(ValueError, match="n_write_keys=3 and n_read_keys=1"):
+        gen_stream(WorkloadConfig(total_txs=4, n_read_keys=1, n_write_keys=3))
 
 
 def test_read_key_universe_covers_hot_and_unique_keys():
@@ -274,10 +337,13 @@ def test_read_key_universe_covers_hot_and_unique_keys():
     assert set(universe) == expected
 
 
-def test_read_key_universe_empty_when_no_reads():
-    config = WorkloadConfig(total_txs=6, n_read_keys=0)
-    proposals = gen_stream(config)
-    assert read_key_universe(config, proposals) == []
+@pytest.mark.parametrize("n_read_keys, n_write_keys", [(0, 1), (1, 2), (2, 3), (0, 0)])
+def test_config_rejects_read_widths_below_write_widths(n_read_keys, n_write_keys):
+    # The chaincode reads each document it writes, so a narrower read set,
+    # which would let a write escape MVCC, is refused.
+    with pytest.raises(ValueError, match="the chaincode reads each document it writes") as info:
+        WorkloadConfig(n_read_keys=n_read_keys, n_write_keys=n_write_keys).validate()
+    assert f"n_read_keys={n_read_keys}" in str(info.value)
 
 
 def test_device_skeleton_names_the_device():
