@@ -34,6 +34,10 @@ class Version:
     tx_index: int
 
 
+# Pieces of the canonical state hashed per sha256 update by WorldState.digest.
+DIGEST_BATCH = 64
+
+
 class WorldState:
     def __init__(self):
         self._entries: dict = {}
@@ -57,22 +61,34 @@ class WorldState:
             raise LedgerError(f"version of {key!r} would not increase")
         self._entries[key] = (value, version)
 
-    def canonical_bytes(self) -> bytes:
-        """Canonical serialization of the full state, for convergence checks:
-        the canonical JSON (jsoncrdt.canonical_json_bytes) of {key: [base64
-        value, height, index]}, written directly. Keys are sorted and escaped
-        by encode_basestring (the encoder's own escaper without ensure_ascii);
-        base64 needs no escape."""
+    def _pieces(self) -> Iterator[str]:
+        """The canonical JSON (jsoncrdt.canonical_json_bytes) of {key: [base64
+        value, height, index]}, written directly, as text pieces: "{", one
+        piece per entry in sorted-key order, each after the first led by its
+        comma, then "}". Keys are escaped by encode_basestring (the encoder's
+        own escaper without ensure_ascii); base64 needs no escape."""
         entries = self._entries
-        pieces = []
+        yield "{"
+        comma = ""
         for key in sorted(entries):
             value, version = entries[key]
             value64 = b2a_base64(value, newline=False).decode("ascii")
-            pieces.append(f'{encode_basestring(key)}:["{value64}",{version.block_height},{version.tx_index}]')
-        return ("{" + ",".join(pieces) + "}").encode("utf-8")
+            yield f'{comma}{encode_basestring(key)}:["{value64}",{version.block_height},{version.tx_index}]'
+            comma = ","
+        yield "}"
+
+    def canonical_bytes(self) -> bytes:
+        """Canonical UTF-8 serialization of the full state, for convergence checks."""
+        return "".join(self._pieces()).encode("utf-8")
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        """sha256 of canonical_bytes(), fed DIGEST_BATCH pieces at a time, so
+        that it holds one batch of the state's text and never all of it."""
+        sha = hashlib.sha256()
+        pieces = self._pieces()
+        while batch := "".join(itertools.islice(pieces, DIGEST_BATCH)):
+            sha.update(batch.encode("utf-8"))
+        return sha.hexdigest()
 
 
 def device_skeleton_bytes(key: str) -> bytes:

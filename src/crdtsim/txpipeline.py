@@ -181,7 +181,8 @@ class PipelineConfig:
                 org.encode("utf-8")  # every saved block lists them
         except (AttributeError, UnicodeEncodeError):
             raise ValueError(f"orgs must be UTF-8 text, not {self.orgs!r}") from None
-        self.policy()
+        if not self.orgs:
+            raise ValueError("orgs must name at least one org to endorse proposals")
 
     def policy(self) -> EndorsementPolicy:
         return EndorsementPolicy(1, frozenset(self.orgs))
@@ -435,7 +436,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
 # orchestration
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     tx_id: str
     client_id: str
@@ -653,7 +654,8 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
     other field is checked by the load rule, which load_block_log applies.
     A text value decodes as base64, or raises ValueError naming its write
     key, and joins inline, the record's inline values before it; any other
-    value indexes inline. shared maps an endorsement list to its set, so
+    value indexes inline. shared maps each key text to its one string and
+    each endorsement list to its one set, and gains those tx brings, so
     that equal ones load as one object."""
     shared = {} if shared is None else shared
     inline = [] if inline is None else inline
@@ -670,7 +672,7 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
             if type(height) is not int or type(index) is not int:
                 raise ValueError(f"version {version!r} is not two ints")
             version = Version(height, index)
-        reads.append(Read(key, version))
+        reads.append(Read(shared.setdefault(key, key), version))
     writes = []
     for key, value, is_crdt in doc["writes"]:
         if type(value) is str:
@@ -681,23 +683,24 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
             inline.append(value)
         else:
             value = inline[value]
-        writes.append(Write(key, value, is_crdt))
+        writes.append(Write(shared.setdefault(key, key), value, is_crdt))
     return Transaction(doc["tx_id"], ReadWriteSet(tuple(reads), tuple(writes)), shared[orgs], submit_time)
 
 
-def block_from_jsonable(doc: dict) -> Block:
+def block_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Block:
     """Block from its log record; raise ValueError unless it has an int
     height, a known cut reason and one verdict per transaction, which the
     writer would write back unchanged (the load rule checks the rest). A
-    write value referred back to and an equal endorsement list within the
-    block load as one object each, and each verdict is the one VERDICTS
-    holds for its reason."""
+    write value referred back to within the block loads as one object, as
+    do equal keys and endorsement lists through shared (see
+    transaction_from_jsonable), and each verdict is the one VERDICTS holds
+    for its reason."""
     height, cut_reason = doc["height"], doc["cut_reason"]
     if type(height) is not int:
         raise ValueError(f"height {height!r} is not an int")
     if cut_reason not in CUT_REASONS:
         raise ValueError(f"unknown cut reason {cut_reason!r}")
-    shared: dict = {}
+    shared = {} if shared is None else shared
     inline: list = []
     transactions = tuple(transaction_from_jsonable(t, shared, inline) for t in doc["transactions"])
     validity = tuple(VERDICTS[reason] for _, reason in doc["validity"])
@@ -737,12 +740,15 @@ def load_block_log(path) -> BlockLog:
     order or is not the writer's raises LedgerError naming the file and the
     record index, and for the last the first byte that differs, after the
     file is closed. A file of no record raises LedgerError naming it: every
-    saved log holds its genesis or a block."""
+    saved log holds its genesis or a block. Equal keys and endorsement lists
+    load as one object each across the whole log, a genesis key's as the
+    genesis's own string."""
     log = BlockLog()
+    shared: dict = {}
     with closing(read_record_file(path)) as records:
         for index, record in enumerate(records):
             try:
-                _load_record(log, index, record)
+                _load_record(log, index, record, shared)
             except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 raise LedgerError(f"{path}: record {index}: {type(exc).__name__}: {exc}") from exc
     if log.genesis is None and not log:
@@ -750,7 +756,7 @@ def load_block_log(path) -> BlockLog:
     return log
 
 
-def _load_record(log: BlockLog, index: int, record: bytes) -> None:
+def _load_record(log: BlockLog, index: int, record: bytes, shared: dict) -> None:
     doc = json.loads(record)
     if "genesis" in doc:
         if index != 0:
@@ -760,8 +766,9 @@ def _load_record(log: BlockLog, index: int, record: bytes) -> None:
         if record != written:
             raise _not_written(record, written)
         log.genesis = genesis
+        shared.update(zip(genesis.keys, genesis.keys))
         return
-    block = block_from_jsonable(doc)
+    block = block_from_jsonable(doc, shared)
     if block.height != log.next_height:
         raise ValueError(f"height {block.height} out of order")
     written = block_record(block)

@@ -53,6 +53,9 @@ class WorkloadConfig:
         rate = self.arrival_rate_tps
         if not 0 < rate < math.inf:
             raise ValueError(f"arrival_rate_tps must be {'positive' if rate <= 0 else 'finite'}, not {rate!r}")
+        if (self.total_txs - 1) / rate == math.inf:
+            raise ValueError(f"arrival_rate_tps {rate!r} is too small: the last of total_txs={self.total_txs!r} "
+                             f"proposals would be submitted at time inf")
         if not 0 <= self.conflict_pct <= 100:
             raise ValueError(f"conflict_pct must be within [0, 100], not {self.conflict_pct!r}")
         if not 1 <= self.n_write_keys <= self.n_read_keys:

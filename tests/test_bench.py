@@ -342,6 +342,8 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "sweep_param": "n_write_keys", "sweep_values": [1, 2]},
      "'sweep_values' point n_write_keys=2: need 1 <= n_write_keys <= n_read_keys"),
     ({**VALID_EXPERIMENT, "workload": {"json_depth": 101}}, "json_depth must be within [1, 100]"),
+    ({**VALID_EXPERIMENT, "sweep_param": "arrival_rate_tps", "sweep_values": [300, 5e-324]},
+     "'sweep_values' point arrival_rate_tps=5e-324: arrival_rate_tps 5e-324 is too small"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"

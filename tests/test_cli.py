@@ -85,6 +85,17 @@ def test_run_rejects_a_non_finite_flag(capsys, flag, field, value):
     assert (code, out, err) == (1, "", f"error: {field} must be finite, not {value}\n")
 
 
+def test_run_rejects_an_arrival_rate_too_small_to_schedule(capsys):
+    # Proposal i is submitted at i / rate: at 5e-324 tx/s proposal 1 would be
+    # submitted, and committed, at time inf.
+    code, out, err = run_cli(capsys, "run", "--txs", "3", "--arrival-rate", "5e-324")
+    assert (code, out) == (1, "")
+    assert err == ("error: arrival_rate_tps 5e-324 is too small: the last of total_txs=3 "
+                   "proposals would be submitted at time inf\n")
+    code, out, _ = run_cli(capsys, "run", "--txs", "1", "--arrival-rate", "5e-324")
+    assert code == 0 and "nan" not in out
+
+
 # ----------------------------------------------------------------------
 # seed precedence
 
@@ -134,7 +145,7 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"crdt_writes": 1}}', "'crdt_writes'"),
     (b'{"pipeline": {"orgs": "org1"}}', "'orgs'"),
     (b'{"workload": {"conflict_pct": 500}}', "conflict_pct must be within [0, 100], not 500"),
-    (b'{"pipeline": {"orgs": []}}', "not k=1 of n=0 orgs"),
+    (b'{"pipeline": {"orgs": []}}', "orgs must name at least one org"),
     (b'{"pipeline": {"block_timeout_ms": NaN}}', "block_timeout_ms must be finite, not nan"),
     (b'{"workload": {"arrival_rate_tps": Infinity}}', "arrival_rate_tps must be finite, not inf"),
     (b'{"pipeline": {"orgs": ["org1", "\\udc80"]}}', "orgs must be UTF-8 text"),
@@ -142,10 +153,11 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"n_read_keys": 0}}', "n_write_keys=1 and n_read_keys=0"),
     (b'{"workload": {"n_write_keys": 2}}', "n_write_keys=2 and n_read_keys=1"),
     (b'{"workload": {"json_depth": 101}}', "json_depth must be within [1, 100], not 101"),
+    (b'{"workload": {"arrival_rate_tps": 5e-324}}', "arrival_rate_tps 5e-324 is too small"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
         "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
         "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
-        "reads-narrower-than-writes", "too-deep"])
+        "reads-narrower-than-writes", "too-deep", "unschedulable-rate"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)

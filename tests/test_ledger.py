@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crdtsim.jsoncrdt import canonical_json_bytes
 from crdtsim.ledger import (
+    DIGEST_BATCH,
     BlockLog,
     Genesis,
     LedgerError,
@@ -271,6 +272,44 @@ def test_property_state_bytes_equal_the_generic_encoders(entries):
     assert ws.canonical_bytes() == reference_state_bytes(ws)
 
 
+# Filler entries that put the state's pieces ("{", one per entry, "}") on
+# both sides of one and two digest batches, beside the drawn entries.
+FILLERS = st.sampled_from([0, 1, *range(DIGEST_BATCH - 10, DIGEST_BATCH + 3),
+                           *range(2 * DIGEST_BATCH - 10, 2 * DIGEST_BATCH + 3)])
+
+
+@settings(max_examples=300)
+@given(ENTRIES, FILLERS)
+@example({}, 0)
+@example({"": (b"", 0, 0)}, 0)
+@example({}, DIGEST_BATCH - 3)  # pieces: one batch but one
+@example({}, DIGEST_BATCH - 2)  # exactly one batch
+@example({}, DIGEST_BATCH - 1)  # "}" alone in the second batch
+@example({"\x00\"\\\n\u2028😀": (b"\xff\xfe", 3, 4)}, 2 * DIGEST_BATCH - 3)
+def test_property_digest_is_sha256_of_canonical_bytes(entries, filler):
+    ws = state_of({**{f"filler{i:03d}": (bytes([i % 256]) * (i % 5), i, 0) for i in range(filler)},
+                   **entries})
+    assert ws.digest() == hashlib.sha256(ws.canonical_bytes()).hexdigest()
+    assert ws.digest() == hashlib.sha256(reference_state_bytes(ws)).hexdigest()
+
+
+def test_digest_holds_one_batch_of_a_large_state_not_all_of_it():
+    # 4,000 entries of 1 KB: about 5.5 MB of canonical bytes, which a digest
+    # of the joined state would hold at least twice over (text and bytes).
+    ws = state_of({f"device{i:05d}": (bytes([i % 256]) * 1024, i, 0) for i in range(4000)})
+    size = len(ws.canonical_bytes())
+    expected = hashlib.sha256(ws.canonical_bytes()).hexdigest()
+    tracemalloc.start()
+    try:
+        digest = ws.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert size > 5 << 20
+    assert peak < size // 10
+
+
 @settings(max_examples=300)
 @given(KEYS)
 @example("")
@@ -286,6 +325,8 @@ def test_lone_surrogate_key_fails_the_direct_writers_as_it_fails_the_encoder(key
         reference_state_bytes(ws)
     with pytest.raises(UnicodeEncodeError):
         ws.canonical_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        ws.digest()
     with pytest.raises(UnicodeEncodeError):
         canonical_json_bytes({"deviceID": key})
     with pytest.raises(UnicodeEncodeError):

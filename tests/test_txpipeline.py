@@ -95,6 +95,8 @@ def test_policy_bounds():
         EndorsementPolicy(0, ORGS)
     with pytest.raises(ValueError):
         EndorsementPolicy(4, ORGS)
+    with pytest.raises(ValueError, match="not k=1 of n=0 orgs"):
+        EndorsementPolicy(1, frozenset())
 
 
 def test_pipeline_config_validation():
@@ -105,7 +107,7 @@ def test_pipeline_config_validation():
         PipelineConfig(snapshot_policy="stale").validate()
     with pytest.raises(ValueError):
         PipelineConfig(max_tx_count=0).validate()
-    with pytest.raises(ValueError, match="k=1 of n=0 orgs"):
+    with pytest.raises(ValueError, match="^orgs must name at least one org"):
         PipelineConfig(orgs=()).validate()
     assert PipelineConfig(orgs=("org1", "org2")).policy() == EndorsementPolicy(
         1, frozenset({"org1", "org2"}))
@@ -1089,7 +1091,7 @@ def test_run_pipeline_records_proposal_failures():
 def test_run_pipeline_endorsement_short_circuit():
     # With no org to endorse, no policy can be met: the run fails before any proposal.
     config = PipelineConfig(mode=CRDT, max_tx_count=1, orgs=())
-    with pytest.raises(ValueError, match="k=1 of n=0 orgs"):
+    with pytest.raises(ValueError, match="^orgs must name at least one org"):
         run_pipeline(config, [Proposal("client1", 0.0, ())], plain_chaincode())
 
 
@@ -1675,6 +1677,39 @@ def test_loaded_block_holds_one_object_per_equal_value_and_endorsement_list(tmp_
         for tx in block.transactions:
             assert tx.rwset.writes[0].value is first.rwset.writes[0].value
             assert tx.endorsements is first.endorsements
+
+
+def test_a_loaded_logs_keys_are_its_genesis_strings_across_records(tmp_path):
+    pipeline = PipelineConfig(mode=CRDT, max_tx_count=10)
+    outcome = run_single(pipeline, WorkloadConfig(total_txs=60, conflict_pct=50.0, n_read_keys=3,
+                                                  n_write_keys=2, seed=1))
+    path = tmp_path / "blocks.log"
+    save_block_log(outcome.log, path)
+    loaded = load_block_log(path)
+    assert list(loaded) == list(outcome.log) and len(loaded) >= 6
+    genesis = {key: key for key in loaded.genesis.keys}
+    seen = Counter()
+    for block in loaded:
+        for tx in block.transactions:
+            for item in tx.rwset.reads + tx.rwset.writes:
+                assert item.key is genesis[item.key]
+                seen[item.key] += 1
+    assert max(seen.values()) > len(loaded)  # a hot key recurs across records
+
+
+def test_a_loaded_log_without_a_genesis_shares_each_key_across_records(tmp_path):
+    config = PipelineConfig(mode=FABRIC, max_tx_count=1)
+    log = BlockLog()
+    run_pipeline(config, [Proposal("client1", i * 0.01, ()) for i in range(3)],
+                 plain_chaincode(write_key="device-w", read_keys=("device-r", "device-w")), log=log)
+    path = tmp_path / "blocks.log"
+    save_block_log(log, path)
+    loaded = load_block_log(path)
+    assert list(loaded) == list(log) and len(loaded) == 3
+    rwsets = [block.transactions[0].rwset for block in loaded]
+    for rwset in rwsets[1:]:
+        assert rwset.reads[0].key is rwsets[0].reads[0].key == "device-r"
+        assert rwset.reads[1].key is rwset.writes[0].key is rwsets[0].writes[0].key == "device-w"
 
 
 def test_a_record_loads_each_distinct_endorsement_list_as_one_set():

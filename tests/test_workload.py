@@ -42,6 +42,15 @@ def test_config_rejects_bad_values():
         WorkloadConfig(json_depth=0).validate()
 
 
+def test_config_rejects_an_arrival_rate_too_small_to_schedule():
+    # Proposal i is submitted at i / arrival_rate_tps; the last must be finite.
+    WorkloadConfig(total_txs=1, arrival_rate_tps=5e-324).validate()
+    WorkloadConfig(total_txs=2, arrival_rate_tps=1e-308).validate()
+    with pytest.raises(ValueError, match=r"^arrival_rate_tps 5e-324 is too small: the last of "
+                                         r"total_txs=2 proposals"):
+        WorkloadConfig(total_txs=2, arrival_rate_tps=5e-324).validate()
+
+
 def test_config_bounds_json_depth():
     WorkloadConfig(json_depth=MAX_JSON_DEPTH).validate()
     with pytest.raises(ValueError, match=r"json_depth must be within \[1, 100\], not 101"):
