@@ -161,8 +161,9 @@ def commit_block(ws: WorldState, log: BlockLog, block) -> None:
     for tx_index, (tx, verdict) in enumerate(zip(block.transactions, block.validity)):
         if not verdict.valid:
             continue
+        version = Version(block.height, tx_index)
         for write in tx.rwset.writes:
-            ws._put(write.key, write.value, Version(block.height, tx_index))
+            ws._put(write.key, write.value, version)
     log.append(block)
 
 

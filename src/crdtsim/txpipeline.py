@@ -98,11 +98,9 @@ class ReadWriteSet:
     writes: tuple = ()
 
     def __post_init__(self):
-        read_keys = [r.key for r in self.reads]
-        if len(read_keys) != len(set(read_keys)):
+        if len({r.key for r in self.reads}) != len(self.reads):
             raise ValueError("duplicate keys in read set")
-        write_keys = [w.key for w in self.writes]
-        if len(write_keys) != len(set(write_keys)):
+        if len({w.key for w in self.writes}) != len(self.writes):
             raise ValueError("duplicate keys in write set")
 
 
@@ -197,7 +195,7 @@ def transaction_encoded_size(tx: Transaction) -> int:
     envelope as ordered, which a block record may shorten by referring back
     to an equal value earlier in the block."""
     pieces: list = []
-    _write_transaction(tx, pieces, None)
+    _write_transaction(tx, pieces, None, {})
     return sum(map(len, pieces))
 
 
@@ -408,8 +406,9 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
                     crdt.merge_json(doc, checked=checked)
                 if checks:
                     merged.append(i)
+                version = Version(block.height, i)
                 for write in writes:
-                    overlay[write.key] = Version(block.height, i)
+                    overlay[write.key] = version
             else:
                 reason = INVALID_MVCC
         reasons.append(reason)
@@ -599,15 +598,19 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_transaction(tx: Transaction, out: list, refs: Optional[dict]) -> None:
+def _write_transaction(tx: Transaction, out: list, refs: Optional[dict], orgs: dict) -> None:
     """Append the UTF-8 pieces of tx's record to out. refs maps each value
     written inline earlier in the record to its index, and gains the values
-    tx writes inline; with refs None every value is written inline."""
+    tx writes inline; with refs None every value is written inline. orgs
+    maps each endorsement set written before to its text, and gains tx's."""
     submit_time = repr(tx.submit_time)
     reads = ",".join([f"[{encode_basestring(r.key)},null]" if r.version is None else
                       f"[{encode_basestring(r.key)},[{r.version.block_height},{r.version.tx_index}]]"
                       for r in tx.rwset.reads])
-    out.append(f'{{"endorsements":[{",".join(map(encode_basestring, sorted(tx.endorsements)))}],'
+    endorsements = orgs.get(tx.endorsements)
+    if endorsements is None:
+        endorsements = orgs[tx.endorsements] = ",".join(map(encode_basestring, sorted(tx.endorsements)))
+    out.append(f'{{"endorsements":[{endorsements}],'
                f'"reads":[{reads}],"submit_time":{_NON_FINITE.get(submit_time, submit_time)},'
                f'"tx_id":{encode_basestring(tx.tx_id)},"writes":['.encode("utf-8"))
     opening = "["
@@ -631,13 +634,14 @@ def block_record(block: Block, references: bool = True) -> bytes:
     inline once; with references False, every value inline. A field of the
     wrong type raises TypeError naming its transaction's index."""
     refs = {} if references else None
+    orgs: dict = {}
     out = [f'{{"cut_reason":{encode_basestring(block.cut_reason)},"height":{block.height},'
            f'"transactions":['.encode("utf-8")]
     for i, tx in enumerate(block.transactions):
         if i:
             out.append(b",")
         try:
-            _write_transaction(tx, out, refs)
+            _write_transaction(tx, out, refs, orgs)
         except TypeError as exc:
             raise TypeError(f"transaction {i}: {exc}") from exc
     validity = ",".join([f'[{"true" if v.valid else "false"},{encode_basestring(v.reason)}]'
@@ -653,10 +657,12 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
     and an int no float), which the writer would write back unchanged. Every
     other field is checked by the load rule, which load_block_log applies.
     A text value decodes as base64, or raises ValueError naming its write
-    key, and joins inline, the record's inline values before it; any other
-    value indexes inline. shared maps each key text to its one string and
-    each endorsement list to its one set, and gains those tx brings, so
-    that equal ones load as one object."""
+    key, and its Write joins inline, the record's inline Writes before it;
+    any other value indexes inline, and the write is that Write if its key
+    and flag are the same, else a new Write of that Write's value. shared
+    maps each key text to its one string and each endorsement list to its
+    one set, and gains those tx brings, so that equal ones load as one
+    object."""
     shared = {} if shared is None else shared
     inline = [] if inline is None else inline
     submit_time = doc["submit_time"]
@@ -680,21 +686,27 @@ def transaction_from_jsonable(doc: dict, shared: Optional[dict] = None,
                 value = a2b_base64(value)
             except ValueError as exc:  # binascii.Error, or a non-ASCII text
                 raise ValueError(f"write {key!r}: value is not base64: {exc}") from None
-            inline.append(value)
+            write = Write(shared.setdefault(key, key), value, is_crdt)
+            inline.append(write)
         else:
-            value = inline[value]
-        writes.append(Write(shared.setdefault(key, key), value, is_crdt))
+            write = inline[value]
+            key = shared.setdefault(key, key)
+            if write.key is not key or write.is_crdt is not is_crdt:
+                write = Write(key, write.value, is_crdt)
+        writes.append(write)
     return Transaction(doc["tx_id"], ReadWriteSet(tuple(reads), tuple(writes)), shared[orgs], submit_time)
 
 
 def block_from_jsonable(doc: dict, shared: Optional[dict] = None) -> Block:
     """Block from its log record; raise ValueError unless it has an int
     height, a known cut reason and one verdict per transaction, which the
-    writer would write back unchanged (the load rule checks the rest). A
-    write value referred back to within the block loads as one object, as
-    do equal keys and endorsement lists through shared (see
-    transaction_from_jsonable), and each verdict is the one VERDICTS holds
-    for its reason."""
+    writer would write back unchanged (the load rule checks the rest).
+    Within the record, a write that refers back to a value with the same
+    key and flag loads as the inline write's object, and one under another
+    key or flag shares its value; across records, equal keys and
+    endorsement lists load as one object through shared (see
+    transaction_from_jsonable). Each verdict is the one VERDICTS holds for
+    its reason."""
     height, cut_reason = doc["height"], doc["cut_reason"]
     if type(height) is not int:
         raise ValueError(f"height {height!r} is not an int")
@@ -742,7 +754,10 @@ def load_block_log(path) -> BlockLog:
     file is closed. A file of no record raises LedgerError naming it: every
     saved log holds its genesis or a block. Equal keys and endorsement lists
     load as one object each across the whole log, a genesis key's as the
-    genesis's own string."""
+    genesis's own string; within one record, a write referring back to a
+    value with its key and flag loads as the Write it refers to (see
+    block_from_jsonable), so a key's valid CRDT writes in a block share one
+    Write, as in the live log."""
     log = BlockLog()
     shared: dict = {}
     with closing(read_record_file(path)) as records:

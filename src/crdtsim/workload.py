@@ -53,7 +53,13 @@ class WorkloadConfig:
         rate = self.arrival_rate_tps
         if not 0 < rate < math.inf:
             raise ValueError(f"arrival_rate_tps must be {'positive' if rate <= 0 else 'finite'}, not {rate!r}")
-        if (self.total_txs - 1) / rate == math.inf:
+        try:
+            last_submit = (self.total_txs - 1) / rate
+        except OverflowError:
+            # The value itself is not echoed: it has hundreds of digits.
+            raise ValueError("total_txs is too large: the last proposal's submit time "
+                             "does not fit a float") from None
+        if last_submit == math.inf:
             raise ValueError(f"arrival_rate_tps {rate!r} is too small: the last of total_txs={self.total_txs!r} "
                              f"proposals would be submitted at time inf")
         if not 0 <= self.conflict_pct <= 100:

@@ -96,6 +96,13 @@ def test_run_rejects_an_arrival_rate_too_small_to_schedule(capsys):
     assert code == 0 and "nan" not in out
 
 
+def test_run_rejects_a_total_txs_beyond_float_range(capsys):
+    # Not the OverflowError of (total_txs - 1) / arrival_rate_tps, which names no field.
+    code, out, err = run_cli(capsys, "run", "--txs", "1" + "0" * 309)
+    assert (code, out) == (1, "")
+    assert err == "error: total_txs is too large: the last proposal's submit time does not fit a float\n"
+
+
 # ----------------------------------------------------------------------
 # seed precedence
 
@@ -154,10 +161,11 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"n_write_keys": 2}}', "n_write_keys=2 and n_read_keys=1"),
     (b'{"workload": {"json_depth": 101}}', "json_depth must be within [1, 100], not 101"),
     (b'{"workload": {"arrival_rate_tps": 5e-324}}', "arrival_rate_tps 5e-324 is too small"),
+    (b'{"workload": {"total_txs": 1' + b"0" * 309 + b'}}', "total_txs is too large"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
         "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
         "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
-        "reads-narrower-than-writes", "too-deep", "unschedulable-rate"])
+        "reads-narrower-than-writes", "too-deep", "unschedulable-rate", "total-txs-beyond-float-range"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)

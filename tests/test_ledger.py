@@ -123,6 +123,16 @@ def test_commit_versions_use_position_within_block():
     assert ws.get_state("k") == (b"v", Version(0, 1))
 
 
+def test_a_transactions_writes_share_one_version_in_the_state():
+    ws = WorldState()
+    t0 = make_tx("t0", writes=[Write("a", b"1"), Write("b", b"2")])
+    t1 = make_tx("t1", writes=[Write("c", b"3")])
+    commit_block(ws, BlockLog(), make_validated(
+        0, [t0, t1], [TxVerdict(True, None), TxVerdict(True, None)]))
+    assert ws.get_state("a")[1] is ws.get_state("b")[1] == Version(0, 0)
+    assert ws.get_state("c")[1] == Version(0, 1)
+
+
 def test_later_write_in_same_block_wins():
     ws = WorldState()
     log = BlockLog()

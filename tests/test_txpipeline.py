@@ -1679,6 +1679,67 @@ def test_loaded_block_holds_one_object_per_equal_value_and_endorsement_list(tmp_
             assert tx.endorsements is first.endorsements
 
 
+def test_a_loaded_crdt_run_log_holds_one_write_per_merged_key_and_block_as_the_live_log(tmp_path):
+    outcome = run_single(PipelineConfig(mode=CRDT, max_tx_count=25, snapshot_policy="batch"),
+                         WorkloadConfig(total_txs=100, conflict_pct=100, seed=1))
+    path = tmp_path / "blocks.log"
+    save_block_log(outcome.log, path)
+    loaded = load_block_log(path)
+    assert list(loaded) == list(outcome.log)
+
+    def merged_writes(log):
+        return [w for block in log for tx, verdict in zip(block.transactions, block.validity)
+                if verdict.valid for w in tx.rwset.writes if w.is_crdt]
+
+    live, after_load = merged_writes(outcome.log), merged_writes(loaded)
+    assert len(live) == len(after_load) == 100
+    key_blocks = {(block.height, w.key) for block in outcome.log for tx in block.transactions
+                  for w in tx.rwset.writes if w.is_crdt}
+    assert len({id(w) for w in after_load}) == len({id(w) for w in live}) == len(key_blocks) == 4
+
+
+def test_a_write_referring_back_under_another_key_or_flag_loads_its_own_write():
+    block = Block(0, (make_tx("t1", writes=[Write("k", b"v", True)]),
+                      make_tx("t2", writes=[Write("m", b"v", True)]),
+                      make_tx("t3", writes=[Write("k", b"v", False)]),
+                      make_tx("t4", writes=[Write("k", b"v", True)])),
+                  "count", (TxVerdict(True, VALID),) * 4)
+    record = block_record(block)
+    assert record.count(b'"dg=="') == 1
+    loaded = block_from_jsonable(json.loads(record))
+    assert loaded == block
+    first, other_key, other_flag, same = [tx.rwset.writes[0] for tx in loaded.transactions]
+    assert same is first
+    assert (other_key.key, other_key.is_crdt) == ("m", True) and other_key is not first
+    assert (other_flag.key, other_flag.is_crdt) == ("k", False) and other_flag is not first
+    assert other_key.value is other_flag.value is first.value
+
+
+# t2's write of b"v" refers to t1's.
+SHARING_BLOCK = Block(0, (make_tx("t1", writes=[Write("k", b"v", True)]),
+                          make_tx("t2", writes=[Write("k", b"v", True)])),
+                      "count", (TxVerdict(True, VALID),) * 2)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    # 1 == True, but a flag of 1 writes back as true
+    (b'["k",0,true]', b'["k",0,1]', NOT_WRITTEN),
+    (b'["k",0,true]', b'[7,0,true]',
+     "record 1: TypeError: transaction 1: first argument must be a string, not int"),
+    (b'["k",0,true]', b'[["k"],0,true]', "record 1: TypeError: unhashable type: 'list'"),
+], ids=["int-flag-of-a-referring-write", "int-key-of-a-referring-write",
+        "list-key-of-a-referring-write"])
+def test_load_block_log_rejects_a_damaged_referring_write_naming_the_record(
+        tmp_path, old, new, error):
+    records = [block_record(replace(SHARING_BLOCK, height=h)) for h in range(3)]
+    assert records[1].count(old) == 1
+    path = tmp_path / "blocks.log"
+    write_record_file(path, damage_record_1(lambda record: replace_last(record, old, new))(records))
+    with pytest.raises(LedgerError) as info:
+        load_block_log(path)
+    assert str(info.value).startswith(f"{path}: {error}")
+
+
 def test_a_loaded_logs_keys_are_its_genesis_strings_across_records(tmp_path):
     pipeline = PipelineConfig(mode=CRDT, max_tx_count=10)
     outcome = run_single(pipeline, WorkloadConfig(total_txs=60, conflict_pct=50.0, n_read_keys=3,

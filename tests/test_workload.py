@@ -51,6 +51,14 @@ def test_config_rejects_an_arrival_rate_too_small_to_schedule():
         WorkloadConfig(total_txs=2, arrival_rate_tps=5e-324).validate()
 
 
+def test_config_rejects_a_total_txs_beyond_float_range():
+    # (total_txs - 1) / arrival_rate_tps raises OverflowError for an int past
+    # float range; the error names the field instead.
+    with pytest.raises(ValueError, match=r"^total_txs is too large: the last proposal's submit time "
+                                         r"does not fit a float$"):
+        WorkloadConfig(total_txs=10**309).validate()
+
+
 def test_config_bounds_json_depth():
     WorkloadConfig(json_depth=MAX_JSON_DEPTH).validate()
     with pytest.raises(ValueError, match=r"json_depth must be within \[1, 100\], not 101"):
