@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,6 +63,10 @@ class WorkloadConfig:
         if last_submit == math.inf:
             raise ValueError(f"arrival_rate_tps {rate!r} is too small: the last of total_txs={self.total_txs!r} "
                              f"proposals would be submitted at time inf")
+        if self.total_txs > sys.maxsize:
+            # gen_stream samples the conflicting proposals from range(total_txs), which needs its len().
+            raise ValueError(f"total_txs must be at most {sys.maxsize}, the largest len() on this platform, "
+                             f"not {self.total_txs!r}")
         if not 0 <= self.conflict_pct <= 100:
             raise ValueError(f"conflict_pct must be within [0, 100], not {self.conflict_pct!r}")
         if not 1 <= self.n_write_keys <= self.n_read_keys:
@@ -74,16 +79,29 @@ def gen_iot_json(keys: int, depth: int, rng: random.Random) -> JsonValue:
 
     Depth counts named keys from the room to the temperature leaf; a depth
     below 2 still needs the room key and the value key, so the chain length
-    is max(2, depth).
+    is max(2, depth). Each room draws one rng.randint(0, 40), in room order.
+    Rooms that drew the same value hold one room list; the document shares
+    no object with any other call's document.
     """
     if keys < 1 or depth < 1:
         raise ValueError("keys and depth must be at least 1")
+    return _reading([f"temperatureRoom{i}" for i in range(1, keys + 1)], depth, rng, {})
+
+
+def _reading(room_keys: list, depth: int, rng: random.Random, rooms: dict) -> dict:
+    """A document mapping each room key, in order, to the room list of one
+    fresh draw: rooms[value] if that value was drawn before, else a new list
+    that rooms keeps for the next reading to draw it."""
     doc = {}
-    for i in range(1, keys + 1):
-        inner: JsonValue = {"temperatureValue": str(rng.randint(0, 40))}
-        for _ in range(max(2, depth) - 2):
-            inner = {"temperatureReading": [inner]}
-        doc[f"temperatureRoom{i}"] = [inner]
+    for key in room_keys:
+        value = rng.randint(0, 40)
+        room = rooms.get(value)
+        if room is None:
+            inner: JsonValue = {"temperatureValue": str(value)}
+            for _ in range(max(2, depth) - 2):
+                inner = {"temperatureReading": [inner]}
+            room = rooms[value] = [inner]
+        doc[key] = room
     return doc
 
 
@@ -93,9 +111,11 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
     Proposal args are (keys, reading): the first n_read_keys keys are read,
     one lookup each, and the first n_write_keys of those written. The reading
     is merged with jsoncrdt.union into a fresh parse of each stored document,
-    or of the device skeleton for an absent key, so it is never changed.
-    Stored documents are parsed without a shape check: only this chaincode,
-    the genesis and the validator's merged renders write state, well-shaped.
+    or of the device skeleton for an absent key, so it is never changed:
+    gen_stream's readings share their room lists, so a chaincode must not
+    change its args, or one change would reach many readings. Stored
+    documents are parsed without a shape check: only this chaincode, the
+    genesis and the validator's merged renders write state, well-shaped.
     """
 
     def fn(args, snap) -> ReadWriteSet:
@@ -126,6 +146,12 @@ def gen_stream(config: WorkloadConfig) -> list:
     n_write_keys it writes first. Conflicting proposals place the hot keys
     first and fill the rest with per-proposal unique keys, so their writes
     always collide while surplus reads stay private.
+
+    Readings share their parts: one room list per drawn value serves every
+    reading that drew it, and each room key and client id is one string per
+    stream. Each proposal has its own reading map and args tuple. A chaincode
+    must therefore not change its args: a change to one room list would
+    change every reading that holds it.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -133,6 +159,9 @@ def gen_stream(config: WorkloadConfig) -> list:
     shared = hot_keys(config)
     conflict_count = round(config.total_txs * config.conflict_pct / 100.0)
     conflicting = set(rng.sample(range(config.total_txs), conflict_count))
+    room_keys = [f"temperatureRoom{i}" for i in range(1, config.json_keys + 1)]
+    rooms = {}
+    clients = [f"client{c}" for c in range(1, CLIENT_COUNT + 1)]
     proposals = []
     for i in range(config.total_txs):
         if i in conflicting:
@@ -140,9 +169,9 @@ def gen_stream(config: WorkloadConfig) -> list:
             keys = tuple(shared) + tuple(filler)
         else:
             keys = tuple(f"device-{i}-{j}" for j in range(width))
-        reading = gen_iot_json(config.json_keys, config.json_depth, rng)
+        reading = _reading(room_keys, config.json_depth, rng, rooms)
         proposals.append(Proposal(
-            client_id=f"client{i % CLIENT_COUNT + 1}",
+            client_id=clients[i % CLIENT_COUNT],
             submit_time=i / config.arrival_rate_tps,
             args=(keys, reading),
         ))

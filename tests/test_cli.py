@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,14 @@ def test_run_rejects_a_total_txs_beyond_float_range(capsys):
     assert err == "error: total_txs is too large: the last proposal's submit time does not fit a float\n"
 
 
+def test_run_rejects_a_total_txs_beyond_the_largest_len(capsys):
+    # Not the bare "Python int too large to convert to C ssize_t" of rng.sample.
+    code, out, err = run_cli(capsys, "run", "--txs", str(sys.maxsize + 1), "--conflict-pct", "0")
+    assert (code, out) == (1, "")
+    assert err == (f"error: total_txs must be at most {sys.maxsize}, the largest len() on this platform, "
+                   f"not {sys.maxsize + 1}\n")
+
+
 # ----------------------------------------------------------------------
 # seed precedence
 
@@ -162,10 +171,12 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"json_depth": 101}}', "json_depth must be within [1, 100], not 101"),
     (b'{"workload": {"arrival_rate_tps": 5e-324}}', "arrival_rate_tps 5e-324 is too small"),
     (b'{"workload": {"total_txs": 1' + b"0" * 309 + b'}}', "total_txs is too large"),
+    (b'{"workload": {"total_txs": %d}}' % (sys.maxsize + 1), "total_txs must be at most"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
         "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
         "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
-        "reads-narrower-than-writes", "too-deep", "unschedulable-rate", "total-txs-beyond-float-range"])
+        "reads-narrower-than-writes", "too-deep", "unschedulable-rate", "total-txs-beyond-float-range",
+        "total-txs-beyond-the-largest-len"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -57,6 +58,15 @@ def test_config_rejects_a_total_txs_beyond_float_range():
     with pytest.raises(ValueError, match=r"^total_txs is too large: the last proposal's submit time "
                                          r"does not fit a float$"):
         WorkloadConfig(total_txs=10**309).validate()
+
+
+def test_config_rejects_a_total_txs_beyond_the_largest_len():
+    # gen_stream samples from range(total_txs), whose len() must fit the
+    # platform's size type. sys.maxsize itself passes, and would run until
+    # memory ran out, so it is not tried here.
+    with pytest.raises(ValueError, match=rf"^total_txs must be at most {sys.maxsize}, the largest len\(\) "
+                                         rf"on this platform, not {sys.maxsize + 1}$"):
+        WorkloadConfig(total_txs=sys.maxsize + 1).validate()
 
 
 def test_config_bounds_json_depth():
@@ -120,6 +130,20 @@ def test_gen_iot_json_is_seed_deterministic():
     a = gen_iot_json(3, 4, random.Random(99))
     b = gen_iot_json(3, 4, random.Random(99))
     assert canonical_json_bytes(a) == canonical_json_bytes(b)
+
+
+def test_gen_iot_json_calls_share_no_container():
+    rng = random.Random(4)
+    first, second = gen_iot_json(3, 3, rng), gen_iot_json(3, 3, rng)
+
+    def containers(value):
+        if isinstance(value, dict):
+            return {id(value)}.union(*map(containers, value.values()))
+        if isinstance(value, list):
+            return {id(value)}.union(*map(containers, value))
+        return set()
+
+    assert not containers(first) & containers(second)
 
 
 def test_gen_iot_json_rejects_degenerate_sizes():
@@ -282,6 +306,68 @@ def test_stream_pacing_and_clients():
     assert [p.client_id for p in proposals[:5]] == [
         "client1", "client2", "client3", "client4", "client1"]
     assert CLIENT_COUNT == 4
+
+
+def drawn_value(room):
+    """The temperature text at the end of a room list's chain."""
+    (node,) = room
+    while "temperatureReading" in node:
+        (node,) = node["temperatureReading"]
+    return node["temperatureValue"]
+
+
+def reference_readings(config):
+    """Each proposal's reading as built one fresh object at a time: the
+    conflict sample first, then one randint per room, in room order."""
+    rng = random.Random(config.seed)
+    rng.sample(range(config.total_txs), round(config.total_txs * config.conflict_pct / 100.0))
+    readings = []
+    for _ in range(config.total_txs):
+        doc = {}
+        for i in range(1, config.json_keys + 1):
+            inner = {"temperatureValue": str(rng.randint(0, 40))}
+            for _ in range(max(2, config.json_depth) - 2):
+                inner = {"temperatureReading": [inner]}
+            doc[f"temperatureRoom{i}"] = [inner]
+        readings.append(doc)
+    return readings
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("shape", [
+    dict(total_txs=300, conflict_pct=100.0, json_keys=3, json_depth=3),
+    dict(total_txs=300, conflict_pct=20.0, n_read_keys=2, n_write_keys=2),
+    dict(total_txs=300, conflict_pct=50.0, n_read_keys=3, json_keys=2, json_depth=2),
+    dict(total_txs=40, conflict_pct=50.0, json_keys=4, json_depth=6),
+], ids=["hot", "fresh", "mixed", "deep"])
+def test_stream_readings_equal_fresh_ones_built_from_the_same_draws(shape, seed):
+    config = WorkloadConfig(seed=seed, **shape)
+    assert [p.args[1] for p in gen_stream(config)] == reference_readings(config)
+
+
+def test_stream_readings_that_drew_one_value_hold_one_room_list():
+    stream = gen_stream(WorkloadConfig(total_txs=200, conflict_pct=50.0, json_keys=2, json_depth=3, seed=5))
+    first = {}  # drawn value -> the first room list seen for it
+    for p in stream:
+        for room in p.args[1].values():
+            assert room is first.setdefault(drawn_value(room), room)
+    assert len(first) > 1
+
+
+def test_a_mixed_stream_holds_at_most_one_room_list_per_temperature():
+    # rng.randint(0, 40) draws one of 41 values; crdt-mixed makes 6,000 draws.
+    stream = gen_stream(WorkloadConfig(total_txs=3000, conflict_pct=50.0, n_read_keys=3,
+                                       json_keys=2, json_depth=2, seed=1))
+    assert len({id(room) for p in stream for room in p.args[1].values()}) <= 41
+
+
+def test_stream_shares_room_keys_and_client_ids_but_not_readings_or_args():
+    config = WorkloadConfig(total_txs=60, conflict_pct=50.0, json_keys=3)
+    stream = gen_stream(config)
+    assert len({id(p.client_id) for p in stream}) == CLIENT_COUNT
+    assert len({id(key) for p in stream for key in p.args[1]}) == config.json_keys
+    # Tracing tells proposals apart by id(args); each reading map is its own.
+    assert len({id(p.args) for p in stream}) == len({id(p.args[1]) for p in stream}) == len(stream)
 
 
 def test_stream_conflict_share_is_exact():
