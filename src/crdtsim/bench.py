@@ -9,7 +9,6 @@ merged, read from the block log.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -166,15 +165,18 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> Poi
     total = rep.success_count + rep.failure_count
     if total != workload.total_txs:
         raise BenchError(f"accounting mismatch: {total} classified of {workload.total_txs} generated")
-    # Fabric mode merges nothing.
-    merged = [block_merged_bytes(block) for block in outcome.log] if pipeline.mode == CRDT else []
+    # Fabric mode merges nothing. The median is statistics.median's arithmetic: importing
+    # statistics would load fractions and decimal into every command and benchmark worker.
+    merged = sorted(block_merged_bytes(block) for block in outcome.log) if pipeline.mode == CRDT else [0]
+    half = len(merged) // 2
+    median = merged[half] if len(merged) % 2 else (merged[half - 1] + merged[half]) / 2
     return PointMetrics(
         sweep_value=value,
         success_count=rep.success_count,
         failure_count=rep.failure_count,
         successful_throughput_tps=rep.throughput_tps,
         avg_success_latency_ms=rep.avg_latency_ms,
-        median_block_merged_bytes=float(statistics.median(merged)) if merged else 0.0,
+        median_block_merged_bytes=float(median),
     )
 
 

@@ -175,6 +175,11 @@ class PipelineConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}, not {value!r}")
         try:
+            float(self.block_timeout_ms)  # run_pipeline divides it by 1000.0
+        except OverflowError:
+            # The value itself is not echoed: it has hundreds of digits.
+            raise ValueError("block_timeout_ms is too large: it does not fit a float") from None
+        try:
             for org in self.orgs:
                 org.encode("utf-8")  # every saved block lists them
         except (AttributeError, UnicodeEncodeError):

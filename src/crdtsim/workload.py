@@ -85,16 +85,16 @@ def gen_iot_json(keys: int, depth: int, rng: random.Random) -> JsonValue:
     """
     if keys < 1 or depth < 1:
         raise ValueError("keys and depth must be at least 1")
-    return _reading([f"temperatureRoom{i}" for i in range(1, keys + 1)], depth, rng, {})
+    room_keys = [f"temperatureRoom{i}" for i in range(1, keys + 1)]
+    return _reading(room_keys, [rng.randint(0, 40) for _ in room_keys], depth, {})
 
 
-def _reading(room_keys: list, depth: int, rng: random.Random, rooms: dict) -> dict:
-    """A document mapping each room key, in order, to the room list of one
-    fresh draw: rooms[value] if that value was drawn before, else a new list
-    that rooms keeps for the next reading to draw it."""
+def _reading(room_keys: list, values: Iterable, depth: int, rooms: dict) -> dict:
+    """A new document mapping each room key to the room list of the value
+    drawn for it, in order: rooms[value] if that value was built before,
+    else a new list that rooms keeps for the next reading to draw it."""
     doc = {}
-    for key in room_keys:
-        value = rng.randint(0, 40)
+    for key, value in zip(room_keys, values):
         room = rooms.get(value)
         if room is None:
             inner: JsonValue = {"temperatureValue": str(value)}
@@ -111,11 +111,12 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
     Proposal args are (keys, reading): the first n_read_keys keys are read,
     one lookup each, and the first n_write_keys of those written. The reading
     is merged with jsoncrdt.union into a fresh parse of each stored document,
-    or of the device skeleton for an absent key, so it is never changed:
-    gen_stream's readings share their room lists, so a chaincode must not
-    change its args, or one change would reach many readings. Stored
-    documents are parsed without a shape check: only this chaincode, the
-    genesis and the validator's merged renders write state, well-shaped.
+    or of the device skeleton for an absent key, so it is never changed.
+    gen_stream's proposals share their reading maps and room lists, so a
+    chaincode must not change its args, or one change would reach many
+    proposals. Stored documents are parsed without a shape check: only this
+    chaincode, the genesis and the validator's merged renders write state,
+    well-shaped.
     """
 
     def fn(args, snap) -> ReadWriteSet:
@@ -147,34 +148,35 @@ def gen_stream(config: WorkloadConfig) -> list:
     first and fill the rest with per-proposal unique keys, so their writes
     always collide while surplus reads stay private.
 
-    Readings share their parts: one room list per drawn value serves every
-    reading that drew it, and each room key and client id is one string per
-    stream. Each proposal has its own reading map and args tuple. A chaincode
-    must therefore not change its args: a change to one room list would
-    change every reading that holds it.
+    Readings share their parts: proposals whose draws are equal, room by
+    room, hold one reading map; one room list per drawn value serves every
+    reading that drew it; and each room key and client id is one string per
+    stream. Only the args tuple is each proposal's own. A chaincode must
+    therefore not change its args: a change to one reading map or room list
+    would change every proposal that holds it.
     """
     config.validate()
     rng = random.Random(config.seed)
-    width = config.n_read_keys
-    shared = hot_keys(config)
+    width, rate = config.n_read_keys, config.arrival_rate_tps
+    shared = tuple(hot_keys(config))
+    fill = width - len(shared)  # a conflicting proposal's unique keys
     conflict_count = round(config.total_txs * config.conflict_pct / 100.0)
     conflicting = set(rng.sample(range(config.total_txs), conflict_count))
     room_keys = [f"temperatureRoom{i}" for i in range(1, config.json_keys + 1)]
-    rooms = {}
+    rooms = {}  # drawn value -> room list
+    readings = {}  # tuple of drawn values, in room order -> reading map
     clients = [f"client{c}" for c in range(1, CLIENT_COUNT + 1)]
     proposals = []
     for i in range(config.total_txs):
         if i in conflicting:
-            filler = (f"device-{i}-{j}" for j in range(width - len(shared)))
-            keys = tuple(shared) + tuple(filler)
+            keys = shared + tuple([f"device-{i}-{j}" for j in range(fill)])
         else:
-            keys = tuple(f"device-{i}-{j}" for j in range(width))
-        reading = _reading(room_keys, config.json_depth, rng, rooms)
-        proposals.append(Proposal(
-            client_id=clients[i % CLIENT_COUNT],
-            submit_time=i / config.arrival_rate_tps,
-            args=(keys, reading),
-        ))
+            keys = tuple([f"device-{i}-{j}" for j in range(width)])
+        values = tuple([rng.randrange(41) for _ in room_keys])  # rng.randint(0, 40)'s draw, in fewer calls
+        reading = readings.get(values)
+        if reading is None:
+            reading = readings[values] = _reading(room_keys, values, config.json_depth, rooms)
+        proposals.append(Proposal(clients[i % CLIENT_COUNT], i / rate, (keys, reading)))
     return proposals
 
 

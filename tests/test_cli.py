@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import crdtsim
 from crdtsim.cli import SEED_ENV, main
 from crdtsim.jsoncrdt import canonical_json_bytes
 
@@ -20,6 +23,16 @@ def digest_of(out, fmt="csv"):
         return json.loads(last)["digest"]
     assert last.startswith("digest,")
     return last.split(",", 1)[1]
+
+
+def test_importing_the_cli_does_not_load_statistics():
+    # statistics loads fractions and decimal: about 0.7 MB for each command
+    # and benchmark worker. A fresh interpreter, as this one may hold them.
+    src = str(Path(crdtsim.__file__).parents[1])
+    code = "import sys, crdtsim.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # ----------------------------------------------------------------------
@@ -172,11 +185,12 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"arrival_rate_tps": 5e-324}}', "arrival_rate_tps 5e-324 is too small"),
     (b'{"workload": {"total_txs": 1' + b"0" * 309 + b'}}', "total_txs is too large"),
     (b'{"workload": {"total_txs": %d}}' % (sys.maxsize + 1), "total_txs must be at most"),
+    (b'{"pipeline": {"block_timeout_ms": 1' + b"0" * 400 + b'}}', "block_timeout_ms is too large"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
         "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
         "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
         "reads-narrower-than-writes", "too-deep", "unschedulable-rate", "total-txs-beyond-float-range",
-        "total-txs-beyond-the-largest-len"])
+        "total-txs-beyond-the-largest-len", "timeout-beyond-float-range"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     cfg = tmp_path / "sim.json"
     cfg.write_bytes(content)
@@ -375,7 +389,10 @@ def test_bench_malformed_experiment_file_fails_naming_it(capsys, tmp_path, conte
      "point arrival_rate_tps=-1: arrival_rate_tps must be positive, not -1"),
     ({"sweep_param": "block_timeout_ms", "sweep_values": [1000, float("inf")]},
      "point block_timeout_ms=inf: block_timeout_ms must be finite, not inf"),
-], ids=["conflict-override", "zero-block-size", "negative-rate", "infinite-timeout"])
+    ({"sweep_param": "block_timeout_ms", "sweep_values": [1000, 10**400]},
+     "point block_timeout_ms=1" + "0" * 400 + ": block_timeout_ms is too large: it does not fit a float"),
+], ids=["conflict-override", "zero-block-size", "negative-rate", "infinite-timeout",
+        "timeout-beyond-float-range"])
 def test_bench_out_of_range_experiment_fails_before_any_runs(capsys, tmp_path, overrides,
                                                              message):
     spec_file = tmp_path / "bad.json"

@@ -109,6 +109,10 @@ def test_pipeline_config_validation():
         PipelineConfig(max_tx_count=0).validate()
     with pytest.raises(ValueError, match="^orgs must name at least one org"):
         PipelineConfig(orgs=()).validate()
+    # Not the OverflowError of block_timeout_ms / 1000.0 in run_pipeline, which names no field.
+    with pytest.raises(ValueError, match="^block_timeout_ms is too large: it does not fit a float$"):
+        PipelineConfig(block_timeout_ms=10**400).validate()
+    PipelineConfig(block_timeout_ms=10**308).validate()
     assert PipelineConfig(orgs=("org1", "org2")).policy() == EndorsementPolicy(
         1, frozenset({"org1", "org2"}))
     assert len(fields(PipelineConfig)) == 6
