@@ -3,7 +3,8 @@
 Proposals are simulated against a state snapshot to produce read-write sets,
 endorsed by every configured organization, totally ordered and batched into
 blocks (count, byte, and timeout cuts), then validated and committed.
-Validation checks each transaction's endorsements against the policy first.
+Validation first checks that each transaction's endorsements name at least
+one configured org.
 In fabric mode every transaction passes multi-version concurrency control:
 each read's version must match the committed state overlaid with the writes
 of preceding valid transactions of the same block. In crdt mode writes
@@ -113,17 +114,6 @@ class Transaction:
 
 
 @dataclass(frozen=True, slots=True)
-class EndorsementPolicy:
-    required_orgs: int
-    known_orgs: frozenset
-
-    def __post_init__(self):
-        if not 1 <= self.required_orgs <= len(self.known_orgs):
-            raise ValueError(f"policy requires 1 <= k <= n, not k={self.required_orgs!r} "
-                             f"of n={len(self.known_orgs)} orgs")
-
-
-@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     transactions: tuple
@@ -186,9 +176,6 @@ class PipelineConfig:
             raise ValueError(f"orgs must be UTF-8 text, not {self.orgs!r}") from None
         if not self.orgs:
             raise ValueError("orgs must name at least one org to endorse proposals")
-
-    def policy(self) -> EndorsementPolicy:
-        return EndorsementPolicy(1, frozenset(self.orgs))
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +341,10 @@ def mvcc_validate(tx: Transaction, ws: WorldState, intra_block_writes: dict,
     return True
 
 
-def validate_merge_block(block: Block, ws: WorldState, mode: str,
-                         policy: EndorsementPolicy) -> Block:
-    """The block with its verdicts and, in crdt mode, its valid CRDT writes merged.
+def validate_merge_block(block: Block, ws: WorldState, mode: str, orgs: frozenset) -> Block:
+    """The block with its verdicts and, in crdt mode, its valid CRDT writes
+    merged. A transaction is endorsed if its endorsements name at least one
+    of orgs, the configured org set.
 
     Fabric mode is crdt mode with merging turned off: no key gets a CRDT, so
     no write is exempt from MVCC and none is rewritten.
@@ -369,8 +357,8 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     merged: list = []  # indices of the valid transactions that merged CRDT writes
     overlay: dict = {}
 
-    # One verdict per transaction, in block order. A transaction short of the
-    # policy is neither merged nor checked. In crdt mode its CRDT-flagged
+    # One verdict per transaction, in block order. An unendorsed transaction
+    # is neither merged nor checked. In crdt mode its CRDT-flagged
     # writes are parsed and each checked once against its key's merged
     # document (empty before the key's first merge) next, in write order; the
     # first decode or merge failure invalidates it. MVCC checks the rest:
@@ -382,8 +370,7 @@ def validate_merge_block(block: Block, ws: WorldState, mode: str,
     # the intra-block overlay.
     for i, tx in enumerate(block.transactions):
         writes = tx.rwset.writes
-        endorsed = len(tx.endorsements & policy.known_orgs) >= policy.required_orgs
-        reason = None if endorsed else INVALID_ENDORSEMENT
+        reason = INVALID_ENDORSEMENT if tx.endorsements.isdisjoint(orgs) else None
         crdt_written = frozenset(w.key for w in writes if w.is_crdt) if merging else frozenset()
         checks = []
         if merging and reason is None:
@@ -482,7 +469,11 @@ class RunReport:
         lats = [t.latency_s for t in self.txs if t.validity == VALID]
         if not lats:
             return 0.0
-        return 1000.0 * sum(lats) / len(lats)
+        mean = 1000.0 * sum(lats) / len(lats)
+        if mean == math.inf:
+            # The sum or its product overflowed; the mean of the shares may still fit.
+            mean = 1000.0 * sum(lat / len(lats) for lat in lats)
+        return mean
 
     def summary(self) -> dict:
         return {
@@ -528,7 +519,6 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     config.validate()
     ws = ws if ws is not None else WorldState()
     log = log if log is not None else BlockLog()
-    policy = config.policy()
     endorsers = frozenset(config.orgs)
     timeout_s = config.block_timeout_ms / 1000.0
     orderer = Orderer(config.max_tx_count, config.max_bytes, timeout_s,
@@ -537,7 +527,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     by_tx_id: dict = {}
 
     def settle(block: Block, now: float) -> None:
-        block = validate_merge_block(block, ws, config.mode, policy)
+        block = validate_merge_block(block, ws, config.mode, endorsers)
         commit_block(ws, log, block)
         for tx, verdict in zip(block.transactions, block.validity):
             record = by_tx_id[tx.tx_id]

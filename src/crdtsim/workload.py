@@ -74,21 +74,6 @@ class WorkloadConfig:
                              f"writes, not n_write_keys={self.n_write_keys!r} and n_read_keys={self.n_read_keys!r}")
 
 
-def gen_iot_json(keys: int, depth: int, rng: random.Random) -> JsonValue:
-    """Temperature document with `keys` rooms and nesting chains of `depth` keys.
-
-    Depth counts named keys from the room to the temperature leaf; a depth
-    below 2 still needs the room key and the value key, so the chain length
-    is max(2, depth). Each room draws one rng.randint(0, 40), in room order.
-    Rooms that drew the same value hold one room list; the document shares
-    no object with any other call's document.
-    """
-    if keys < 1 or depth < 1:
-        raise ValueError("keys and depth must be at least 1")
-    room_keys = [f"temperatureRoom{i}" for i in range(1, keys + 1)]
-    return _reading(room_keys, [rng.randint(0, 40) for _ in room_keys], depth, {})
-
-
 def _reading(room_keys: list, values: Iterable, depth: int, rooms: dict) -> dict:
     """A new document mapping each room key to the room list of the value
     drawn for it, in order: rooms[value] if that value was built before,

@@ -1,12 +1,14 @@
 """Acceptance gate: one test per required behavior, numbered 01 through 10.
 
-Each test is self-contained, uses independent oracles where the expected
-value is non-trivial, and asserts the stated time budget.
+Each test is self-contained and asserts the stated time budget. Where the
+expected value is non-trivial it comes from an oracle of
+tests/reference_pipeline.py: the path union (06), the leaf multisets (07)
+and the block validator, replayed from the genesis (03).
 """
 
 import json
 import random
-from collections import Counter
+from functools import reduce
 from pathlib import Path
 from time import perf_counter
 
@@ -19,7 +21,6 @@ from crdtsim.txpipeline import (
     INVALID_MVCC,
     VALID,
     Block,
-    EndorsementPolicy,
     PipelineConfig,
     Read,
     ReadWriteSet,
@@ -31,9 +32,11 @@ from crdtsim.txpipeline import (
     validate_merge_block,
 )
 from crdtsim.workload import WorkloadConfig
+from reference_pipeline import (reference_commit, reference_genesis, reference_leaf_multisets,
+                                reference_union, reference_validate_block)
 
 DATA = Path(__file__).parent / "data"
-POLICY = EndorsementPolicy(1, frozenset({"org1", "org2", "org3"}))
+ORGS = frozenset({"org1", "org2", "org3"})
 
 
 def load_doc(name):
@@ -47,77 +50,6 @@ def crdt_tx(tx_id, key, doc, endorsed=True):
         endorsements=frozenset({"org1"}) if endorsed else frozenset(),
         submit_time=0.0,
     )
-
-
-# ----------------------------------------------------------------------
-# independent oracles
-
-
-def union_oracle(docs):
-    """Brute-force path union: maps merge per key, lists concatenate in doc
-    order, a register keeps the latest writer's value."""
-
-    def union(a, b):
-        if isinstance(a, dict) and isinstance(b, dict):
-            out = dict(a)
-            for key, value in b.items():
-                out[key] = union(out[key], value) if key in out else value
-            return out
-        if isinstance(a, list) and isinstance(b, list):
-            return a + b
-        return b
-
-    merged = docs[0]
-    for doc in docs[1:]:
-        merged = union(merged, doc)
-    return merged
-
-
-def naive_mvcc_replay(blocks, required_orgs=1, genesis=None):
-    """Replay the version-matching rule from genesis with one mutable map.
-
-    The map starts from the genesis versions: key i at (i // chunk, i % chunk).
-    Valid transactions immediately advance the key versions they write, so a
-    later transaction of the same block already sees the bump.
-    """
-    versions = {}
-    if genesis is not None:
-        versions = {key: (i // genesis.chunk, i % genesis.chunk)
-                    for i, key in enumerate(genesis.keys)}
-    verdicts = {}
-    for block in blocks:
-        for index, tx in enumerate(block.transactions):
-            if len(tx.endorsements) < required_orgs:
-                verdicts[tx.tx_id] = False
-                continue
-            ok = True
-            for read in tx.rwset.reads:
-                expected = None
-                if read.version is not None:
-                    expected = (read.version.block_height, read.version.tx_index)
-                if versions.get(read.key) != expected:
-                    ok = False
-                    break
-            verdicts[tx.tx_id] = ok
-            if ok:
-                for write in tx.rwset.writes:
-                    versions[write.key] = (block.height, index)
-    return verdicts
-
-
-def leaf_multisets(doc, path=(), acc=None):
-    """Multiset of string leaves at every path; list levels collapse to []."""
-    if acc is None:
-        acc = {}
-    if isinstance(doc, str):
-        acc.setdefault(path, Counter())[doc] += 1
-    elif isinstance(doc, list):
-        for item in doc:
-            leaf_multisets(item, path + ("[]",), acc)
-    else:
-        for key, value in doc.items():
-            leaf_multisets(value, path + (key,), acc)
-    return acc
 
 
 # Shared-schema document pairs: both documents draw their shapes from one
@@ -169,7 +101,7 @@ def test_criterion_01_golden_merge_of_two_device_writes():
 
     block = Block(0, (crdt_tx("t1", "Device1", tx1_doc),
                       crdt_tx("t2", "Device1", tx2_doc)), "count")
-    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     first, second = (tx.rwset.writes[0].value for tx in vblock.transactions)
     assert first == second == canonical_json_bytes(expected)
     assert perf_counter() - started < 1.0
@@ -194,11 +126,16 @@ def test_criterion_03_fabric_mode_admits_one_verified_by_naive_oracle():
     assert outcome.report.failure_count == 999
     assert outcome.log[0].validity[0].valid  # first transaction of the first block
 
-    oracle = naive_mvcc_replay(list(outcome.log), genesis=outcome.log.genesis)
+    state = reference_genesis(outcome.log.genesis.keys, outcome.log.genesis.chunk)
+    oracle = {}
+    for block in outcome.log:
+        block = reference_validate_block(block, state, FABRIC, pipeline.orgs)
+        reference_commit(state, block)
+        oracle.update((tx.tx_id, verdict.reason) for tx, verdict in zip(block.transactions, block.validity))
     assert len(oracle) == len(outcome.report.txs) == 1000
     for record in outcome.report.txs:
         assert record.validity in (VALID, INVALID_MVCC)
-        assert oracle[record.tx_id] == (record.validity == VALID)
+        assert oracle[record.tx_id] == record.validity
     assert perf_counter() - started < 30.0
 
 
@@ -224,7 +161,7 @@ def test_criterion_04_strict_version_matching_on_the_five_tx_block():
         tx("t4", [Read("K3", vn2)], [Write("K2", b"VL1")]),
         tx("t5", [], [Write("K3", b"VL2")]),
     ), "count")
-    vblock = validate_merge_block(block, ws, FABRIC, POLICY)
+    vblock = validate_merge_block(block, ws, FABRIC, ORGS)
     reasons = [v.reason for v in vblock.validity]
     assert reasons[0] == VALID
     assert reasons[1] == INVALID_MVCC
@@ -236,6 +173,10 @@ def test_criterion_04_strict_version_matching_on_the_five_tx_block():
     # transaction evaluates invalid here.
     assert reasons[3] == INVALID_MVCC
     assert reasons[4] == VALID
+    commit_block(ws, log, vblock)
+    assert ws.get_state("K2") == (b"VL1", Version(4, 0))
+    assert ws.get_state("K3") == (b"VL2", Version(4, 4))
+    assert ws.get_state("K1") == (b"VL1", vn1)
     assert perf_counter() - started < 1.0
 
 
@@ -272,11 +213,11 @@ def test_criterion_06_merged_documents_match_the_path_union_oracle():
         ), "count")
         ws = WorldState()
         log = BlockLog()
-        vblock = validate_merge_block(block, ws, CRDT, POLICY)
+        vblock = validate_merge_block(block, ws, CRDT, ORGS)
         commit_block(ws, log, vblock)
         stored, _ = ws.get_state("asset")
         surviving = [doc for doc, ok in zip(docs, endorsed) if ok]
-        assert json.loads(stored) == union_oracle(surviving), f"case {case}"
+        assert json.loads(stored) == reduce(reference_union, surviving), f"case {case}"
     assert perf_counter() - started < 60.0
 
 
@@ -293,7 +234,8 @@ def test_criterion_07_merge_order_permutation_keeps_leaf_multisets():
         backward = init_empty_crdt("k", d2)
         backward.merge_json(d2)
         backward.merge_json(d1)
-        assert leaf_multisets(forward.to_json()) == leaf_multisets(backward.to_json()), f"case {case}"
+        assert (reference_leaf_multisets(forward.to_json())
+                == reference_leaf_multisets(backward.to_json())), f"case {case}"
     assert perf_counter() - started < 60.0
 
 
@@ -344,7 +286,7 @@ def test_criterion_10_double_spend_block_commits_by_mode():
         "bootstrap-000000",
         ReadWriteSet(reads=(), writes=(Write("asset-1", canonical_json_bytes(asset_doc), False),)),
         frozenset({"org1"}), 0.0), ), "count")
-    commit_block(ws, log, validate_merge_block(bootstrap, ws, FABRIC, POLICY))
+    commit_block(ws, log, validate_merge_block(bootstrap, ws, FABRIC, ORGS))
     asset_version = ws.get_state("asset-1")[1]
 
     def transfer(i):
@@ -356,9 +298,9 @@ def test_criterion_10_double_spend_block_commits_by_mode():
             frozenset({"org1"}), 0.0)
 
     block = Block(1, tuple(transfer(i) for i in range(5)), "count")
-    crdt_verdicts = validate_merge_block(block, ws, CRDT, POLICY).validity
+    crdt_verdicts = validate_merge_block(block, ws, CRDT, ORGS).validity
     assert sum(v.valid for v in crdt_verdicts) == 5
-    fabric_verdicts = validate_merge_block(block, ws, FABRIC, POLICY).validity
+    fabric_verdicts = validate_merge_block(block, ws, FABRIC, ORGS).validity
     assert sum(v.valid for v in fabric_verdicts) <= 1
     assert sum(v.valid for v in fabric_verdicts) == 1  # the first transfer
     assert perf_counter() - started < 1.0

@@ -99,7 +99,7 @@ def test_populate_installs_what_one_bootstrap_transaction_per_key_commits(mode):
                                     {"deviceID": key})),)),
                                 frozenset(pipeline.orgs), 0.0)
                     for i, key in enumerate(keys[start:start + 3]))
-        block = validate_merge_block(Block(len(log), txs, "count"), ws, mode, pipeline.policy())
+        block = validate_merge_block(Block(len(log), txs, "count"), ws, mode, frozenset(pipeline.orgs))
         assert all(v.valid for v in block.validity)
         commit_block(ws, log, block)
     genesis_ws, genesis_log = WorldState(), BlockLog()

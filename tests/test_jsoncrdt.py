@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +11,8 @@ from crdtsim.jsoncrdt import (
     canonical_json_bytes,
     init_empty_crdt,
 )
+from reference_pipeline import (reference_json_bytes, reference_leaf_multisets, reference_merge,
+                                reference_pruned_copy, reference_union)
 
 TX1 = {"tempReadings": [{"temperature": "15"}]}
 TX2 = {"tempReadings": [{"temperature": "20"}]}
@@ -285,10 +285,6 @@ def test_canonical_json_bytes_sorts_map_keys():
     assert canonical_json_bytes({"u": "é"}) == '{"u":"é"}'.encode("utf-8")
 
 
-def reference_json_bytes(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-
-
 # Text that needs escaping or stays raw: quotes, backslashes, control
 # characters, U+2028 and non-ASCII, mixed with arbitrary text.
 TRICKY_TEXT = st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028",
@@ -302,6 +298,8 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=300)
 @given(JSON_VALUES)
+@example({"submit_time": [1e-05, 1e300, 3.0, 0.1, 0.0, -0.0, 5e-324, 1.7976931348623157e308]})
+@example({"inf": [float("inf"), -float("inf"), float("nan")], "big": [2 ** 70, -2 ** 64]})
 def test_property_canonical_json_bytes_equals_sorted_compact_dumps(value):
     assert canonical_json_bytes(value) == reference_json_bytes(value)
 
@@ -316,10 +314,10 @@ def test_canonical_json_bytes_raises_on_a_self_referencing_list():
 
 
 def test_check_document_shape_accepts_supported_values():
-    # The reference walk below, and JsonCrdt.check on a map holding the value.
+    # The reference walk, and JsonCrdt.check on a map holding the value.
     for value in ("x", ["a", ["b"], {"c": "d"}], {"k": [{"n": "1"}]}):
-        check_document_shape(value)
-        JsonCrdt("k").check({"v": value})
+        assert reference_pruned_copy(value) == jsoncrdt._pruned_copy(value)
+        assert JsonCrdt("k").check({"v": value}) == ({"v": value}, reference_pruned_copy(value)[1])
 
 
 # ----------------------------------------------------------------------
@@ -368,37 +366,23 @@ def test_property_clock_equals_generated_inserts(docs):
             crdt.merge_json(doc)
         except StructuralConflictError:
             return
-        inserts += sum(1 for _ in _iter_leaves(doc))
+        inserts += reference_pruned_copy(doc)[1]
     assert crdt.clock == inserts
     assert len(crdt.applied) == inserts
 
 
-def _iter_leaves(value):
-    if isinstance(value, str):
-        yield value
-    elif isinstance(value, list):
-        for item in value:
-            yield from _iter_leaves(item)
-    else:
-        for item in value.values():
-            yield from _iter_leaves(item)
-
-
-def _list_multisets(value, path=(), acc=None):
-    # multiset of canonicalized elements for every list in the document
-    if acc is None:
-        acc = {}
-    if isinstance(value, list):
-        bucket = acc.setdefault(path, {})
-        for item in value:
-            blob = canonical_json_bytes(item)
-            bucket[blob] = bucket.get(blob, 0) + 1
-        for item in value:
-            _list_multisets(item, path + ("[]",), acc)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _list_multisets(item, path + (key,), acc)
-    return acc
+@given(st.lists(DOCS, min_size=2, max_size=3))
+def test_property_merge_matches_sequential_union(docs):
+    crdt = init_empty_crdt("k", docs[0])
+    expected = docs[0]
+    try:
+        for doc in docs:
+            crdt.merge_json(doc)
+    except StructuralConflictError:
+        return
+    for doc in docs[1:]:
+        expected = reference_union(expected, doc)
+    assert crdt.to_json() == expected
 
 
 @settings(max_examples=60)
@@ -413,65 +397,10 @@ def test_property_merge_order_keeps_list_contents_as_multisets(d1, d2):
         return
     second.merge_json(d2)
     second.merge_json(d1)
-    assert _list_multisets(first.to_json()) == _list_multisets(second.to_json())
 
-
-# A reference merge, independent of the engine: prune, then union.
-
-
-def _reference_shape_ok(value):
-    if isinstance(value, list):
-        return all(map(_reference_shape_ok, value))
-    if isinstance(value, dict):
-        return all(isinstance(k, str) and k and _reference_shape_ok(v) for k, v in value.items())
-    return isinstance(value, str)
-
-
-def _reference_prune(value):
-    # value without containers that hold no text leaf; None if nothing is left
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        kept = [p for p in map(_reference_prune, value) if p is not None]
-    else:
-        kept = {k: p for k, v in value.items() if (p := _reference_prune(v)) is not None}
-    return kept or None
-
-
-def _reference_union(held, doc):
-    if isinstance(held, dict) and isinstance(doc, dict):
-        return {**held, **{k: _reference_union(held[k], v) if k in held else v
-                           for k, v in doc.items()}}
-    if type(held) is not type(doc):
-        raise StructuralConflictError
-    return held + doc if isinstance(doc, list) else doc
-
-
-def reference_merge(held, doc):
-    """held with doc merged into it, or raise the error that merge must raise."""
-    if not (_reference_shape_ok(doc) and isinstance(doc, (str, dict))):
-        raise DocumentShapeError
-    if isinstance(doc, str) and held and isinstance(held, dict):
-        raise StructuralConflictError
-    if isinstance(doc, str):
-        return doc
-    if isinstance(held, str):
-        raise StructuralConflictError
-    return _reference_union(held, _reference_prune(doc) or {})
-
-
-@given(st.lists(DOCS, min_size=2, max_size=3))
-def test_property_merge_matches_sequential_union(docs):
-    crdt = init_empty_crdt("k", docs[0])
-    expected = docs[0]
-    try:
-        for doc in docs:
-            crdt.merge_json(doc)
-    except StructuralConflictError:
-        return
-    for doc in docs[1:]:
-        expected = _reference_union(expected, doc)
-    assert crdt.to_json() == expected
+    def under_lists(doc):  # a leaf under a map keeps its latest value, so only these are equal
+        return {path: leaves for path, leaves in reference_leaf_multisets(doc).items() if "[]" in path}
+    assert under_lists(first.to_json()) == under_lists(second.to_json())
 
 
 # Unlike DOCS: empty containers, bare strings, few keys (so kinds clash) and
@@ -490,23 +419,34 @@ ANY_DOCS = st.one_of(
 )
 
 
+def outcome(fn, *args) -> tuple:
+    """(None, what fn returns), or the type and message of the CrdtError it raises."""
+    try:
+        return None, fn(*args)
+    except CrdtError as exc:
+        return type(exc), str(exc)
+
+
+def merge_outcome(crdt, merge) -> tuple:
+    """outcome(merge), then crdt's document and clock."""
+    return outcome(merge), canonical_json_bytes(crdt.to_json()), crdt.clock
+
+
 @settings(max_examples=300)
-@given(st.lists(ANY_DOCS, max_size=6))
+@given(st.lists(ANY_DOCS | DOCS, max_size=6))
 def test_property_merge_matches_the_reference_or_raises_and_changes_nothing(docs):
+    # Each merge gives the reference's document, or its error and message
+    # and leaves the document as it was; the clock counts merged leaves.
     crdt = init_empty_crdt("k", "s")
-    expected = {}
+    expected, leaves = {}, 0
     for doc in docs:
         try:
-            expected = reference_merge(expected, doc)
+            expected, leaves = reference_merge(expected, doc), leaves + reference_pruned_copy(doc)[1]
+            error = None, None
         except CrdtError as exc:
-            before = canonical_json_bytes(crdt.to_json()), crdt.clock
-            with pytest.raises(CrdtError) as info:
-                crdt.merge_json(doc)
-            assert info.type is type(exc)
-            assert (canonical_json_bytes(crdt.to_json()), crdt.clock) == before
-        else:
-            crdt.merge_json(doc)
-        assert canonical_json_bytes(crdt.to_json()) == canonical_json_bytes(expected)
+            error = type(exc), str(exc)
+        assert merge_outcome(crdt, lambda: crdt.merge_json(doc)) == (
+            error, canonical_json_bytes(expected), leaves)
 
 
 @settings(max_examples=300)
@@ -534,16 +474,6 @@ def test_property_a_check_before_a_merge_changes_no_outcome(steps):
         previous = doc
 
 
-def merge_outcome(crdt, merge) -> tuple:
-    """The error merge() raises, if any, then crdt's document and clock."""
-    try:
-        merge()
-        error = None
-    except CrdtError as exc:
-        error = (type(exc), str(exc))
-    return error, canonical_json_bytes(crdt.to_json()), crdt.clock
-
-
 @settings(max_examples=300)
 @given(st.lists(ANY_DOCS, max_size=6))
 def test_property_merging_a_check_result_equals_merging_the_document(docs):
@@ -562,28 +492,20 @@ BAD_SHAPES = st.one_of(
 )
 
 
-def check_document_shape(value):
-    """The shape rule as a plain walk that copies nothing: the reference
-    for the errors JsonCrdt.check raises, in the order it meets them."""
-    if isinstance(value, str):
-        return
-    if isinstance(value, list):
-        for item in value:
-            check_document_shape(item)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            if not (isinstance(key, str) and key):
-                raise DocumentShapeError("map keys must be non-empty" if key == ""
-                                         else f"map key {key!r} is not text")
-            check_document_shape(item)
-    else:
-        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
-
-
-def check_document(doc):
-    check_document_shape(doc)
-    if isinstance(doc, list):
-        raise DocumentShapeError("top-level document must be a map or a string")
+@settings(max_examples=500)
+@given(BAD_SHAPES | JSON_VALUES)
+@example({})
+@example([])
+@example({"a": {}, "b": [[], {"c": []}], "d": "x"})
+@example([[[]], {"a": [{}]}, "x", [["y"]]])
+@example({"a": [{"b": []}, None]})
+@example({"a": [[], {"": "x"}]})
+def test_property_one_pass_pruned_copy_equals_the_two_pass_walk(doc):
+    # jsoncrdt._pruned_copy against the reference's two-pass walk, and
+    # JsonCrdt.check, which adds the top-level rule, against the reference merge.
+    assert outcome(jsoncrdt._pruned_copy, doc) == outcome(reference_pruned_copy, doc)
+    assert outcome(JsonCrdt("k").check, doc) == outcome(
+        lambda doc: (reference_merge({}, doc), reference_pruned_copy(doc)[1]), doc)
 
 
 def _shape_error(check, doc):
@@ -598,45 +520,5 @@ def _shape_error(check, doc):
 @given(BAD_SHAPES | JSON_VALUES)
 def test_property_check_raises_the_shape_error_decoding_raises(doc):
     # JsonCrdt.check walks the document once, copying it as it checks the
-    # shape; the first error it meets is the one the reference walk meets.
-    assert _shape_error(JsonCrdt("k").check, doc) == _shape_error(check_document, doc)
-
-
-def two_pass_pruned_copy(value):
-    """The shape check and pruned copy as two passes per container: copy
-    every child first, then keep the copies that hold a text leaf and add up
-    their leaves. The reference for jsoncrdt._pruned_copy's one pass."""
-    if isinstance(value, str):
-        return value, 1
-    if isinstance(value, list):
-        pairs = [two_pass_pruned_copy(item) for item in value]
-        return [copy for copy, count in pairs if count], sum(count for _, count in pairs)
-    if not isinstance(value, dict):
-        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
-    pairs = {}
-    for key, item in value.items():
-        if not (isinstance(key, str) and key):
-            raise DocumentShapeError("map keys must be non-empty" if key == ""
-                                     else f"map key {key!r} is not text")
-        pairs[key] = two_pass_pruned_copy(item)
-    return ({key: copy for key, (copy, count) in pairs.items() if count},
-            sum(count for _, count in pairs.values()))
-
-
-@settings(max_examples=500)
-@given(BAD_SHAPES | JSON_VALUES)
-@example({})
-@example([])
-@example({"a": {}, "b": [[], {"c": []}], "d": "x"})
-@example([[[]], {"a": [{}]}, "x", [["y"]]])
-@example({"a": [{"b": []}, None]})
-@example({"a": [[], {"": "x"}]})
-def test_property_one_pass_pruned_copy_equals_the_two_pass_walk(doc):
-    try:
-        expected = two_pass_pruned_copy(doc)
-    except DocumentShapeError as exc:
-        with pytest.raises(DocumentShapeError) as info:
-            jsoncrdt._pruned_copy(doc)
-        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
-    else:
-        assert jsoncrdt._pruned_copy(doc) == expected
+    # shape; the first error it meets is the one the reference merge meets.
+    assert _shape_error(JsonCrdt("k").check, doc) == _shape_error(lambda doc: reference_merge({}, doc), doc)

@@ -1,12 +1,11 @@
-import base64
 import io
 import json
+import math
 import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Optional
 from unittest import mock
 
 import pytest
@@ -33,13 +32,14 @@ from crdtsim.txpipeline import (
     Block,
     ChaincodeSpec,
     DuplicateTransactionError,
-    EndorsementPolicy,
     Orderer,
     PipelineConfig,
     Proposal,
     Read,
     ReadWriteSet,
+    RunReport,
     Transaction,
+    TxRecord,
     TxVerdict,
     Write,
     block_from_jsonable,
@@ -54,9 +54,10 @@ from crdtsim.txpipeline import (
     validate_merge_block,
 )
 from crdtsim.workload import WorkloadConfig
+from reference_pipeline import (ExactSizeOrderer, reference_block_jsonable, reference_json_bytes,
+                                reference_transaction_jsonable)
 
 ORGS = frozenset({"org1", "org2", "org3"})
-POLICY = EndorsementPolicy(1, ORGS)
 
 TX1_DOC = {"tempReadings": [{"temperature": "15"}]}
 TX2_DOC = {"tempReadings": [{"temperature": "20"}]}
@@ -90,15 +91,6 @@ def test_rwset_rejects_duplicate_write_keys():
         ReadWriteSet(writes=(Write("k", b"a"), Write("k", b"b")))
 
 
-def test_policy_bounds():
-    with pytest.raises(ValueError):
-        EndorsementPolicy(0, ORGS)
-    with pytest.raises(ValueError):
-        EndorsementPolicy(4, ORGS)
-    with pytest.raises(ValueError, match="not k=1 of n=0 orgs"):
-        EndorsementPolicy(1, frozenset())
-
-
 def test_pipeline_config_validation():
     PipelineConfig().validate()
     with pytest.raises(ValueError):
@@ -113,8 +105,6 @@ def test_pipeline_config_validation():
     with pytest.raises(ValueError, match="^block_timeout_ms is too large: it does not fit a float$"):
         PipelineConfig(block_timeout_ms=10**400).validate()
     PipelineConfig(block_timeout_ms=10**308).validate()
-    assert PipelineConfig(orgs=("org1", "org2")).policy() == EndorsementPolicy(
-        1, frozenset({"org1", "org2"}))
     assert len(fields(PipelineConfig)) == 6
     with pytest.raises(TypeError):
         PipelineConfig(endorsement_k=1)
@@ -212,87 +202,26 @@ def test_orderer_empty_queue_never_cuts():
     assert orderer.cut_block(1e9) is None
 
 
-class ExactSizeOrderer:
-    """The orderer as it was before the size bound: every transaction is
-    sized exactly at submit. Kept as the reference for cut decisions."""
-
-    def __init__(self, max_tx_count: int, max_bytes: int, timeout_s: float, first_height: int = 0):
-        self.max_tx_count = max_tx_count
-        self.max_bytes = max_bytes
-        self.timeout_s = timeout_s
-        self.next_height = first_height
-        self._queue: list = []  # (tx, encoded size), enqueued at tx.submit_time
-        self._queued_bytes = 0
-        self._seen_tx_ids: set = set()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def timeout_deadline(self) -> Optional[float]:
-        return self._queue[0][0].submit_time + self.timeout_s if self._queue else None
-
-    def submit(self, tx: Transaction) -> None:
-        if tx.tx_id in self._seen_tx_ids:
-            raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
-        self._seen_tx_ids.add(tx.tx_id)
-        size = transaction_encoded_size(tx)
-        self._queue.append((tx, size))
-        self._queued_bytes += size
-
-    def cut_block(self, now: float) -> Optional[Block]:
-        if not self._queue:
-            return None
-        if len(self._queue) >= self.max_tx_count:
-            return self._emit(self.max_tx_count, "count")
-        if self._queued_bytes >= self.max_bytes:
-            return self._emit(self._byte_prefix(), "bytes")
-        if now >= self.timeout_deadline:
-            return self._emit(len(self._queue), "timeout")
-        return None
-
-    def _byte_prefix(self) -> int:
-        total = 0
-        count = 0
-        for _, size in self._queue:
-            if count > 0 and total + size > self.max_bytes:
-                break
-            total += size
-            count += 1
-        return count
-
-    def _emit(self, count: int, reason: str) -> Block:
-        taken = self._queue[:count]
-        del self._queue[:count]
-        self._queued_bytes -= sum(size for _, size in taken)
-        block = Block(
-            height=self.next_height,
-            transactions=tuple(tx for tx, _ in taken),
-            cut_reason=reason,
-        )
-        self.next_height += 1
-        return block
-
-
 # Text the canonical encoder escapes (quote, backslash, control characters),
 # passes raw (U+2028, non-ASCII, astral) or both, beside arbitrary text.
 TEXT = st.text(alphabet=st.sampled_from('"\\\x00\x1f\n\u2028\x7fé€😀a'), max_size=20) | st.text(max_size=8)
 BIG_INTS = st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
 TIMES = st.floats() | st.integers(-10 ** 22, 10 ** 22)  # no longer than the longest float
 VERSIONS = st.none() | st.builds(Version, BIG_INTS, BIG_INTS)
-TRANSACTIONS = st.builds(
-    Transaction,
-    tx_id=TEXT,
-    rwset=st.builds(
-        ReadWriteSet,
-        reads=st.lists(st.builds(Read, TEXT, VERSIONS), max_size=4,
-                       unique_by=lambda r: r.key).map(tuple),
-        writes=st.lists(st.builds(Write, TEXT, st.binary(max_size=40), st.booleans()), max_size=4,
-                        unique_by=lambda w: w.key).map(tuple),
-    ),
-    endorsements=st.frozensets(TEXT, max_size=4),
-    submit_time=TIMES,
-)
+
+
+def transactions(text, versions, values, times, max_size):
+    """Transactions of fields drawn from these, with up to max_size of each list."""
+    return st.builds(Transaction, tx_id=text, endorsements=st.frozensets(text, max_size=max_size),
+                     submit_time=times, rwset=st.builds(
+                         ReadWriteSet,
+                         reads=st.lists(st.builds(Read, text, versions), max_size=max_size,
+                                        unique_by=lambda r: r.key).map(tuple),
+                         writes=st.lists(st.builds(Write, text, values, st.booleans()), max_size=max_size,
+                                         unique_by=lambda w: w.key).map(tuple)))
+
+
+TRANSACTIONS = transactions(TEXT, VERSIONS, st.binary(max_size=40), TIMES, 4)
 
 
 # Each example leaves the bound no slack beyond one comma per list, so a
@@ -401,7 +330,7 @@ def test_lone_surrogate_read_key_fails_at_the_byte_cut_or_the_save(tmp_path):
     orderer.submit(bad)
     ws, log = WorldState(), BlockLog()
     while (block := orderer.cut_block(0.0)) is not None:
-        commit_block(ws, log, validate_merge_block(block, ws, FABRIC, POLICY))
+        commit_block(ws, log, validate_merge_block(block, ws, FABRIC, ORGS))
     path = tmp_path / "blocks.log"
     path.write_bytes(b"an older log")
     with pytest.raises(UnicodeEncodeError):
@@ -468,7 +397,7 @@ def test_block_of_five_reproduces_strict_version_matching():
         make_tx("t4", reads=[Read("K3", vn2)], writes=[Write("K2", b"VL1")]),
         make_tx("t5", reads=[], writes=[Write("K3", b"VL2")]),
     ), "count")
-    vblock = validate_merge_block(block, ws, FABRIC, POLICY)
+    vblock = validate_merge_block(block, ws, FABRIC, ORGS)
     reasons = [v.reason for v in vblock.validity]
     assert reasons[0] == VALID
     assert reasons[1] == INVALID_MVCC  # K2 bumped by t1 earlier in the block
@@ -476,11 +405,6 @@ def test_block_of_five_reproduces_strict_version_matching():
     # t4 reads K3 at a version K3 never held; strict matching cannot pass it
     assert reasons[3] == INVALID_MVCC
     assert reasons[4] == VALID
-
-    commit_block(ws, log, vblock)
-    assert ws.get_state("K2") == (b"VL1", Version(4, 0))
-    assert ws.get_state("K3") == (b"VL2", Version(4, 4))
-    assert ws.get_state("K1") == (b"VL1", vn1)
 
 
 def replay_stub(height):
@@ -506,7 +430,7 @@ def test_undecodable_payload_is_a_decode_verdict_and_a_merge_demo_error(payload,
     block = Block(0, (make_tx("t1", writes=[Write("k", payload, True)]),
                       make_tx("t2", writes=[Write("k", jbytes({"a": "1"}), True),
                                             Write("s", jbytes("plain"), True)])), "count")
-    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [INVALID_DECODE, VALID]
     assert [json.loads(w.value) for w in vblock.transactions[1].rwset.writes] == [{"a": "1"},
                                                                                  "plain"]
@@ -528,7 +452,7 @@ def test_fabric_same_key_writers_conflict():
         make_tx("t1", reads=[Read("Device1", None)], writes=[Write("Device1", jbytes(TX1_DOC), True)]),
         make_tx("t2", reads=[Read("Device1", None)], writes=[Write("Device1", jbytes(TX2_DOC), True)]),
     ), "count")
-    vblock = validate_merge_block(block, ws, FABRIC, POLICY)
+    vblock = validate_merge_block(block, ws, FABRIC, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC]
     # fabric mode never touches write payloads, flagged or not
     assert vblock.transactions[0].rwset.writes[0].value == jbytes(TX1_DOC)
@@ -536,22 +460,14 @@ def test_fabric_same_key_writers_conflict():
 
 
 def test_fabric_endorsement_failure_blocks_mvcc():
-    ws = WorldState()
+    # A transaction is endorsed if it names at least one configured org.
     block = Block(0, (
         make_tx("t1", writes=[Write("k", b"v")], orgs=()),
+        make_tx("t2", writes=[Write("k", b"v")], orgs=("mallory",)),
+        make_tx("t3", writes=[Write("k", b"v")], orgs=("mallory", "org3")),
     ), "count")
-    vblock = validate_merge_block(block, ws, FABRIC, POLICY)
-    assert vblock.validity[0].reason == INVALID_ENDORSEMENT
-
-
-@pytest.mark.parametrize("mode", [FABRIC, CRDT])
-def test_policy_counts_each_transactions_endorsements(mode):
-    block = Block(0, (make_tx("a", writes=[Write("k", b"v")], orgs=("org1", "org2")),
-                      make_tx("b", writes=[Write("k", b"v")], orgs=("org3",)),
-                      # an org outside the policy does not count
-                      make_tx("c", writes=[Write("k", b"v")], orgs=("org1", "mallory"))), "count")
-    vblock = validate_merge_block(block, WorldState(), mode, EndorsementPolicy(2, ORGS))
-    assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT, INVALID_ENDORSEMENT]
+    vblock = validate_merge_block(block, WorldState(), FABRIC, ORGS)
+    assert [v.reason for v in vblock.validity] == [INVALID_ENDORSEMENT, INVALID_ENDORSEMENT, VALID]
 
 
 def test_fabric_disjoint_writers_all_commit():
@@ -560,7 +476,7 @@ def test_fabric_disjoint_writers_all_commit():
         make_tx(f"t{i}", reads=[Read(f"k{i}", None)], writes=[Write(f"k{i}", b"v")])
         for i in range(5)
     ), "count")
-    vblock = validate_merge_block(block, ws, FABRIC, POLICY)
+    vblock = validate_merge_block(block, ws, FABRIC, ORGS)
     assert all(v.valid for v in vblock.validity)
 
 
@@ -575,7 +491,7 @@ def test_crdt_same_key_writers_merge_and_commit():
         make_tx("t1", reads=[Read("Device1", None)], writes=[Write("Device1", jbytes(TX1_DOC), True)]),
         make_tx("t2", reads=[Read("Device1", None)], writes=[Write("Device1", jbytes(TX2_DOC), True)]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, VALID]
     merged = jbytes(MERGED_DOC)
     assert vblock.transactions[0].rwset.writes[0].value == merged
@@ -593,7 +509,7 @@ def test_crdt_rewrites_are_byte_identical_across_three_writers():
         make_tx(f"t{i}", writes=[Write("Device1", jbytes(doc), True)])
         for i, doc in enumerate(docs)
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     values = {tx.rwset.writes[0].value for tx in vblock.transactions}
     assert len(values) == 1
     assert json.loads(values.pop()) == {"r": [{"t": "0"}, {"t": "10"}, {"t": "20"}]}
@@ -606,7 +522,7 @@ def test_crdt_valid_writes_of_a_key_share_one_write_and_an_invalid_one_keeps_its
         make_tx("t3", writes=[Write("k", jbytes({"r": [{"t": "3"}]}), True)]),
         make_tx("t4", writes=[Write("k", jbytes({"r": [{"t": "4"}]}), True)]),
     ), "count")
-    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT, VALID, VALID]
     first, unendorsed, *rest = [tx.rwset.writes[0] for tx in vblock.transactions]
     assert all(write is first for write in rest)
@@ -620,7 +536,7 @@ def test_fabric_validation_keeps_every_submitted_write():
         make_tx("t2", reads=[Read("k", None)], writes=[Write("k", b"3")]),
         make_tx("t3", writes=[Write("k", b"4")], orgs=()),
     ), "count")
-    vblock = validate_merge_block(block, WorldState(), FABRIC, POLICY)
+    vblock = validate_merge_block(block, WorldState(), FABRIC, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, INVALID_ENDORSEMENT]
     for tx, submitted in zip(vblock.transactions, block.transactions):
         assert all(a is b for a, b in zip(tx.rwset.writes, submitted.rwset.writes, strict=True))
@@ -642,7 +558,7 @@ def test_crdt_endorsement_failures_never_merge():
         make_tx("t1", writes=[Write("Device1", jbytes(TX1_DOC), True)]),
         make_tx("t2", writes=[Write("Device1", jbytes(TX2_DOC), True)], orgs=()),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT]
     # the merged value holds only the valid payload, and the rejected
     # transaction's payload stays as submitted
@@ -658,7 +574,7 @@ def test_crdt_only_valid_writes_carry_merged_bytes_and_the_log_keeps_the_rest(tm
         make_tx("t3", writes=[Write("k", submitted[2], True)]),
         make_tx("t4", writes=[Write("k", submitted[3], True)]),
     ), "count")
-    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_ENDORSEMENT, INVALID_DECODE,
                                                     VALID]
     merged = jbytes({**TX1_DOC, "a": "1"})
@@ -681,7 +597,7 @@ def test_crdt_decode_failure_invalidates_only_the_offender():
         make_tx("t2", writes=[Write("Device1", b'{"temperature":25}', True)]),
         make_tx("t3", writes=[Write("Device1", jbytes(TX2_DOC), True)]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_DECODE, VALID]
     assert json.loads(vblock.transactions[0].rwset.writes[0].value) == MERGED_DOC
 
@@ -698,7 +614,7 @@ def test_crdt_decode_failure_precedes_mvcc_and_leaves_the_overlay():
                 writes=[Write("Device1", b"not json", True), Write("k", b"x")]),
         make_tx("t2", reads=[Read("k", Version(0, 0))], writes=[Write("m", b"y")]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [INVALID_DECODE, VALID]
 
 
@@ -708,7 +624,7 @@ def test_crdt_structural_conflict_invalidates_the_later_writer():
         make_tx("t1", writes=[Write("k", jbytes({"a": "1"}), True)]),
         make_tx("t2", writes=[Write("k", jbytes({"a": ["x"]}), True)]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_STRUCTURAL]
     assert json.loads(vblock.transactions[0].rwset.writes[0].value) == {"a": "1"}
 
@@ -783,7 +699,7 @@ def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch)
     docs = [{"deviceID": "d", "readings": [{"t": str(i)}]} for i in range(25)]
     block = Block(0, tuple(make_tx(f"t{i}", writes=[Write("Device1", jbytes(doc), True)])
                            for i, doc in enumerate(docs)), "count")
-    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     assert all(v.valid for v in vblock.validity)
     assert json.loads(vblock.transactions[0].rwset.writes[0].value)["readings"] == [
         {"t": str(i)} for i in range(25)]
@@ -791,14 +707,19 @@ def test_crdt_each_write_is_checked_once_and_merged_from_that_check(monkeypatch)
     assert calls["_pruned_copy"] == docs  # one walk per write, none of the sample
 
 
-def test_crdt_transaction_failing_mvcc_after_its_check_leaves_the_crdt_unchanged(monkeypatch):
+@pytest.fixture
+def made(monkeypatch) -> list:
+    """Each CRDT the validator makes, in order."""
     made = []
 
     def init(key, sample):
         made.append(jsoncrdt.init_empty_crdt(key, sample))
         return made[-1]
-
     monkeypatch.setattr(txpipeline, "init_empty_crdt", init)
+    return made
+
+
+def test_crdt_transaction_failing_mvcc_after_its_check_leaves_the_crdt_unchanged(made):
     ws = WorldState()
     ws._put("p", b"v", Version(0, 0))
     block = Block(1, (
@@ -808,19 +729,12 @@ def test_crdt_transaction_failing_mvcc_after_its_check_leaves_the_crdt_unchanged
                 writes=[Write("A", jbytes({"y": ["2", "3"]}), True), Write("q", b"w")]),
         make_tx("t2", writes=[Write("A", jbytes({"z": "4"}), True)]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, VALID]
     assert [(crdt.to_json(), crdt.clock) for crdt in made] == [({"x": "1", "z": "4"}, 2)]
 
 
-def test_crdt_each_key_gets_one_crdt_per_block(monkeypatch):
-    made = []
-
-    def init(key, sample):
-        made.append(jsoncrdt.init_empty_crdt(key, sample))
-        return made[-1]
-
-    monkeypatch.setattr(txpipeline, "init_empty_crdt", init)
+def test_crdt_each_key_gets_one_crdt_per_block(made):
     block = Block(0, (
         make_tx("t0", writes=[Write("B", jbytes({"x": "1"}), True)]),
         # A's first write: checked against a new CRDT, then B's conflict fails t1
@@ -829,7 +743,7 @@ def test_crdt_each_key_gets_one_crdt_per_block(monkeypatch):
         make_tx("t2", writes=[Write("A", jbytes({"a": "2"}), True)]),
         make_tx("t3", writes=[Write("A", jbytes({"b": "3"}), True)]),
     ), "count")
-    vblock = validate_merge_block(block, WorldState(), CRDT, POLICY)
+    vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_STRUCTURAL, VALID, VALID]
     assert [(crdt.key, crdt.to_json(), crdt.clock) for crdt in made] == [
         ("B", {"x": "1"}, 1), ("A", {"a": "2", "b": "3"}, 2)]
@@ -844,14 +758,14 @@ def test_crdt_structural_conflict_precedes_a_later_undecodable_write():
                               Write("B", b"not json", True)]),
         make_tx("t2", writes=[Write("C", jbytes({"n": ["1", 2]}), True)]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     # a shape error on a key's first write is a decode failure
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_STRUCTURAL, INVALID_DECODE]
 
 
 def validate_and_commit(*txs) -> tuple:
     ws = WorldState()
-    vblock = validate_merge_block(Block(0, txs, "count"), ws, CRDT, POLICY)
+    vblock = validate_merge_block(Block(0, txs, "count"), ws, CRDT, ORGS)
     commit_block(ws, BlockLog(), vblock)
     return [v.reason for v in vblock.validity], ws
 
@@ -906,7 +820,7 @@ def test_crdt_all_crdt_write_transactions_skip_mvcc():
     ), "count")
     log = BlockLog()
     commit_block(WorldState(), log, replay_stub(0))
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert all(v.valid for v in vblock.validity)
 
 
@@ -918,7 +832,7 @@ def test_crdt_mixed_transaction_still_checks_plain_reads():
         Write("plain", b"w"),
     ])
     block = Block(1, (mixed_stale,), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert vblock.validity[0].reason == INVALID_MVCC
     # an invalid transaction merges nothing, so its payload stays as submitted
     assert vblock.transactions[0].rwset.writes[0].value == jbytes(TX1_DOC)
@@ -931,7 +845,7 @@ def test_crdt_self_written_crdt_keys_are_exempt_from_read_checks():
         Write("Device1", jbytes(TX1_DOC), True),
         Write("plain", b"w"),
     ])
-    vblock = validate_merge_block(Block(1, (tx,), "count"), ws, CRDT, POLICY)
+    vblock = validate_merge_block(Block(1, (tx,), "count"), ws, CRDT, ORGS)
     assert vblock.validity[0].reason == VALID
 
 
@@ -939,7 +853,7 @@ def test_crdt_valid_transactions_bump_overlay_for_later_plain_readers():
     ws = WorldState()
     first = make_tx("t1", writes=[Write("k", jbytes({"a": "1"}), True)])
     later_plain = make_tx("t2", reads=[Read("k", None)], writes=[Write("other", b"v")])
-    vblock = validate_merge_block(Block(0, (first, later_plain), "count"), ws, CRDT, POLICY)
+    vblock = validate_merge_block(Block(0, (first, later_plain), "count"), ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC]
 
 
@@ -949,13 +863,13 @@ def test_crdt_plain_transactions_behave_as_in_fabric_mode():
         make_tx("t1", reads=[Read("k", None)], writes=[Write("k", b"v1")]),
         make_tx("t2", reads=[Read("k", None)], writes=[Write("k", b"v2")]),
     ), "count")
-    vblock = validate_merge_block(block, ws, CRDT, POLICY)
+    vblock = validate_merge_block(block, ws, CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC]
 
 
 def test_validate_merge_block_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        validate_merge_block(Block(0, (), "count"), WorldState(), "other", POLICY)
+        validate_merge_block(Block(0, (), "count"), WorldState(), "other", ORGS)
 
 
 # ----------------------------------------------------------------------
@@ -1093,7 +1007,7 @@ def test_run_pipeline_records_proposal_failures():
 
 
 def test_run_pipeline_endorsement_short_circuit():
-    # With no org to endorse, no policy can be met: the run fails before any proposal.
+    # With no org to endorse, no transaction could be: the run fails before any proposal.
     config = PipelineConfig(mode=CRDT, max_tx_count=1, orgs=())
     with pytest.raises(ValueError, match="^orgs must name at least one org"):
         run_pipeline(config, [Proposal("client1", 0.0, ())], plain_chaincode())
@@ -1128,6 +1042,18 @@ def test_run_pipeline_throughput_and_latency_accounting():
     assert summary["success_count"] == 2
 
 
+def test_avg_latency_ms_divides_first_only_where_scaling_the_sum_overflows():
+    def report(*latencies):
+        return RunReport([TxRecord(f"t{i}", "c", 0.0, lat, VALID, 0) for i, lat in enumerate(latencies)])
+
+    latencies = (0.1, 0.2, 0.7, 1e-3)
+    assert report(*latencies).avg_latency_ms == 1000.0 * sum(latencies) / len(latencies)
+    # 1000 * 3e305 overflows, and 2,000 latencies of 1e305 s overflow their sum.
+    assert report(1e305, 1e305, 1e305).avg_latency_ms == 1e308
+    assert report(*[1e305] * 2000).avg_latency_ms == pytest.approx(1e308)
+    assert report(1.7e308, 1.7e308).avg_latency_ms == math.inf  # the mean in ms is beyond float range
+
+
 def test_run_pipeline_report_csv_shape():
     config = PipelineConfig(mode=CRDT, max_tx_count=1)
     report = run_pipeline(config, [Proposal("client1", 0.0, ())], plain_chaincode())
@@ -1153,44 +1079,6 @@ def test_run_pipeline_report_json_lines_shape():
 # serialization and replay
 
 
-def reference_transaction_jsonable(tx):
-    """tx's record as a dict: canonical_json_bytes of it is the reference
-    that block_record and transaction_encoded_size are checked against."""
-    return {
-        "tx_id": tx.tx_id,
-        "submit_time": tx.submit_time,
-        "endorsements": sorted(tx.endorsements),
-        "reads": [
-            [r.key, None if r.version is None else [r.version.block_height, r.version.tx_index]]
-            for r in tx.rwset.reads
-        ],
-        "writes": [
-            [w.key, base64.b64encode(w.value).decode("ascii"), w.is_crdt]
-            for w in tx.rwset.writes
-        ],
-    }
-
-
-def reference_block_jsonable(block):
-    """block's record as a dict: its transactions' records in which every
-    write of a value equal to an earlier one of the block, in transaction
-    then write order, holds the index of that value among the first ones."""
-    transactions = [reference_transaction_jsonable(tx) for tx in block.transactions]
-    first: list = []
-    for tx, jsonable in zip(block.transactions, transactions):
-        for write, written in zip(tx.rwset.writes, jsonable["writes"]):
-            if write.value in first:
-                written[1] = first.index(write.value)
-            else:
-                first.append(write.value)
-    return {
-        "height": block.height,
-        "cut_reason": block.cut_reason,
-        "transactions": transactions,
-        "validity": [[v.valid, v.reason] for v in block.validity],
-    }
-
-
 # Every field of the declared type, drawn wide: text from all of Unicode but
 # surrogates, with the characters the encoder escapes; every float, extreme
 # ones and ints among them; ints beyond 64 bits; empty lists; every verdict;
@@ -1202,19 +1090,8 @@ ANY_TIMES = (st.floats() | st.integers()
                                 1.7976931348623157e308]))
 ANY_INTS = st.integers() | st.integers(min_value=-2 ** 70, max_value=2 ** 70) | st.just(2 ** 64)
 ANY_VALUES = st.sampled_from([b"", b"v", b"w", bytes(range(40))]) | st.binary(max_size=40)
-ANY_TRANSACTIONS = st.builds(
-    Transaction,
-    tx_id=ANY_TEXT,
-    rwset=st.builds(
-        ReadWriteSet,
-        reads=st.lists(st.builds(Read, ANY_TEXT, st.none() | st.builds(Version, ANY_INTS, ANY_INTS)),
-                       max_size=3, unique_by=lambda r: r.key).map(tuple),
-        writes=st.lists(st.builds(Write, ANY_TEXT, ANY_VALUES, st.booleans()),
-                        max_size=3, unique_by=lambda w: w.key).map(tuple),
-    ),
-    endorsements=st.frozensets(ANY_TEXT, max_size=3),
-    submit_time=ANY_TIMES,
-)
+ANY_TRANSACTIONS = transactions(ANY_TEXT, st.none() | st.builds(Version, ANY_INTS, ANY_INTS), ANY_VALUES,
+                                ANY_TIMES, 3)
 ANY_BLOCKS = st.builds(
     Block,
     height=ANY_INTS,
@@ -1231,9 +1108,9 @@ ANY_BLOCKS = st.builds(
                               (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 2 ** 70)),
                "count"))
 def test_block_record_equals_the_canonical_encoding_of_the_reference(block):
-    assert block_record(block) == canonical_json_bytes(reference_block_jsonable(block))
+    assert block_record(block) == reference_json_bytes(reference_block_jsonable(block))
     for tx in block.transactions:
-        assert transaction_encoded_size(tx) == len(canonical_json_bytes(reference_transaction_jsonable(tx)))
+        assert transaction_encoded_size(tx) == len(reference_json_bytes(reference_transaction_jsonable(tx)))
 
 
 @pytest.mark.parametrize("tx, cut_reason", [
@@ -1246,7 +1123,7 @@ def test_block_record_equals_the_canonical_encoding_of_the_reference(block):
 def test_lone_surrogate_text_fails_the_record_as_it_fails_the_reference(tx, cut_reason):
     block = Block(0, (tx,), cut_reason, (TxVerdict(True, VALID),))
     with pytest.raises(UnicodeEncodeError):
-        canonical_json_bytes(reference_block_jsonable(block))
+        reference_json_bytes(reference_block_jsonable(block))
     with pytest.raises(UnicodeEncodeError):
         block_record(block)
     if cut_reason == "count":
@@ -1270,8 +1147,7 @@ def test_property_transaction_encoding_equals_sorted_compact_dumps(tx_id, key, v
     tx = make_tx(tx_id, reads=[Read(key, Version(1, 2))], writes=[Write(key, value, True)],
                  submit_time=submit_time)
     jsonable = reference_transaction_jsonable(tx)
-    assert canonical_json_bytes(jsonable) == json.dumps(
-        jsonable, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    assert canonical_json_bytes(jsonable) == reference_json_bytes(jsonable)
 
 
 def test_block_round_trips_through_jsonable():
@@ -1794,7 +1670,7 @@ def test_validator_and_loader_give_each_reason_one_verdict():
     block = Block(0, (make_tx("t1", writes=[Write("k", b"v")]),
                       make_tx("t2", reads=[Read("k", Version(5, 1))], writes=[Write("k", b"w")]),
                       make_tx("t3", writes=[Write("k", b"x")], orgs=("stranger",))), "count")
-    vblock = validate_merge_block(block, WorldState(), FABRIC, POLICY)
+    vblock = validate_merge_block(block, WorldState(), FABRIC, ORGS)
     assert [v.reason for v in vblock.validity] == [VALID, INVALID_MVCC, INVALID_ENDORSEMENT]
     loaded = block_from_jsonable(json.loads(block_record(vblock)))
     for verdicts in (vblock.validity, loaded.validity):

@@ -1,8 +1,8 @@
 import copy
 import json
-import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +16,12 @@ from crdtsim.workload import (
     CLIENT_COUNT,
     MAX_JSON_DEPTH,
     WorkloadConfig,
-    gen_iot_json,
     gen_stream,
     hot_keys,
     iot_chaincode,
     read_key_universe,
 )
+from reference_pipeline import reference_readings
 
 
 def test_config_defaults_validate():
@@ -85,19 +85,26 @@ def test_a_run_at_the_json_depth_bound_encodes_every_reading(mode):
 
 
 # ----------------------------------------------------------------------
-# document generator
+# readings
 
 
-def test_gen_iot_json_minimal_shape():
-    doc = gen_iot_json(1, 1, random.Random(0))
+def reading_of(**shape):
+    """The reading of a one-proposal stream of that shape, as the reference builds it too."""
+    config = WorkloadConfig(total_txs=1, **shape)
+    assert [p.args[1] for p in gen_stream(config)] == reference_readings(config)
+    return gen_stream(config)[0].args[1]
+
+
+def test_stream_reading_minimal_shape():
+    doc = reading_of(json_keys=1, json_depth=1)
     assert set(doc) == {"temperatureRoom1"}
     (inner,) = doc["temperatureRoom1"]
     assert set(inner) == {"temperatureValue"}
     assert inner["temperatureValue"].isdigit()
 
 
-def test_gen_iot_json_three_by_three_shape():
-    doc = gen_iot_json(3, 3, random.Random(0))
+def test_stream_reading_three_by_three_shape():
+    doc = reading_of(json_keys=3, json_depth=3)
     assert set(doc) == {"temperatureRoom1", "temperatureRoom2", "temperatureRoom3"}
     for room in doc.values():
         (level,) = room
@@ -106,7 +113,7 @@ def test_gen_iot_json_three_by_three_shape():
         assert set(deepest) == {"temperatureValue"}
 
 
-def test_gen_iot_json_depth_grows_nesting():
+def test_stream_reading_depth_grows_nesting():
     def depth_of(value):
         if isinstance(value, dict):
             return 1 + max(depth_of(v) for v in value.values())
@@ -114,27 +121,19 @@ def test_gen_iot_json_depth_grows_nesting():
             return max(depth_of(v) for v in value)
         return 0
 
-    d1 = depth_of(gen_iot_json(1, 1, random.Random(0)))
-    d3 = depth_of(gen_iot_json(1, 3, random.Random(0)))
-    d5 = depth_of(gen_iot_json(1, 5, random.Random(0)))
+    d1, d3, d5 = (depth_of(reading_of(json_keys=1, json_depth=depth)) for depth in (1, 3, 5))
     assert d1 < d3 < d5
 
 
-def test_gen_iot_json_values_are_text_leaves():
-    doc = gen_iot_json(5, 5, random.Random(7))
-    copy, _ = JsonCrdt("k").check(doc)
-    assert copy == doc  # well shaped, and no container without a text leaf
+def test_stream_readings_are_text_leaves():
+    for p in gen_stream(WorkloadConfig(total_txs=20, json_keys=5, json_depth=5, seed=7)):
+        copy, _ = JsonCrdt("k").check(p.args[1])
+        assert copy == p.args[1]  # well shaped, and no container without a text leaf
 
 
-def test_gen_iot_json_is_seed_deterministic():
-    a = gen_iot_json(3, 4, random.Random(99))
-    b = gen_iot_json(3, 4, random.Random(99))
-    assert canonical_json_bytes(a) == canonical_json_bytes(b)
-
-
-def test_gen_iot_json_calls_share_no_container():
-    rng = random.Random(4)
-    first, second = gen_iot_json(3, 3, rng), gen_iot_json(3, 3, rng)
+def test_streams_share_no_container():
+    config = WorkloadConfig(total_txs=50, json_keys=3, json_depth=3, seed=4)
+    first, second = ([p.args[1] for p in gen_stream(config)] for _ in range(2))
 
     def containers(value):
         if isinstance(value, dict):
@@ -143,14 +142,8 @@ def test_gen_iot_json_calls_share_no_container():
             return {id(value)}.union(*map(containers, value))
         return set()
 
+    assert first == second
     assert not containers(first) & containers(second)
-
-
-def test_gen_iot_json_rejects_degenerate_sizes():
-    with pytest.raises(ValueError):
-        gen_iot_json(0, 1, random.Random(0))
-    with pytest.raises(ValueError):
-        gen_iot_json(1, 0, random.Random(0))
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +181,7 @@ def test_union_changes_held_in_place_and_leaves_doc_unchanged(held, doc, expecte
 def test_chaincode_reads_and_writes_configured_key_counts():
     config = WorkloadConfig(n_read_keys=2, n_write_keys=1)
     cc = iot_chaincode(config)
-    reading = gen_iot_json(1, 1, random.Random(0))
+    reading = reading_of()
     rwset = cc.fn((("a", "b", "c"), reading), WorldState().snapshot())
     assert [r.key for r in rwset.reads] == ["a", "b"]
     assert [w.key for w in rwset.writes] == ["a"]
@@ -288,7 +281,7 @@ def test_property_chaincode_reads_each_key_once_and_every_written_key(widths, n_
 
 def test_chaincode_plain_write_flag():
     config = WorkloadConfig(crdt_writes=False)
-    reading = gen_iot_json(1, 1, random.Random(0))
+    reading = reading_of()
     rwset = iot_chaincode(config).fn((("dev",), reading), WorldState().snapshot())
     assert not rwset.writes[0].is_crdt
 
@@ -314,23 +307,6 @@ def drawn_value(room):
     while "temperatureReading" in node:
         (node,) = node["temperatureReading"]
     return node["temperatureValue"]
-
-
-def reference_readings(config):
-    """Each proposal's reading as built one fresh object at a time: the
-    conflict sample first, then one randint per room, in room order."""
-    rng = random.Random(config.seed)
-    rng.sample(range(config.total_txs), round(config.total_txs * config.conflict_pct / 100.0))
-    readings = []
-    for _ in range(config.total_txs):
-        doc = {}
-        for i in range(1, config.json_keys + 1):
-            inner = {"temperatureValue": str(rng.randint(0, 40))}
-            for _ in range(max(2, config.json_depth) - 2):
-                inner = {"temperatureReading": [inner]}
-            doc[f"temperatureRoom{i}"] = [inner]
-        readings.append(doc)
-    return readings
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -415,12 +391,20 @@ def test_stream_unique_keys_never_collide():
 
 
 def test_stream_is_seed_reproducible():
-    config = WorkloadConfig(total_txs=30, conflict_pct=50.0, seed=9)
+    config = WorkloadConfig(total_txs=30, conflict_pct=50.0, json_keys=3, json_depth=4, seed=9)
     first = gen_stream(config)
-    second = gen_stream(WorkloadConfig(total_txs=30, conflict_pct=50.0, seed=9))
+    second = gen_stream(replace(config))
     assert first == second
-    different = gen_stream(WorkloadConfig(total_txs=30, conflict_pct=50.0, seed=10))
+    different = gen_stream(replace(config, seed=10))
     assert first != different
+
+
+def test_gen_iot_json_is_seed_deterministic():
+    # Two streams of one seed draw byte-equal 3-room, depth-4 readings.
+    config = WorkloadConfig(total_txs=5, json_keys=3, json_depth=4, seed=99)
+    a = [p.args[1] for p in gen_stream(config)]
+    b = [p.args[1] for p in gen_stream(replace(config))]
+    assert [canonical_json_bytes(doc) for doc in a] == [canonical_json_bytes(doc) for doc in b]
 
 
 def test_stream_conflicting_writes_stay_on_hot_set():
