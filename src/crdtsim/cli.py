@@ -130,7 +130,7 @@ def _cmd_merge_demo(args) -> int:
     for path in args.files:
         try:
             crdt.merge_json(parse_json_bytes(Path(path).read_bytes()))
-        except CrdtError as exc:
+        except (CrdtError, RecursionError) as exc:  # RecursionError: a too deeply nested file
             raise CrdtError(f"{path}: {exc}") from exc
     sys.stdout.write(canonical_json_bytes(crdt.to_json()).decode("utf-8") + "\n")
     return 0

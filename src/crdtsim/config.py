@@ -17,12 +17,12 @@ SECTIONS = ("pipeline", "workload")
 def set_field(cfg, name: str, value) -> None:
     """Set one config field. The value must fit the type of the field's
     default: its type, an int for a float, or a list of strings for a tuple
-    (stored as a tuple), but never a bool for a number."""
+    (stored as a tuple), but never a bool."""
     if name not in {f.name for f in fields(cfg)}:
         raise ValueError(f"{name!r} is not a {type(cfg).__name__} field")
     kind = type(getattr(cfg, name))
     accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
-    if (not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool)
+    if (not isinstance(value, accepted) or isinstance(value, bool)
             or (kind is tuple and not all(isinstance(item, str) for item in value))):
         raise ValueError(f"field {name!r} must be a {kind.__name__}, not {value!r}")
     setattr(cfg, name, tuple(value) if kind is tuple else value)

@@ -41,7 +41,6 @@ class WorkloadConfig:
     json_keys: int = 1
     json_depth: int = 1
     conflict_pct: float = 100.0
-    crdt_writes: bool = True
     seed: int = 42
 
     def validate(self) -> None:
@@ -94,9 +93,10 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
     """Read device documents, union in the new reading, write them back.
 
     Proposal args are (keys, reading): the first n_read_keys keys are read,
-    one lookup each, and the first n_write_keys of those written. The reading
-    is merged with jsoncrdt.union into a fresh parse of each stored document,
-    or of the device skeleton for an absent key, so it is never changed.
+    one lookup each, and the first n_write_keys of those written, every
+    write flagged CRDT (fabric mode ignores the flag). The reading is merged
+    with jsoncrdt.union into a fresh parse of each stored document, or of
+    the device skeleton for an absent key, so it is never changed.
     gen_stream's proposals share their reading maps and room lists, so a
     chaincode must not change its args, or one change would reach many
     proposals. Stored documents are parsed without a shape check: only this
@@ -113,7 +113,7 @@ def iot_chaincode(config: WorkloadConfig) -> ChaincodeSpec:
             reads.append(Read(key, entry[1] if entry is not None else None))
             if i < config.n_write_keys:
                 stored = parse_json_bytes(entry[0] if entry is not None else device_skeleton_bytes(key))
-                writes.append(Write(key, canonical_json_bytes(union(stored, reading)), config.crdt_writes))
+                writes.append(Write(key, canonical_json_bytes(union(stored, reading)), True))
         return ReadWriteSet(tuple(reads), tuple(writes))
 
     return ChaincodeSpec(name="iot_readings", fn=fn)

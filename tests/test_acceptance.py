@@ -110,7 +110,7 @@ def test_criterion_01_golden_merge_of_two_device_writes():
 def test_criterion_02_crdt_mode_commits_all_conflicting_transactions():
     started = perf_counter()
     pipeline = PipelineConfig(mode=CRDT, max_tx_count=25, snapshot_policy="batch")
-    workload = WorkloadConfig(total_txs=1000, conflict_pct=100.0, crdt_writes=True, seed=42)
+    workload = WorkloadConfig(total_txs=1000, conflict_pct=100.0, seed=42)
     outcome = run_single(pipeline, workload)
     assert outcome.report.success_count == 1000
     assert outcome.report.failure_count == 0
@@ -120,7 +120,7 @@ def test_criterion_02_crdt_mode_commits_all_conflicting_transactions():
 def test_criterion_03_fabric_mode_admits_one_verified_by_naive_oracle():
     started = perf_counter()
     pipeline = PipelineConfig(mode=FABRIC, max_tx_count=25, snapshot_policy="batch")
-    workload = WorkloadConfig(total_txs=1000, conflict_pct=100.0, crdt_writes=True, seed=42)
+    workload = WorkloadConfig(total_txs=1000, conflict_pct=100.0, seed=42)
     outcome = run_single(pipeline, workload)
     assert outcome.report.success_count == 1
     assert outcome.report.failure_count == 999
@@ -185,8 +185,7 @@ def test_criterion_05_replayed_block_sequences_converge_bytewise(tmp_path):
     conflicts = (0.0, 25.0, 50.0, 75.0, 100.0)
     for case in range(100):
         pipeline = PipelineConfig(mode=CRDT if case % 2 == 0 else FABRIC, max_tx_count=10)
-        workload = WorkloadConfig(total_txs=40, conflict_pct=conflicts[case % 5],
-                                  crdt_writes=(case % 3 != 0), seed=case)
+        workload = WorkloadConfig(total_txs=40, conflict_pct=conflicts[case % 5], seed=case)
         outcome = run_single(pipeline, workload)
         path = tmp_path / f"case{case}.blocklog"
         save_block_log(outcome.log, path)

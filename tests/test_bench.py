@@ -319,7 +319,8 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "pipeline": {"max_tx_count": True}}, "'max_tx_count'"),
     ({**VALID_EXPERIMENT, "pipeline": {"orgs": "org1"}}, "'orgs'"),
     ({**VALID_EXPERIMENT, "workload": {"conflict_pct": "5"}}, "'conflict_pct'"),
-    ({**VALID_EXPERIMENT, "workload": {"crdt_writes": 1}}, "'crdt_writes'"),
+    pytest.param({**VALID_EXPERIMENT, "workload": {"crdt_writes": True}},
+                 "'crdt_writes' is not a WorkloadConfig field", id="deleted-bool-field"),
     ({**VALID_EXPERIMENT, "sweep_param": "warp"}, "'sweep_param'"),
     ({**VALID_EXPERIMENT, "sweep_values": ["a"]}, "'sweep_values'"),
     ({**VALID_EXPERIMENT, "sweep_param": "max_tx_count", "sweep_values": [5, True]},

@@ -171,7 +171,7 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"pipeline": {"warp": 9}}', "'warp'"),
     (b'{"pipeline": {"max_tx_count": "soon"}}', "'max_tx_count'"),
     (b'{"pipeline": {"max_tx_count": true}}', "'max_tx_count'"),
-    (b'{"workload": {"crdt_writes": 1}}', "'crdt_writes'"),
+    (b'{"workload": {"crdt_writes": true}}', "'crdt_writes' is not a WorkloadConfig field"),
     (b'{"pipeline": {"orgs": "org1"}}', "'orgs'"),
     (b'{"workload": {"conflict_pct": 500}}', "conflict_pct must be within [0, 100], not 500"),
     (b'{"pipeline": {"orgs": []}}', "orgs must name at least one org"),
@@ -187,7 +187,7 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"total_txs": %d}}' % (sys.maxsize + 1), "total_txs must be at most"),
     (b'{"pipeline": {"block_timeout_ms": 1' + b"0" * 400 + b'}}', "block_timeout_ms is too large"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
-        "bool-int", "int-bool", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
+        "bool-int", "deleted-bool-field", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
         "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
         "reads-narrower-than-writes", "too-deep", "unschedulable-rate", "total-txs-beyond-float-range",
         "total-txs-beyond-the-largest-len", "timeout-beyond-float-range"])
@@ -486,6 +486,7 @@ def test_merge_demo_rejects_numeric_leaves(capsys, tmp_path):
         ('{"temperature": "15"', "not a JSON document"),
         ('[{"temperature": "15"}]', "top-level document must be a map or a string"),
         ('{"temperature": ["15"]}', "is a leaf"),  # structural conflict with good.json
+        ('{"a":' * 990 + '"x"' + '}' * 990, "maximum recursion depth exceeded"),
     ]:
         bad.write_text(text)
         code, out, err = run_cli(capsys, "merge-demo", good, str(bad))

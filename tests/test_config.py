@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from crdtsim.config import load_config
+from crdtsim.config import load_config, set_field
 from crdtsim.txpipeline import PipelineConfig
 from crdtsim.workload import WorkloadConfig
 
@@ -25,7 +26,7 @@ def test_round_trip_preserves_every_field(tmp_path):
                               orgs=("orgA", "orgB"), snapshot_policy="fresh")
     workload = WorkloadConfig(total_txs=77, arrival_rate_tps=150.0, n_read_keys=2,
                               n_write_keys=2, json_keys=3, json_depth=4,
-                              conflict_pct=33.0, crdt_writes=False, seed=5)
+                              conflict_pct=33.0, seed=5)
     path = write_config(tmp_path, {
         "pipeline": {**vars(pipeline), "orgs": ["orgA", "orgB"]},
         "workload": vars(workload),
@@ -91,8 +92,10 @@ def test_semantic_validation_still_applies(tmp_path):
 
 
 def test_tuple_and_bool_coercion(tmp_path):
-    path = write_config(tmp_path, {"pipeline": {"orgs": ["orgA", "orgB", "orgC"]},
-                                   "workload": {"crdt_writes": False}})
-    pipeline, workload = load(path)
+    path = write_config(tmp_path, {"pipeline": {"orgs": ["orgA", "orgB", "orgC"]}})
+    pipeline, _ = load(path)
     assert pipeline.orgs == ("orgA", "orgB", "orgC")
-    assert workload.crdt_writes is False
+    for cfg in (PipelineConfig(), WorkloadConfig()):  # no field takes a bool
+        for field in fields(cfg):
+            with pytest.raises(ValueError, match=f"field '{field.name}' must be a"):
+                set_field(cfg, field.name, True)

@@ -56,26 +56,6 @@ CASES = [
         {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
     ),
     (
-        "crdt-batch-hot-plain", {"mode": "crdt"},
-        {"total_txs": 100, "conflict_pct": 100, "crdt_writes": False},
-        ("count",),
-        "d2175d4b3ba23cacfb48f5f9a7e6be6d0e49a1d1a59054d0790720aa4712f188",
-        "f967710739638079ff89b0d3a4efde1f5c55ed9bf8e3f97d2d428901cfea2fe2",
-        "f8e0a774bc1d094f0b60532ef257ab073280d4239c58cc1d2c60c4290a34f812",
-        "14d3dd12f829834620ff2af7be59e86d8b92347fa09121ea3e4b3d7826b77672",
-        {"throughput_tps": 12.5, "avg_latency_ms": 80.0, "success_count": 1, "failure_count": 99},
-    ),
-    (
-        "crdt-batch-cold-plain", {"mode": "crdt"},
-        {"total_txs": 100, "conflict_pct": 0, "crdt_writes": False},
-        ("count",),
-        "9245ae1331259d075197d97a637eda954a10aa55009bd8543134d558b3f42274",
-        "b171a2a4da1d1feb11e88317131a3430046c3bf502a9ba0a009fd03a8a149363",
-        "62e4f1d660fb0c5520b969f8942204488775a850856ffcc8dfecf48c7a624770",
-        "b171a2a4da1d1feb11e88317131a3430046c3bf502a9ba0a009fd03a8a149363",
-        {"throughput_tps": 303.030303030303, "avg_latency_ms": 40.00000000000001, "success_count": 100, "failure_count": 0},
-    ),
-    (
         "fabric-batch-hot", {"mode": "fabric"},
         {"total_txs": 100, "conflict_pct": 100},
         ("count",),
@@ -116,13 +96,13 @@ CASES = [
         {"throughput_tps": 19.2, "avg_latency_ms": 766.25, "success_count": 40, "failure_count": 0},
     ),
     (
-        "crdt-fresh-hot-plain", {"mode": "crdt", "snapshot_policy": "fresh"},
-        {"total_txs": 40, "conflict_pct": 100, "crdt_writes": False},
+        "fabric-fresh-hot-40tx", {"mode": "fabric", "snapshot_policy": "fresh"},
+        {"total_txs": 40, "conflict_pct": 100},
         ("count", "timeout"),
         "93fc513599824a3e72d424c5d77c832e2b53b5b99a4798f0c704e3da32086ca4",
-        "488e92d9b5e55a9f2b9fe26db6cd5717f9bd4686cd74576feaad74604c8483cd",
-        "d7f76f69f69ad00ed9cc3f412249b6eccce74b2e5a1e96c51b87a845a8645f33",
-        "d0cf0422e219589eea0eb2921783ea91d135d99017cdffff23069c86c8a40cc1",
+        "e6133c93b46b6a9005cb41d756435c7a42a501fc53bfc53b2db1121298581761",
+        "746ae81d830769ae544c511d85d9a09d086c105e3879e0906da560a91d804838",
+        "5a6be35e34cf24ae62ef89c1a9e2db49807890bda12b255f2734af126ca9dfa8",
         {"throughput_tps": 0.96, "avg_latency_ms": 1040.0, "success_count": 2, "failure_count": 38},
     ),
     (
@@ -136,13 +116,13 @@ CASES = [
         {"throughput_tps": 12.121212121212121, "avg_latency_ms": 80.00000000000001, "success_count": 4, "failure_count": 96},
     ),
     (
-        "fabric-fresh-mixed-plain", {"mode": "fabric", "snapshot_policy": "fresh"},
-        {"total_txs": 100, "conflict_pct": 30, "crdt_writes": False},
+        "fabric-fresh-mixed", {"mode": "fabric", "snapshot_policy": "fresh"},
+        {"total_txs": 100, "conflict_pct": 30},
         ("count",),
         "09ebf305fd826f6a5a32e40c4c80f21687ecd7fe1be9bd42b64f47bd0074a8cf",
-        "55d07fcbd51780f8e7160a7c73e81308049c8d5d89e9f16059ef7caa11fb1dde",
-        "f9439c9babb9bc41edcdba5b533558f04643e5153ccf8f1b3ec347bc5b91a170",
-        "da2be9127a46561a882e7272688ebb5f90c90b10e2398f626310b8d3a272ed8f",
+        "57fcee684ec029b71523b137d60a3c6b8890512e3d64858ed904d45d97de7c58",
+        "7c1882467368b4c1c37f78894209fd32542ed29f7ab7f0d37ddf61ebc71e17ce",
+        "ddcd79950a7134fac71286ab4a6f72a44594c9e0039fb3a56068ab71e0f5ca82",
         {"throughput_tps": 224.24242424242422, "avg_latency_ms": 38.82882882882884, "success_count": 74, "failure_count": 26},
     ),
     (

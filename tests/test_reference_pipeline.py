@@ -20,9 +20,10 @@ from reference_pipeline import (State, reference_json_bytes, reference_run, refe
                                 reference_validate_block)
 
 # A proposal's fault: its first write is of another kind than the readings'
-# "deviceID" leaf, or undecodable; its chaincode raises or writes nothing.
+# "deviceID" leaf, or undecodable, or a plain (non-CRDT) write; its chaincode
+# raises or writes nothing.
 BAD_VALUES = {"kind": b'{"deviceID":["kind"]}', "not json": b"{not json"}
-FAULTS = ("kind", "not json", "raise", "read only", None, None)
+FAULTS = ("kind", "not json", "plain", "raise", "read only", None, None)
 
 
 def faulty_chaincode(workload: WorkloadConfig) -> ChaincodeSpec:
@@ -35,9 +36,10 @@ def faulty_chaincode(workload: WorkloadConfig) -> ChaincodeSpec:
         rwset = iot((keys, reading), snap)
         if fault == "read only":
             return ReadWriteSet(rwset.reads, ())
-        if fault in BAD_VALUES:
+        if fault in BAD_VALUES or fault == "plain":
             first, *rest = rwset.writes
-            return ReadWriteSet(rwset.reads, (Write(first.key, BAD_VALUES[fault], first.is_crdt), *rest))
+            first = Write(first.key, BAD_VALUES.get(fault, first.value), fault != "plain")
+            return ReadWriteSet(rwset.reads, (first, *rest))
         return rwset
     return ChaincodeSpec("faulty_iot", fn)
 
@@ -52,14 +54,14 @@ WORKLOADS = st.integers(1, 3).flatmap(lambda writes: st.builds(
     WorkloadConfig, total_txs=st.integers(1, 120), arrival_rate_tps=st.sampled_from([2.0, 40.0, 300.0, 5000.0]),
     n_read_keys=st.integers(writes, 3), n_write_keys=st.just(writes), json_keys=st.integers(1, 3),
     json_depth=st.integers(1, 3), conflict_pct=st.sampled_from([0.0, 100.0, 100.0]) | st.floats(0.0, 100.0),
-    crdt_writes=st.booleans(), seed=st.integers(0, 2 ** 32)))
+    seed=st.integers(0, 2 ** 32)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(PIPELINES, WORKLOADS, st.booleans(), st.lists(st.sampled_from(FAULTS), min_size=1, max_size=7),
        st.booleans())
 def test_run_pipeline_equals_the_reference_pipeline(pipeline, workload, bootstrap, faults, fit):
-    if pipeline.mode == CRDT and pipeline.snapshot_policy == "fresh" and workload.crdt_writes:
+    if pipeline.mode == CRDT and pipeline.snapshot_policy == "fresh":
         # Every valid write to a hot key carries the key's whole stored
         # document, so under fresh its document grows as the product of the
         # block sizes (ROADMAP item 2): such runs draw at most 20 proposals.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crdtsim import jsoncrdt, txpipeline
+from crdtsim import bench, jsoncrdt, txpipeline
 from crdtsim.bench import run_single
 from crdtsim.cli import main
 from crdtsim.jsoncrdt import canonical_json_bytes
@@ -53,7 +53,7 @@ from crdtsim.txpipeline import (
     transaction_from_jsonable,
     validate_merge_block,
 )
-from crdtsim.workload import WorkloadConfig
+from crdtsim.workload import WorkloadConfig, iot_chaincode
 from reference_pipeline import (ExactSizeOrderer, reference_block_jsonable, reference_json_bytes,
                                 reference_transaction_jsonable)
 
@@ -880,6 +880,16 @@ def run_both_modes(pipeline: PipelineConfig, workload: WorkloadConfig) -> tuple:
     return tuple(run_single(replace(pipeline, mode=mode), workload) for mode in (FABRIC, CRDT))
 
 
+def plain_iot_chaincode(workload: WorkloadConfig) -> ChaincodeSpec:
+    """iot_chaincode with every write's CRDT flag cleared."""
+    iot = iot_chaincode(workload).fn
+
+    def fn(args, snap):
+        rwset = iot(args, snap)
+        return ReadWriteSet(rwset.reads, tuple(replace(write, is_crdt=False) for write in rwset.writes))
+    return ChaincodeSpec("plain_iot", fn)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     conflict_pct=st.integers(0, 100),
@@ -891,9 +901,10 @@ def run_both_modes(pipeline: PipelineConfig, workload: WorkloadConfig) -> tuple:
 def test_property_without_crdt_writes_both_modes_agree(conflict_pct, snapshot_policy, rw_keys,
                                                        block_size, seed):
     pipeline = PipelineConfig(max_tx_count=block_size, snapshot_policy=snapshot_policy)
-    workload = WorkloadConfig(total_txs=30, conflict_pct=conflict_pct, crdt_writes=False,
+    workload = WorkloadConfig(total_txs=30, conflict_pct=conflict_pct,
                               n_read_keys=rw_keys[0], n_write_keys=rw_keys[1], seed=seed)
-    fabric, crdt = run_both_modes(pipeline, workload)
+    with mock.patch.object(bench, "iot_chaincode", plain_iot_chaincode):
+        fabric, crdt = run_both_modes(pipeline, workload)
     assert [t.validity for t in crdt.report.txs] == [t.validity for t in fabric.report.txs]
     assert list(crdt.log) == list(fabric.log)
     assert crdt.ws.digest() == fabric.ws.digest()
@@ -910,7 +921,7 @@ def test_property_without_crdt_writes_both_modes_agree(conflict_pct, snapshot_po
 def test_property_crdt_writes_without_conflict_commit_fabric_state(snapshot_policy, json_complexity,
                                                                    rw_keys, block_size, seed):
     pipeline = PipelineConfig(max_tx_count=block_size, snapshot_policy=snapshot_policy)
-    workload = WorkloadConfig(total_txs=30, conflict_pct=0.0, crdt_writes=True,
+    workload = WorkloadConfig(total_txs=30, conflict_pct=0.0,
                               json_keys=json_complexity[0], json_depth=json_complexity[1],
                               n_read_keys=rw_keys[0], n_write_keys=rw_keys[1], seed=seed)
     fabric, crdt = run_both_modes(pipeline, workload)

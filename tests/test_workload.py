@@ -254,13 +254,10 @@ class CountingState(WorldState):
     widths=st.integers(1, 4).flatmap(lambda w: st.tuples(st.integers(w, 6), st.just(w))),
     n_keys=st.integers(0, 7),
     stored=st.sets(st.integers(0, 6)),
-    crdt_writes=st.booleans(),
 )
-def test_property_chaincode_reads_each_key_once_and_every_written_key(widths, n_keys, stored,
-                                                                      crdt_writes):
+def test_property_chaincode_reads_each_key_once_and_every_written_key(widths, n_keys, stored):
     n_read_keys, n_write_keys = widths
-    config = WorkloadConfig(n_read_keys=n_read_keys, n_write_keys=n_write_keys,
-                            crdt_writes=crdt_writes)
+    config = WorkloadConfig(n_read_keys=n_read_keys, n_write_keys=n_write_keys)
     config.validate()
     keys = tuple(f"dev-{j}" for j in range(n_keys))
     snap = CountingState()
@@ -273,17 +270,11 @@ def test_property_chaincode_reads_each_key_once_and_every_written_key(widths, n_
     assert read_keys == list(keys[:n_read_keys])
     assert write_keys == list(keys[:n_write_keys])
     assert set(write_keys) <= set(read_keys)
+    assert all(write.is_crdt for write in rwset.writes)
     assert snap.lookups == Counter(read_keys)
     for read in rwset.reads:
         entry = snap.get_state(read.key)
         assert read.version == (entry[1] if entry is not None else None)
-
-
-def test_chaincode_plain_write_flag():
-    config = WorkloadConfig(crdt_writes=False)
-    reading = reading_of()
-    rwset = iot_chaincode(config).fn((("dev",), reading), WorldState().snapshot())
-    assert not rwset.writes[0].is_crdt
 
 
 # ----------------------------------------------------------------------
