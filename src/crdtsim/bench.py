@@ -184,15 +184,15 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> Poi
 # named experiments and table output
 
 
-def named_experiments(workload: WorkloadConfig = WorkloadConfig()) -> dict:
-    """The standard sweep suite at desk scale, each on a copy of workload
-    (by default the WorkloadConfig defaults: 1,000 txs per point, seed 42)."""
+def named_experiments() -> dict:
+    """The standard sweep suite at desk scale, each on the WorkloadConfig
+    defaults: 1,000 txs per point, seed 42."""
 
     def spec(name, param, values) -> ExperimentSpec:
         return ExperimentSpec(
             name=name,
             pipeline=PipelineConfig(),
-            workload=replace(workload),
+            workload=WorkloadConfig(),
             sweep_param=param,
             sweep_values=values,
         )
@@ -206,13 +206,14 @@ def named_experiments(workload: WorkloadConfig = WorkloadConfig()) -> dict:
     }
 
 
-def load_experiment_file(path, workload: WorkloadConfig = WorkloadConfig()) -> ExperimentSpec:
+def load_experiment_file(path) -> ExperimentSpec:
     """Experiment from a JSON file with pipeline/workload field overrides,
-    applied to PipelineConfig's defaults and to a copy of workload.
+    applied to the PipelineConfig and WorkloadConfig defaults.
 
-    Malformed JSON, an unknown, missing or ill-typed field, an override that
-    set_field refuses, or a spec that fails ExperimentSpec.validate (at any
-    sweep point) raises ValueError naming the file and the field.
+    Malformed JSON, an unknown, missing or ill-typed field, a name that is
+    no file name (it holds a '/' or a NUL), an override that set_field
+    refuses, or a spec that fails ExperimentSpec.validate (at any sweep
+    point) raises ValueError naming the file and the field.
     """
     doc = read_json_object(path)
     try:
@@ -223,8 +224,10 @@ def load_experiment_file(path, workload: WorkloadConfig = WorkloadConfig()) -> E
         for name, kind in (("name", str), ("sweep_param", str), ("sweep_values", list)):
             if not isinstance(doc.get(name), kind):
                 raise ValueError(f"field {name!r} is missing or not a {kind.__name__}")
+        if "/" in doc["name"] or "\0" in doc["name"]:  # each table's file name starts with it
+            raise ValueError(f"field 'name' must not hold a '/' or a NUL, not {doc['name']!r}")
         spec = ExperimentSpec(name=doc["name"], pipeline=PipelineConfig(),
-                              workload=replace(workload), sweep_param=doc["sweep_param"],
+                              workload=WorkloadConfig(), sweep_param=doc["sweep_param"],
                               sweep_values=doc["sweep_values"])
         apply_overrides(doc, spec.pipeline, spec.workload)
         spec.validate()
@@ -234,16 +237,17 @@ def load_experiment_file(path, workload: WorkloadConfig = WorkloadConfig()) -> E
 
 
 def emit_tables(report: MetricsReport, out_dir) -> list:
-    """One CSV per metric: sweep value first column, header row, one data row
-    per sweep point. Returns the written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """One CSV per metric in the existing directory out_dir: sweep value
+    first column, header row, one data row per sweep point. Returns the
+    written paths."""
+    import csv  # here: the benchmark's workers import this module and write no table
+
     paths = []
     for metric in METRIC_COLUMNS:
-        path = out / f"{report.experiment}_{report.mode}_{metric}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{report.sweep_param},{metric}\n")
-            for row in report.rows:
-                fh.write(f"{row.sweep_value},{getattr(row, metric)!r}\n")
+        path = Path(out_dir) / f"{report.experiment}_{report.mode}_{metric}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow((report.sweep_param, metric))
+            writer.writerows((row.sweep_value, getattr(row, metric)) for row in report.rows)
         paths.append(path)
     return paths

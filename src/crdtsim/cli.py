@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -20,22 +19,6 @@ from .config import load_config
 from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes, parse_json_bytes
 from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_block_log
 from .workload import WorkloadConfig
-
-SEED_ENV = "CRDTSIM_SEED"
-
-
-def _base_workload() -> WorkloadConfig:
-    """The default workload with the environment's seed, if set: the base
-    that config and spec files, then flags, override."""
-    workload = WorkloadConfig()
-    raw = os.environ.get(SEED_ENV)
-    if raw is not None:
-        try:
-            workload.seed = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
-    return workload
-
 
 def _print_digest(digest: str, fmt: str, fh) -> None:
     if fmt == "json-lines":
@@ -49,10 +32,9 @@ def _print_digest(digest: str, fmt: str, fh) -> None:
 
 
 def _cmd_run(args) -> int:
-    """Precedence: flag, then config file, then environment (seed only),
-    then default. Sources apply from lowest to highest, each overriding the
-    ones before it."""
-    pipeline, workload = PipelineConfig(), _base_workload()
+    """Precedence: flag, then config file, then default. Sources apply from
+    lowest to highest, each overriding the ones before it."""
+    pipeline, workload = PipelineConfig(), WorkloadConfig()
     if args.config:
         load_config(args.config, pipeline, workload)
     flags = vars(args)
@@ -84,19 +66,17 @@ def _write_report(report, fmt: str, fh) -> None:
 
 
 def _cmd_bench(args) -> int:
-    """Seed precedence as for run: flag, then spec file, then environment,
-    then default."""
-    base = _base_workload()
+    """Seed precedence as for run: flag, then spec file, then default."""
     modes = ["crdt", "fabric"] if args.mode == "both" else [args.mode]
     # Resolve and check every experiment, in every mode, before running any.
     specs = []
     for mode in modes:
-        named = named_experiments(base)
+        named = named_experiments()
         for experiment in args.experiment:
             if experiment in named:
                 spec = named[experiment]
             elif Path(experiment).is_file():
-                spec = load_experiment_file(experiment, base)
+                spec = load_experiment_file(experiment)
             else:
                 names = ", ".join(sorted(named))
                 raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
@@ -110,6 +90,7 @@ def _cmd_bench(args) -> int:
             spec.workload.total_txs = max(1, round(scaled))
             spec.validate()
             specs.append(spec)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     written = []
     for spec in specs:
         written.extend(emit_tables(run_experiment(spec), args.out))

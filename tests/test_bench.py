@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -345,6 +346,10 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
     ({**VALID_EXPERIMENT, "workload": {"json_depth": 101}}, "json_depth must be within [1, 100]"),
     ({**VALID_EXPERIMENT, "sweep_param": "arrival_rate_tps", "sweep_values": [300, 5e-324]},
      "'sweep_values' point arrival_rate_tps=5e-324: arrival_rate_tps 5e-324 is too small"),
+    pytest.param({**VALID_EXPERIMENT, "name": "sub/x"},
+                 "field 'name' must not hold a '/' or a NUL, not 'sub/x'", id="name-with-slash"),
+    pytest.param({**VALID_EXPERIMENT, "name": "x\0y"},
+                 "field 'name' must not hold a '/' or a NUL, not 'x\\x00y'", id="name-with-nul"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"
@@ -373,3 +378,18 @@ def test_emit_tables_one_csv_per_metric(tmp_path):
     assert "conflict_crdt_success_count.csv" in names
     success = (tmp_path / "conflict_crdt_success_count.csv").read_text().splitlines()
     assert success == ["conflict_pct,success_count", "0.0,40", "100.0,40"]
+
+
+def test_emit_tables_quotes_a_sweep_value_holding_a_comma(tmp_path):
+    spec = ExperimentSpec(
+        name="orgs", pipeline=PipelineConfig(mode=CRDT),
+        workload=small_workload(total_txs=20), sweep_param="orgs",
+        sweep_values=[["org1"], ["org1", "org2"]],
+    )
+    for path in emit_tables(run_experiment(spec), tmp_path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [2, 2, 2]
+        assert [row[0] for row in rows] == ["orgs", "['org1']", "['org1', 'org2']"]
+    success = (tmp_path / "orgs_crdt_success_count.csv").read_text()
+    assert success == 'orgs,success_count\n[\'org1\'],20\n"[\'org1\', \'org2\']",20\n'

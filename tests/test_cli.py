@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import crdtsim
-from crdtsim.cli import SEED_ENV, main
+from crdtsim.cli import main
 from crdtsim.jsoncrdt import canonical_json_bytes
 
 
@@ -129,30 +129,20 @@ def test_run_rejects_a_total_txs_beyond_the_largest_len(capsys):
 # seed precedence
 
 
-def test_env_seed_is_used_when_no_flag(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "5")
+def test_the_environment_does_not_change_a_run(capsys, monkeypatch):
+    _, plain, _ = run_cli(capsys, "run", "--txs", "6")
+    monkeypatch.setenv("CRDTSIM_SEED", "5")
     _, env_out, _ = run_cli(capsys, "run", "--txs", "6")
-    monkeypatch.delenv(SEED_ENV)
-    _, flag_out, _ = run_cli(capsys, "run", "--txs", "6", "--seed", "5")
-    assert digest_of(env_out) == digest_of(flag_out)
+    assert env_out == plain
 
 
-def test_flag_seed_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "99")
-    _, out, _ = run_cli(capsys, "run", "--txs", "6", "--seed", "5")
-    monkeypatch.delenv(SEED_ENV)
-    _, reference, _ = run_cli(capsys, "run", "--txs", "6", "--seed", "5")
-    assert digest_of(out) == digest_of(reference)
-
-
-def test_config_seed_beats_env(capsys, monkeypatch, tmp_path):
+def test_config_file_seed_is_used(capsys, tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"workload": {"seed": 5}}))
-    monkeypatch.setenv(SEED_ENV, "99")
     _, out, _ = run_cli(capsys, "run", "--txs", "6", "--config", str(cfg))
-    monkeypatch.delenv(SEED_ENV)
     _, reference, _ = run_cli(capsys, "run", "--txs", "6", "--seed", "5")
-    assert digest_of(out) == digest_of(reference)
+    _, plain, _ = run_cli(capsys, "run", "--txs", "6")
+    assert digest_of(out) == digest_of(reference) != digest_of(plain)
 
 
 def test_flag_overrides_config_file(capsys, tmp_path):
@@ -198,13 +188,6 @@ def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {cfg}: ")
     assert field in err
-
-
-def test_bad_env_seed_fails_cleanly(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    code, _, err = run_cli(capsys, "run", "--txs", "4")
-    assert code == 1
-    assert SEED_ENV in err
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +316,7 @@ def bench_tables(capsys, out_dir, *argv) -> dict:
     return {Path(p).name: Path(p).read_text() for p in out.splitlines()}
 
 
-def test_bench_seed_order_is_flag_then_spec_file_then_env(capsys, monkeypatch, tmp_path):
+def test_bench_seed_order_is_flag_then_spec_file(capsys, tmp_path):
     spec_file = tmp_path / "seeded.json"
     spec_file.write_text(json.dumps({
         "name": "seeded",
@@ -345,22 +328,14 @@ def test_bench_seed_order_is_flag_then_spec_file_then_env(capsys, monkeypatch, t
     plain = bench_tables(capsys, tmp_path / "plain", *spec)
     flagged = bench_tables(capsys, tmp_path / "flagged", *spec, "--seed", "9")
     assert flagged != plain  # the seed shows in the tables
-    monkeypatch.setenv(SEED_ENV, "9")
-    assert bench_tables(capsys, tmp_path / "env", *spec) == plain
-    assert bench_tables(capsys, tmp_path / "env-flag", *spec, "--seed", "9") == flagged
+    assert bench_tables(capsys, tmp_path / "file-seed", *spec, "--seed", "5") == plain
 
 
-def test_bench_env_seed_applies_to_a_named_experiment(capsys, monkeypatch, tmp_path):
+def test_bench_seed_flag_changes_a_named_experiment(capsys, tmp_path):
     named = ("--experiment", "json_complexity", "--scale", "0.02")
     default = bench_tables(capsys, tmp_path / "default", *named)
     flagged = bench_tables(capsys, tmp_path / "flagged", *named, "--seed", "9")
     assert flagged != default
-    monkeypatch.setenv(SEED_ENV, "9")
-    assert bench_tables(capsys, tmp_path / "env", *named) == flagged
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    code, out, err = run_cli(capsys, "bench", *named, "--out", str(tmp_path / "bad"))
-    assert (code, out) == (1, "")
-    assert SEED_ENV in err
 
 
 @pytest.mark.parametrize("content", [
@@ -391,8 +366,11 @@ def test_bench_malformed_experiment_file_fails_naming_it(capsys, tmp_path, conte
      "point block_timeout_ms=inf: block_timeout_ms must be finite, not inf"),
     ({"sweep_param": "block_timeout_ms", "sweep_values": [1000, 10**400]},
      "point block_timeout_ms=1" + "0" * 400 + ": block_timeout_ms is too large: it does not fit a float"),
+    ({"name": "sub/x"}, "field 'name' must not hold a '/' or a NUL, not 'sub/x'"),
+    ({"name": "../escaped"}, "field 'name' must not hold a '/' or a NUL, not '../escaped'"),
+    ({"name": "x\0y"}, "field 'name' must not hold a '/' or a NUL, not 'x\\x00y'"),
 ], ids=["conflict-override", "zero-block-size", "negative-rate", "infinite-timeout",
-        "timeout-beyond-float-range"])
+        "timeout-beyond-float-range", "name-in-a-subdirectory", "name-outside-out", "name-with-nul"])
 def test_bench_out_of_range_experiment_fails_before_any_runs(capsys, tmp_path, overrides,
                                                              message):
     spec_file = tmp_path / "bad.json"
@@ -405,6 +383,19 @@ def test_bench_out_of_range_experiment_fails_before_any_runs(capsys, tmp_path, o
     assert err.startswith(f"error: {spec_file}: ")
     assert message in err
     assert not out_dir.exists()
+    assert {path.name for path in tmp_path.iterdir()} == {"bad.json"}
+
+
+def test_bench_out_naming_a_file_fails_before_any_runs(capsys, monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setattr("crdtsim.cli.run_experiment", ran.append)
+    out_file = tmp_path / "tables"
+    out_file.write_text("")
+    code, out, err = run_cli(capsys, "bench", "--experiment", "conflict_pct",
+                             "--scale", "0.01", "--out", str(out_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(out_file) in err
+    assert ran == []
 
 
 def test_bench_scale_floors_at_one_tx_per_point(capsys, tmp_path):

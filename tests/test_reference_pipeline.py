@@ -1,6 +1,7 @@
 """run_pipeline against the reference pipeline on drawn configurations and
-streams; and the block validator against the reference validator on drawn
-blocks, which reach the endorsement verdict that no run can (every
+streams; a fabric run's valid transactions against their serial
+re-execution; and the block validator against the reference validator on
+drawn blocks, which reach the endorsement verdict that no run can (every
 configured org endorses every transaction)."""
 
 import tempfile
@@ -10,14 +11,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crdtsim.bench import populate_world_state
+from crdtsim.bench import populate_world_state, run_single
 from crdtsim.ledger import BlockLog, Version, WorldState
 from crdtsim.txpipeline import (CRDT, FABRIC, Block, ChaincodeSpec, PipelineConfig, Proposal, Read,
                                 ReadWriteSet, Transaction, Write, load_block_log, replay_block_log,
                                 run_pipeline, save_block_log, validate_merge_block)
 from crdtsim.workload import WorkloadConfig, gen_stream, iot_chaincode, read_key_universe
-from reference_pipeline import (State, reference_json_bytes, reference_run, reference_transaction_jsonable,
-                                reference_validate_block)
+from reference_pipeline import (State, reference_digest, reference_genesis, reference_json_bytes, reference_run,
+                                reference_transaction_jsonable, reference_validate_block)
 
 # A proposal's fault: its first write is of another kind than the readings'
 # "deviceID" leaf, or undecodable, or a plain (non-CRDT) write; its chaincode
@@ -88,6 +89,26 @@ def test_run_pipeline_equals_the_reference_pipeline(pipeline, workload, bootstra
         assert path.read_bytes() == log_bytes
         replayed, _ = replay_block_log(load_block_log(path))
     assert ws.digest() == digest == replayed.digest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(PIPELINES.map(lambda pipeline: replace(pipeline, mode=FABRIC)), WORKLOADS)
+def test_fabric_valid_transactions_re_execute_serially_to_the_run(pipeline, workload):
+    """Fabric's MVCC makes the valid transactions serializable in block order
+    (arXiv:1801.10228): from the genesis, each, re-executed on the state the
+    earlier ones left, gives its logged read-write set, and the serial state
+    is the run's."""
+    outcome = run_single(pipeline, workload)
+    args = {f"{p.client_id}-{i:06d}": p.args
+            for i, p in enumerate(sorted(gen_stream(workload), key=lambda p: p.submit_time))}
+    state = reference_genesis(outcome.log.genesis.keys, outcome.log.genesis.chunk)
+    chaincode = iot_chaincode(workload).fn
+    for block in outcome.log:
+        for i, (tx, verdict) in enumerate(zip(block.transactions, block.validity)):
+            if verdict.valid:
+                assert chaincode(args[tx.tx_id], state) == tx.rwset
+                state.update((w.key, (w.value, Version(block.height, i))) for w in tx.rwset.writes)
+    assert reference_digest(state) == outcome.ws.digest()
 
 
 KEYS = st.sampled_from("abc")
