@@ -3,14 +3,16 @@
 For each combination the pipeline runs twice from scratch, both block logs
 are saved and must be byte-identical, and the block log of the first run is
 loaded, saved again, which must give the same bytes, and replayed into a
-fresh state; all three world-state digests must agree. Exits non-zero on the
-first mismatch.
+fresh state; all three world-state digests must agree, and each must equal
+hashlib's (OpenSSL's) sha256 of the state's canonical bytes, as the digest
+uses the interpreter's own SHA-256. Exits non-zero on the first mismatch.
 
 Usage:
     python3 scripts/determinism_check.py --txs 200 --seeds 0 1 2
 """
 
 import argparse
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -33,9 +35,12 @@ def check(mode: str, conflict_pct: float, txs: int, seed: int, scratch: Path) ->
     loaded = load_block_log(path)
     save_block_log(loaded, resaved_path)
     replayed, _ = replay_block_log(loaded)
-    digests = {first.ws.digest(), second.ws.digest(), replayed.digest()}
+    states = (first.ws, second.ws, replayed)
+    digests = [ws.digest() for ws in states]
+    openssl = [hashlib.sha256(ws.canonical_bytes()).hexdigest() for ws in states]
     saved = path.read_bytes()
-    ok = len(digests) == 1 and saved == second_path.read_bytes() == resaved_path.read_bytes()
+    ok = (len(set(digests)) == 1 and digests == openssl
+          and saved == second_path.read_bytes() == resaved_path.read_bytes())
     label = "ok" if ok else "MISMATCH"
     print(f"{label}  mode={mode} conflict={conflict_pct:5.1f} seed={seed} "
           f"success={first.report.success_count} digest={first.ws.digest()[:12]}")

@@ -69,7 +69,8 @@ def _cmd_bench(args) -> int:
     """Seed precedence as for run: flag, then spec file, then default."""
     modes = ["crdt", "fabric"] if args.mode == "both" else [args.mode]
     # Resolve and check every experiment, in every mode, before running any.
-    specs = []
+    # Keyed by (name, mode), which names an experiment's tables.
+    specs = {}
     for mode in modes:
         named = named_experiments()
         for experiment in args.experiment:
@@ -89,10 +90,14 @@ def _cmd_bench(args) -> int:
                                  f"an infinite transaction count")
             spec.workload.total_txs = max(1, round(scaled))
             spec.validate()
-            specs.append(spec)
+            key = (spec.name, spec.pipeline.mode)
+            if key in specs:
+                raise ValueError(f"experiment name {spec.name!r} is given twice in mode "
+                                 f"{key[1]}: both would write {spec.name}_{key[1]}_*.csv")
+            specs[key] = spec
     Path(args.out).mkdir(parents=True, exist_ok=True)
     written = []
-    for spec in specs:
+    for spec in specs.values():
         written.extend(emit_tables(run_experiment(spec), args.out))
     for path in written:
         print(path)

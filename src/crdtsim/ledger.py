@@ -10,7 +10,6 @@ record for the genesis and one per block.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import struct
@@ -18,6 +17,17 @@ from binascii import b2a_base64
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Iterator, Optional
+
+# The interpreter's own SHA-256, not hashlib's: hashlib loads OpenSSL's
+# libcrypto, which adds 3.65 MB to every command's and worker's memory.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        # A CPython built --without-builtin-hashlib-hashes has only OpenSSL's.
+        from hashlib import sha256
 
 
 class LedgerError(Exception):
@@ -84,7 +94,7 @@ class WorldState:
     def digest(self) -> str:
         """sha256 of canonical_bytes(), fed DIGEST_BATCH pieces at a time, so
         that it holds one batch of the state's text and never all of it."""
-        sha = hashlib.sha256()
+        sha = sha256()
         pieces = self._pieces()
         while batch := "".join(itertools.islice(pieces, DIGEST_BATCH)):
             sha.update(batch.encode("utf-8"))

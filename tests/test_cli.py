@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import crdtsim
+from crdtsim.bench import METRIC_COLUMNS
 from crdtsim.cli import main
 from crdtsim.jsoncrdt import canonical_json_bytes
 
@@ -25,14 +26,28 @@ def digest_of(out, fmt="csv"):
     return last.split(",", 1)[1]
 
 
-def test_importing_the_cli_does_not_load_statistics():
-    # statistics loads fractions and decimal: about 0.7 MB for each command
-    # and benchmark worker. A fresh interpreter, as this one may hold them.
+RUN_AND_REPLAY = """
+import sys
+from crdtsim.cli import main
+path = sys.argv[1]
+assert main(["run", "--mode", "crdt", "--txs", "8", "--save-blocklog", path]) == 0
+assert main(["replay", path]) == 0
+print(sorted({"hashlib", "_hashlib", "statistics", "fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+def test_a_run_and_its_replay_load_neither_openssl_nor_statistics(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, 3.65 MB for each command and benchmark
+    # worker; statistics loads fractions and decimal, about 0.7 MB. A fresh
+    # interpreter, as this one may hold them, and one that runs the commands,
+    # as a module imported inside a function (WorldState.digest) loads only then.
     src = str(Path(crdtsim.__file__).parents[1])
-    code = "import sys, crdtsim.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    out = subprocess.run([sys.executable, "-c", RUN_AND_REPLAY, str(tmp_path / "run.blk")],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    run_digest, replay_digest = [line for line in out if line.startswith("digest,")]
+    assert run_digest == replay_digest
+    assert out[-1] == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +269,12 @@ def test_bench_both_modes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bench", "--experiment", "conflict_pct",
                            "--scale", "0.01", "--out", str(tmp_path), "--mode", "both")
     assert code == 0
-    names = {p.rsplit("/", 1)[-1] for p in out.splitlines()}
+    names = [p.rsplit("/", 1)[-1] for p in out.splitlines()]
     assert "conflict_pct_crdt_success_count.csv" in names
     assert "conflict_pct_fabric_success_count.csv" in names
+    # One name in two modes is no repeat: each mode writes its own tables.
+    assert len(names) == len(set(names)) == 2 * len(METRIC_COLUMNS)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
 
 
 def test_bench_runs_several_experiments_in_order(capsys, tmp_path):
@@ -396,6 +414,37 @@ def test_bench_out_naming_a_file_fails_before_any_runs(capsys, monkeypatch, tmp_
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(out_file) in err
     assert ran == []
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["two-named", "file-named-alike"])
+def test_bench_repeated_experiment_name_fails_before_any_runs(capsys, monkeypatch, tmp_path,
+                                                              as_file):
+    ran = []
+    monkeypatch.setattr("crdtsim.cli.run_experiment", ran.append)
+    second = "conflict_pct"
+    if as_file:
+        second = tmp_path / "alike.json"
+        second.write_text(json.dumps({"name": "conflict_pct", "sweep_param": "max_tx_count",
+                                      "sweep_values": [5]}))
+    out_dir = tmp_path / "tables"
+    code, out, err = run_cli(capsys, "bench", "--experiment", "conflict_pct", str(second),
+                             "--scale", "0.01", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == ("error: experiment name 'conflict_pct' is given twice in mode crdt: "
+                   "both would write conflict_pct_crdt_*.csv\n")
+    assert ran == []
+    assert not out_dir.exists()
+
+
+def test_bench_one_name_in_two_modes_writes_both(capsys, tmp_path):
+    spec_file = tmp_path / "alike.json"
+    spec_file.write_text(json.dumps({"name": "conflict_pct", "pipeline": {"mode": "fabric"},
+                                     "sweep_param": "max_tx_count", "sweep_values": [5]}))
+    tables = bench_tables(capsys, tmp_path / "tables", "--experiment", "conflict_pct",
+                          str(spec_file), "--scale", "0.01")
+    assert sorted(tables) == sorted(f"conflict_pct_{mode}_{metric}.csv"
+                                    for mode in ("crdt", "fabric") for metric in METRIC_COLUMNS)
+    assert tables["conflict_pct_fabric_success_count.csv"].startswith("max_tx_count,")
 
 
 def test_bench_scale_floors_at_one_tx_per_point(capsys, tmp_path):

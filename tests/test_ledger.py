@@ -1,11 +1,16 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crdtsim
 from crdtsim.ledger import (
     DIGEST_BATCH,
     BlockLog,
@@ -218,6 +223,30 @@ def test_digest_is_sha256_of_canonical_state():
     expected = hashlib.sha256(ws.canonical_bytes()).hexdigest()
     assert ws.digest() == expected
     assert len(ws.digest()) == 64
+
+
+FALLBACK_DIGEST = """
+import hashlib, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # as on a build with neither
+from crdtsim import ledger
+from crdtsim.cli import main
+assert ledger.sha256 is hashlib.sha256
+ws = ledger.WorldState()
+for i in range(3 * ledger.DIGEST_BATCH):
+    ws._put(f"k{i}", bytes([i % 256]) * i, ledger.Version(0, i))
+assert ws.digest() == hashlib.sha256(ws.canonical_bytes()).hexdigest()
+main(["run", "--mode", "crdt", "--txs", "8", "--conflict-pct", "100", "--seed", "7"])
+"""
+
+
+def test_digest_falls_back_to_hashlib_without_a_builtin_sha256():
+    src = str(Path(crdtsim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", FALLBACK_DIGEST],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    # README's run example.
+    assert out.splitlines()[-1] == \
+        "digest,a9d13fb113736cceb31762b8007feac36cc3eac04adb09531b5e75bc6cacc5ee"
 
 
 def test_digest_changes_with_state():
