@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
@@ -66,39 +66,47 @@ def _write_report(report, fmt: str, fh) -> None:
 
 
 def _cmd_bench(args) -> int:
-    """Seed precedence as for run: flag, then spec file, then default."""
+    """Seed precedence as for run: flag, then spec file, then default; a
+    seed sweep sets each point's seed, so it cannot take --seed."""
     modes = ["crdt", "fabric"] if args.mode == "both" else [args.mode]
-    # Resolve and check every experiment, in every mode, before running any.
-    # Keyed by (name, mode), which names an experiment's tables.
-    specs = {}
-    for mode in modes:
-        named = named_experiments()
-        for experiment in args.experiment:
-            if experiment in named:
-                spec = named[experiment]
-            elif Path(experiment).is_file():
-                spec = load_experiment_file(experiment)
-            else:
-                names = ", ".join(sorted(named))
-                raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
-            spec.pipeline.mode = mode or spec.pipeline.mode  # flag, then file, then crdt
-            if args.seed is not None:
-                spec.workload.seed = args.seed
-            scaled = spec.workload.total_txs * args.scale
-            if not math.isfinite(scaled):
-                raise ValueError(f"--scale {args.scale!r} gives experiment {experiment!r} "
-                                 f"an infinite transaction count")
-            spec.workload.total_txs = max(1, round(scaled))
-            spec.validate()
-            key = (spec.name, spec.pipeline.mode)
-            if key in specs:
-                raise ValueError(f"experiment name {spec.name!r} is given twice in mode "
-                                 f"{key[1]}: both would write {spec.name}_{key[1]}_*.csv")
-            specs[key] = spec
+    named = named_experiments()
+    # Resolve and check every experiment once, before running any. A name
+    # repeated in the first mode is repeated in every mode.
+    specs, tables = [], set()
+    for experiment in args.experiment:
+        if experiment in named:
+            spec = named[experiment]
+        elif Path(experiment).is_file():
+            spec = load_experiment_file(experiment)
+        else:
+            names = ", ".join(sorted(named))
+            raise ValueError(f"unknown experiment {experiment!r}; names: {names}")
+        key = (spec.name, modes[0] or spec.pipeline.mode)  # flag, then file, then crdt
+        if key in tables:
+            raise ValueError(f"experiment name {spec.name!r} is given twice in mode "
+                             f"{key[1]}: both would write {spec.name}_{key[1]}_*.csv")
+        tables.add(key)
+        if args.seed is not None:
+            if spec.sweep_param == "seed":
+                raise ValueError(f"--seed {args.seed} conflicts with experiment {experiment!r}, "
+                                 f"which sweeps seed")
+            spec.workload.seed = args.seed
+        swept = spec.sweep_values if spec.sweep_param == "total_txs" else []
+        scaled = [count * args.scale for count in (spec.workload.total_txs, *swept)]
+        if not all(map(math.isfinite, scaled)):
+            raise ValueError(f"--scale {args.scale!r} gives experiment {experiment!r} "
+                             f"an infinite transaction count")
+        spec.workload.total_txs, *counts = [max(1, round(count)) for count in scaled]
+        if swept:
+            spec.sweep_values = counts
+        spec.validate()
+        specs.append(spec)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     written = []
-    for spec in specs.values():
-        written.extend(emit_tables(run_experiment(spec), args.out))
+    for mode in modes:
+        for spec in specs:
+            spec = replace(spec, pipeline=replace(spec.pipeline, mode=mode or spec.pipeline.mode))
+            written.extend(emit_tables(run_experiment(spec), args.out))
     for path in written:
         print(path)
     return 0

@@ -16,16 +16,13 @@ SECTIONS = ("pipeline", "workload")
 
 def set_field(cfg, name: str, value) -> None:
     """Set one config field. The value must fit the type of the field's
-    default: its type, an int for a float, or a list of strings for a tuple
-    (stored as a tuple), but never a bool."""
+    default: its type or an int for a float, but never a bool."""
     if name not in {f.name for f in fields(cfg)}:
         raise ValueError(f"{name!r} is not a {type(cfg).__name__} field")
     kind = type(getattr(cfg, name))
-    accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
-    if (not isinstance(value, accepted) or isinstance(value, bool)
-            or (kind is tuple and not all(isinstance(item, str) for item in value))):
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
         raise ValueError(f"field {name!r} must be a {kind.__name__}, not {value!r}")
-    setattr(cfg, name, tuple(value) if kind is tuple else value)
+    setattr(cfg, name, value)
 
 
 def read_json_object(path) -> dict:

@@ -1,10 +1,10 @@
 """Execute-order-validate transaction pipeline with two validation modes.
 
 Proposals are simulated against a state snapshot to produce read-write sets,
-endorsed by every configured organization, totally ordered and batched into
-blocks (count, byte, and timeout cuts), then validated and committed.
-Validation first checks that each transaction's endorsements name at least
-one configured org.
+endorsed by every org of ENDORSERS, totally ordered and batched into blocks
+(count, byte, and timeout cuts), then validated and committed. Validation
+first checks that each transaction's endorsements name at least one endorsing
+org.
 In fabric mode every transaction passes multi-version concurrency control:
 each read's version must match the committed state overlaid with the writes
 of preceding valid transactions of the same block. In crdt mode writes
@@ -66,6 +66,9 @@ READ_ONLY = "read_only"
 INVALID_REASONS = (INVALID_MVCC, INVALID_ENDORSEMENT, INVALID_DECODE, INVALID_STRUCTURAL)
 
 CUT_REASONS = ("count", "bytes", "timeout")
+
+# The orgs that endorse every proposal of a run.
+ENDORSERS = frozenset({"org1", "org2", "org3"})
 
 
 class PipelineError(Exception):
@@ -152,7 +155,6 @@ class PipelineConfig:
     max_tx_count: int = 25
     max_bytes: int = 128 * 1024 * 1024
     block_timeout_ms: float = 2000.0
-    orgs: tuple = ("org1", "org2", "org3")
     snapshot_policy: str = "batch"  # batch | fresh
 
     def validate(self) -> None:
@@ -169,13 +171,6 @@ class PipelineConfig:
         except OverflowError:
             # The value itself is not echoed: it has hundreds of digits.
             raise ValueError("block_timeout_ms is too large: it does not fit a float") from None
-        try:
-            for org in self.orgs:
-                org.encode("utf-8")  # every saved block lists them
-        except (AttributeError, UnicodeEncodeError):
-            raise ValueError(f"orgs must be UTF-8 text, not {self.orgs!r}") from None
-        if not self.orgs:
-            raise ValueError("orgs must name at least one org to endorse proposals")
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +339,7 @@ def mvcc_validate(tx: Transaction, ws: WorldState, intra_block_writes: dict,
 def validate_merge_block(block: Block, ws: WorldState, mode: str, orgs: frozenset) -> Block:
     """The block with its verdicts and, in crdt mode, its valid CRDT writes
     merged. A transaction is endorsed if its endorsements name at least one
-    of orgs, the configured org set.
+    of orgs; a run passes ENDORSERS.
 
     Fabric mode is crdt mode with merging turned off: no key gets a CRDT, so
     no write is exempt from MVCC and none is rewritten.
@@ -519,7 +514,6 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     config.validate()
     ws = ws if ws is not None else WorldState()
     log = log if log is not None else BlockLog()
-    endorsers = frozenset(config.orgs)
     timeout_s = config.block_timeout_ms / 1000.0
     orderer = Orderer(config.max_tx_count, config.max_bytes, timeout_s,
                       first_height=log.next_height)
@@ -527,7 +521,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     by_tx_id: dict = {}
 
     def settle(block: Block, now: float) -> None:
-        block = validate_merge_block(block, ws, config.mode, endorsers)
+        block = validate_merge_block(block, ws, config.mode, ENDORSERS)
         commit_block(ws, log, block)
         for tx, verdict in zip(block.transactions, block.validity):
             record = by_tx_id[tx.tx_id]
@@ -559,7 +553,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
         if not rwset.writes:
             record.validity = READ_ONLY  # nothing to order
             continue
-        orderer.submit(Transaction(tx_id, rwset, endorsers, now))
+        orderer.submit(Transaction(tx_id, rwset, ENDORSERS, now))
         while (block := orderer.cut_block(now)) is not None:
             settle(block, now)
     fire_timeouts(math.inf)

@@ -19,6 +19,9 @@ from crdtsim.txpipeline import (CRDT, INVALID_DECODE, INVALID_ENDORSEMENT, INVAL
                                 INVALID_STRUCTURAL, PROPOSAL_FAILURE, READ_ONLY, VALID, VERDICTS,
                                 Block, ReadWriteSet, Transaction, Write)
 
+# The orgs that endorse every transaction of a reference run.
+ORGS = frozenset({"org1", "org2", "org3"})
+
 
 def reference_json_bytes(value) -> bytes:
     """Canonical JSON: sorted map keys, compact separators, UTF-8."""
@@ -266,7 +269,7 @@ def reference_run(config, proposals, chaincode, genesis_keys=()) -> tuple:
     blocks: list = []
 
     def settle(block, now):
-        block = reference_validate_block(block, state, config.mode, config.orgs)
+        block = reference_validate_block(block, state, config.mode, ORGS)
         reference_commit(state, block)
         blocks.append(block)
         for tx, verdict in zip(block.transactions, block.validity):
@@ -286,7 +289,7 @@ def reference_run(config, proposals, chaincode, genesis_keys=()) -> tuple:
             rwset = None
         outcomes[tx_id] = (PROPOSAL_FAILURE if rwset is None else READ_ONLY, None, None)  # unless ordered
         if rwset is not None and rwset.writes:
-            orderer.submit(Transaction(tx_id, rwset, frozenset(config.orgs), now))
+            orderer.submit(Transaction(tx_id, rwset, ORGS, now))
             while (block := orderer.cut_block(now)) is not None:
                 settle(block, now)
     fire_timeouts(math.inf)

@@ -32,7 +32,7 @@ from crdtsim.txpipeline import (
     validate_merge_block,
 )
 from crdtsim.workload import WorkloadConfig
-from reference_pipeline import (reference_commit, reference_genesis, reference_leaf_multisets,
+from reference_pipeline import (ORGS, reference_commit, reference_genesis, reference_leaf_multisets,
                                 reference_union, reference_validate_block)
 
 DATA = Path(__file__).parent / "data"
@@ -129,7 +129,7 @@ def test_criterion_03_fabric_mode_admits_one_verified_by_naive_oracle():
     state = reference_genesis(outcome.log.genesis.keys, outcome.log.genesis.chunk)
     oracle = {}
     for block in outcome.log:
-        block = reference_validate_block(block, state, FABRIC, pipeline.orgs)
+        block = reference_validate_block(block, state, FABRIC, ORGS)
         reference_commit(state, block)
         oracle.update((tx.tx_id, verdict.reason) for tx, verdict in zip(block.transactions, block.validity))
     assert len(oracle) == len(outcome.report.txs) == 1000

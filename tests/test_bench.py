@@ -8,6 +8,8 @@ from crdtsim.bench import (
     COMPOSITE_PARAMS,
     METRIC_COLUMNS,
     ExperimentSpec,
+    MetricsReport,
+    PointMetrics,
     apply_sweep,
     block_merged_bytes,
     emit_tables,
@@ -19,7 +21,7 @@ from crdtsim.bench import (
 )
 from crdtsim.jsoncrdt import canonical_json_bytes
 from crdtsim.ledger import BlockLog, Genesis, LedgerError, Version, WorldState, commit_block
-from crdtsim.txpipeline import (CRDT, FABRIC, INVALID_MVCC, VALID, Block, PipelineConfig,
+from crdtsim.txpipeline import (CRDT, ENDORSERS, FABRIC, INVALID_MVCC, VALID, Block, PipelineConfig,
                                 ReadWriteSet, Transaction, TxVerdict, Write, validate_merge_block)
 from crdtsim.workload import WorkloadConfig
 
@@ -98,9 +100,9 @@ def test_populate_installs_what_one_bootstrap_transaction_per_key_commits(mode):
         txs = tuple(Transaction(f"populate-{start + i:06d}",
                                 ReadWriteSet(writes=(Write(key, canonical_json_bytes(
                                     {"deviceID": key})),)),
-                                frozenset(pipeline.orgs), 0.0)
+                                ENDORSERS, 0.0)
                     for i, key in enumerate(keys[start:start + 3]))
-        block = validate_merge_block(Block(len(log), txs, "count"), ws, mode, frozenset(pipeline.orgs))
+        block = validate_merge_block(Block(len(log), txs, "count"), ws, mode, ENDORSERS)
         assert all(v.valid for v in block.validity)
         commit_block(ws, log, block)
     genesis_ws, genesis_log = WorldState(), BlockLog()
@@ -272,7 +274,7 @@ def test_load_experiment_file_applies_overrides(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
         "name": "custom",
-        "pipeline": {"mode": "fabric", "max_tx_count": 10, "orgs": ["org1", "org2"]},
+        "pipeline": {"mode": "fabric", "max_tx_count": 10},
         "workload": {"total_txs": 20, "conflict_pct": 0},
         "sweep_param": "arrival_rate_tps",
         "sweep_values": [100, 200.5],
@@ -281,7 +283,6 @@ def test_load_experiment_file_applies_overrides(tmp_path):
     assert spec.name == "custom"
     assert spec.pipeline.mode == "fabric"
     assert spec.pipeline.max_tx_count == 10
-    assert list(spec.pipeline.orgs) == ["org1", "org2"]  # a list may set a tuple field
     assert spec.workload.total_txs == 20
     assert spec.workload.conflict_pct == 0  # an int may set a float field
     assert spec.sweep_values == [100, 200.5]
@@ -381,15 +382,14 @@ def test_emit_tables_one_csv_per_metric(tmp_path):
 
 
 def test_emit_tables_quotes_a_sweep_value_holding_a_comma(tmp_path):
-    spec = ExperimentSpec(
-        name="orgs", pipeline=PipelineConfig(mode=CRDT),
-        workload=small_workload(total_txs=20), sweep_param="orgs",
-        sweep_values=[["org1"], ["org1", "org2"]],
-    )
-    for path in emit_tables(run_experiment(spec), tmp_path):
+    report = MetricsReport("lists", CRDT, "values", [
+        PointMetrics(["a"], 20, 0, 1.5, 2.0, 0.0),
+        PointMetrics(["a", "b"], 20, 0, 1.5, 2.0, 0.0),
+    ])
+    for path in emit_tables(report, tmp_path):
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [2, 2, 2]
-        assert [row[0] for row in rows] == ["orgs", "['org1']", "['org1', 'org2']"]
-    success = (tmp_path / "orgs_crdt_success_count.csv").read_text()
-    assert success == 'orgs,success_count\n[\'org1\'],20\n"[\'org1\', \'org2\']",20\n'
+        assert [row[0] for row in rows] == ["values", "['a']", "['a', 'b']"]
+    success = (tmp_path / "lists_crdt_success_count.csv").read_text()
+    assert success == 'values,success_count\n[\'a\'],20\n"[\'a\', \'b\']",20\n'

@@ -179,10 +179,8 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"crdt_writes": true}}', "'crdt_writes' is not a WorkloadConfig field"),
     (b'{"pipeline": {"orgs": "org1"}}', "'orgs'"),
     (b'{"workload": {"conflict_pct": 500}}', "conflict_pct must be within [0, 100], not 500"),
-    (b'{"pipeline": {"orgs": []}}', "orgs must name at least one org"),
     (b'{"pipeline": {"block_timeout_ms": NaN}}', "block_timeout_ms must be finite, not nan"),
     (b'{"workload": {"arrival_rate_tps": Infinity}}', "arrival_rate_tps must be finite, not inf"),
-    (b'{"pipeline": {"orgs": ["org1", "\\udc80"]}}', "orgs must be UTF-8 text"),
     (b'{"pipeline": {"endorsement_k": 1}}', "'endorsement_k' is not a PipelineConfig field"),
     (b'{"workload": {"n_read_keys": 0}}', "n_write_keys=1 and n_read_keys=0"),
     (b'{"workload": {"n_write_keys": 2}}', "n_write_keys=2 and n_read_keys=1"),
@@ -192,8 +190,8 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     (b'{"workload": {"total_txs": %d}}' % (sys.maxsize + 1), "total_txs must be at most"),
     (b'{"pipeline": {"block_timeout_ms": 1' + b"0" * 400 + b'}}', "block_timeout_ms is too large"),
 ], ids=["not-json", "list-top-level", "unknown-section", "unknown-field", "string-int",
-        "bool-int", "deleted-bool-field", "string-orgs", "out-of-range", "no-orgs", "nan-timeout",
-        "infinite-rate", "lone-surrogate-org", "deleted-field", "no-reads",
+        "bool-int", "deleted-bool-field", "string-orgs", "out-of-range", "nan-timeout",
+        "infinite-rate", "deleted-field", "no-reads",
         "reads-narrower-than-writes", "too-deep", "unschedulable-rate", "total-txs-beyond-float-range",
         "total-txs-beyond-the-largest-len", "timeout-beyond-float-range"])
 def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
@@ -203,6 +201,23 @@ def test_run_bad_config_file_fails_naming_it(capsys, tmp_path, content, field):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {cfg}: ")
     assert field in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", {"pipeline": {"orgs": ["org1"]}}),
+    ("bench", {"name": "o", "pipeline": {"orgs": ["org1"]}, "workload": {"total_txs": 4},
+               "sweep_param": "conflict_pct", "sweep_values": [0]}),
+    ("bench", {"name": "o", "workload": {"total_txs": 4}, "sweep_param": "orgs",
+               "sweep_values": [["org1"]]}),
+], ids=["run-config", "spec-pipeline", "spec-sweep-param"])
+def test_deleted_orgs_field_fails_naming_the_file(capsys, tmp_path, command, doc):
+    # Every run is endorsed by ENDORSERS; no file sets its orgs.
+    path = tmp_path / "orgs.json"
+    path.write_text(json.dumps(doc))
+    flag = "--config" if command == "run" else "--experiment"
+    code, out, err = run_cli(capsys, command, flag, str(path), "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and "'orgs'" in err
 
 
 # ----------------------------------------------------------------------
@@ -462,6 +477,35 @@ def test_bench_scale_floors_at_one_tx_per_point(capsys, tmp_path):
         success = column(path)
         failure = column(path.replace("_success_count", "_failure_count"))
         assert [s + f for s, f in zip(success, failure)] == [1] * len(success)
+
+
+def test_bench_scale_applies_to_each_point_of_a_total_txs_sweep(capsys, tmp_path):
+    spec_file = tmp_path / "txs.json"
+    spec_file.write_text(json.dumps({"name": "txs", "workload": {"total_txs": 1},
+                                     "sweep_param": "total_txs", "sweep_values": [400, 800]}))
+    tables = bench_tables(capsys, tmp_path / "tables", "--experiment", str(spec_file),
+                          "--scale", "0.01")
+    assert tables["txs_crdt_success_count.csv"] == "total_txs,success_count\n4,4\n8,8\n"
+    # A point the scale takes beyond float range fails as the base count does.
+    spec_file.write_text(json.dumps({"name": "txs", "workload": {"total_txs": 1},
+                                     "sweep_param": "total_txs", "sweep_values": [sys.maxsize]}))
+    code, out, err = run_cli(capsys, "bench", "--experiment", str(spec_file), "--scale", "1e300",
+                             "--out", str(tmp_path / "huge"))
+    assert code == 1 and out == ""
+    assert err == f"error: --scale 1e+300 gives experiment {str(spec_file)!r} an infinite transaction count\n"
+
+
+def test_bench_seed_flag_with_a_seed_sweep_fails_before_any_runs(capsys, monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setattr("crdtsim.cli.run_experiment", ran.append)
+    spec_file = tmp_path / "seeds.json"
+    spec_file.write_text(json.dumps({"name": "seeds", "sweep_param": "seed", "sweep_values": [1, 2]}))
+    out_dir = tmp_path / "tables"
+    code, out, err = run_cli(capsys, "bench", "--experiment", "conflict_pct", str(spec_file),
+                             "--seed", "3", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: --seed 3 conflicts with experiment {str(spec_file)!r}, which sweeps seed\n"
+    assert ran == [] and not out_dir.exists()
 
 
 @pytest.mark.parametrize("scale", ["0", "-3", "nan", "inf"])

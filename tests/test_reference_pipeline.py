@@ -2,7 +2,7 @@
 streams; a fabric run's valid transactions against their serial
 re-execution; and the block validator against the reference validator on
 drawn blocks, which reach the endorsement verdict that no run can (every
-configured org endorses every transaction)."""
+org of ENDORSERS endorses every transaction)."""
 
 import tempfile
 from dataclasses import replace
@@ -49,7 +49,6 @@ PIPELINES = st.builds(
     PipelineConfig, mode=st.sampled_from([FABRIC, CRDT]), max_tx_count=st.integers(1, 30),
     max_bytes=st.integers(250, 6000) | st.just(128 << 20),  # a few transactions' records, or the default
     block_timeout_ms=st.sampled_from([1.0, 50.0, 2000.0]) | st.floats(0.5, 5000.0),
-    orgs=st.lists(st.sampled_from(["org1", 'org"2', "orgé"]), min_size=1, max_size=3, unique=True).map(tuple),
     snapshot_policy=st.sampled_from(["batch", "fresh"]))
 WORKLOADS = st.integers(1, 3).flatmap(lambda writes: st.builds(
     WorkloadConfig, total_txs=st.integers(1, 120), arrival_rate_tps=st.sampled_from([2.0, 40.0, 300.0, 5000.0]),

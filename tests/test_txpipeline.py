@@ -99,15 +99,14 @@ def test_pipeline_config_validation():
         PipelineConfig(snapshot_policy="stale").validate()
     with pytest.raises(ValueError):
         PipelineConfig(max_tx_count=0).validate()
-    with pytest.raises(ValueError, match="^orgs must name at least one org"):
-        PipelineConfig(orgs=()).validate()
     # Not the OverflowError of block_timeout_ms / 1000.0 in run_pipeline, which names no field.
     with pytest.raises(ValueError, match="^block_timeout_ms is too large: it does not fit a float$"):
         PipelineConfig(block_timeout_ms=10**400).validate()
     PipelineConfig(block_timeout_ms=10**308).validate()
-    assert len(fields(PipelineConfig)) == 6
-    with pytest.raises(TypeError):
-        PipelineConfig(endorsement_k=1)
+    assert len(fields(PipelineConfig)) == 5
+    for deleted in ("endorsement_k", "orgs"):
+        with pytest.raises(TypeError):
+            PipelineConfig(**{deleted: 1})
 
 
 # ----------------------------------------------------------------------
@@ -1015,13 +1014,6 @@ def test_run_pipeline_records_proposal_failures():
     report = run_pipeline(config, [Proposal("client1", 0.0, ())], ChaincodeSpec("cc", fn))
     assert report.txs[0].validity == PROPOSAL_FAILURE == "proposal_failure"
     assert report.failure_count == 0  # never reached a block
-
-
-def test_run_pipeline_endorsement_short_circuit():
-    # With no org to endorse, no transaction could be: the run fails before any proposal.
-    config = PipelineConfig(mode=CRDT, max_tx_count=1, orgs=())
-    with pytest.raises(ValueError, match="^orgs must name at least one org"):
-        run_pipeline(config, [Proposal("client1", 0.0, ())], plain_chaincode())
 
 
 def test_run_pipeline_batch_snapshot_marks_later_writers_stale():
