@@ -187,23 +187,15 @@ def _run_point(value, pipeline: PipelineConfig, workload: WorkloadConfig) -> Poi
 def named_experiments() -> dict:
     """The standard sweep suite at desk scale, each on the WorkloadConfig
     defaults: 1,000 txs per point, seed 42."""
-
-    def spec(name, param, values) -> ExperimentSpec:
-        return ExperimentSpec(
-            name=name,
-            pipeline=PipelineConfig(),
-            workload=WorkloadConfig(),
-            sweep_param=param,
-            sweep_values=values,
-        )
-
-    return {
-        "block_size": spec("block_size", "block_size", [25, 100, 400, 1000]),
-        "rw_keys": spec("rw_keys", "rw_keys", [1, 3, 5]),
-        "json_complexity": spec("json_complexity", "json_complexity", [1, 3, 5]),
-        "arrival_rate": spec("arrival_rate", "arrival_rate_tps", [100, 200, 300, 400, 500]),
-        "conflict_pct": spec("conflict_pct", "conflict_pct", [0, 20, 40, 60, 80, 100]),
+    sweeps = {
+        "block_size": ("block_size", [25, 100, 400, 1000]),
+        "rw_keys": ("rw_keys", [1, 3, 5]),
+        "json_complexity": ("json_complexity", [1, 3, 5]),
+        "arrival_rate": ("arrival_rate_tps", [100, 200, 300, 400, 500]),
+        "conflict_pct": ("conflict_pct", [0, 20, 40, 60, 80, 100]),
     }
+    return {name: ExperimentSpec(name, PipelineConfig(), WorkloadConfig(), param, values)
+            for name, (param, values) in sweeps.items()}
 
 
 def load_experiment_file(path) -> ExperimentSpec:
@@ -211,9 +203,9 @@ def load_experiment_file(path) -> ExperimentSpec:
     applied to the PipelineConfig and WorkloadConfig defaults.
 
     Malformed JSON, an unknown, missing or ill-typed field, a name that is
-    no file name (it holds a '/' or a NUL), an override that set_field
-    refuses, or a spec that fails ExperimentSpec.validate (at any sweep
-    point) raises ValueError naming the file and the field.
+    no file name (it holds a '/', a NUL or a lone surrogate), an override
+    that set_field refuses, or a spec that fails ExperimentSpec.validate (at
+    any sweep point) raises ValueError naming the file and the field.
     """
     doc = read_json_object(path)
     try:
@@ -226,6 +218,10 @@ def load_experiment_file(path) -> ExperimentSpec:
                 raise ValueError(f"field {name!r} is missing or not a {kind.__name__}")
         if "/" in doc["name"] or "\0" in doc["name"]:  # each table's file name starts with it
             raise ValueError(f"field 'name' must not hold a '/' or a NUL, not {doc['name']!r}")
+        try:
+            doc["name"].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"field 'name' must be UTF-8 text, not {doc['name']!r}") from None
         spec = ExperimentSpec(name=doc["name"], pipeline=PipelineConfig(),
                               workload=WorkloadConfig(), sweep_param=doc["sweep_param"],
                               sweep_values=doc["sweep_values"])
@@ -236,6 +232,11 @@ def load_experiment_file(path) -> ExperimentSpec:
     return spec
 
 
+def table_name(experiment: str, mode: str, metric: str) -> str:
+    """The file name of an experiment's table of metric in mode."""
+    return f"{experiment}_{mode}_{metric}.csv"
+
+
 def emit_tables(report: MetricsReport, out_dir) -> list:
     """One CSV per metric in the existing directory out_dir: sweep value
     first column, header row, one data row per sweep point. Returns the
@@ -244,7 +245,7 @@ def emit_tables(report: MetricsReport, out_dir) -> list:
 
     paths = []
     for metric in METRIC_COLUMNS:
-        path = Path(out_dir) / f"{report.experiment}_{report.mode}_{metric}.csv"
+        path = Path(out_dir) / table_name(report.experiment, report.mode, metric)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow((report.sweep_param, metric))

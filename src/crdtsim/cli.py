@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .bench import emit_tables, load_experiment_file, named_experiments, run_experiment, run_single
+from .bench import (METRIC_COLUMNS, emit_tables, load_experiment_file, named_experiments,
+                    run_experiment, run_single, table_name)
 from .config import load_config
 from .jsoncrdt import CrdtError, JsonCrdt, canonical_json_bytes, parse_json_bytes
 from .txpipeline import PipelineConfig, load_block_log, replay_block_log, save_block_log
@@ -102,6 +104,13 @@ def _cmd_bench(args) -> int:
         spec.validate()
         specs.append(spec)
     Path(args.out).mkdir(parents=True, exist_ok=True)
+    name_max = os.pathconf(args.out, "PC_NAME_MAX")
+    for experiment, spec in zip(args.experiment, specs):
+        longest = max(len(table_name(spec.name, mode or spec.pipeline.mode, metric).encode("utf-8"))
+                      for mode in modes for metric in METRIC_COLUMNS)
+        if longest > name_max:
+            raise ValueError(f"{experiment}: field 'name' makes a table file name of {longest} "
+                             f"bytes; {args.out} takes at most {name_max}")
     written = []
     for mode in modes:
         for spec in specs:

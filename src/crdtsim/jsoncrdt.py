@@ -1,12 +1,13 @@
 """Single-writer JSON CRDT whose state is the merged document itself.
 
-Documents are text leaves, lists of documents, and maps from non-empty text
-keys to documents. The block validator merges a key's writes in block order
-inside one replica, so no per-insert ids or cursors are kept (they make
-concurrent replicas' operations commute, arXiv:1608.03960). A merge is an
-in-place union: maps merge per key, lists append, a text leaf keeps its latest
-value, and containers holding no text leaf are dropped. A merge that meets a
-key holding another kind of value raises and changes nothing. `union` is the
+A document is a map from non-empty text keys to values, under any ledger
+key; a value is a text leaf, a list of values or such a map. The block
+validator merges a key's writes in block order inside one replica, so no
+per-insert ids or cursors are kept (they make concurrent replicas'
+operations commute, arXiv:1608.03960). A merge is an in-place union: maps
+merge per key, lists append, a text leaf keeps its latest value, and
+containers holding no text leaf are dropped. A merge that meets a key
+holding another kind of value raises and changes nothing. `union` is the
 one document union; the chaincode uses it too. The validator checks a write
 with `JsonCrdt.check` and hands the result to `merge_json`.
 """
@@ -42,17 +43,9 @@ def canonical_json_bytes(value: JsonValue) -> bytes:
     return _CANONICAL.encode(value).encode("utf-8")
 
 
-def _key_error(key) -> DocumentShapeError:
-    return DocumentShapeError("map keys must be non-empty" if key == "" else f"map key {key!r} is not text")
-
-
-def _leaf_error(value) -> DocumentShapeError:
-    return DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
-
-
 def _pruned_copy(value: JsonValue) -> tuple:
-    """The shape rule: value is a text leaf, a list of documents or a map
-    from non-empty text keys to documents; numbers, booleans and nulls must
+    """The shape rule: value is a text leaf, a list of values or a map from
+    non-empty text keys to values; numbers, booleans and nulls must
     be encoded as text. Raise DocumentShapeError at the first value, in
     document order, that breaks it. Otherwise return a copy of value without
     containers that hold no text leaf, and its number of text leaves."""
@@ -68,11 +61,12 @@ def _pruned_copy(value: JsonValue) -> tuple:
                 leaves += count
         return copy, leaves
     if not isinstance(value, dict):
-        raise _leaf_error(value)
+        raise DocumentShapeError(f"unsupported leaf {value!r}; encode scalars as text")
     copy = {}
     for key, item in value.items():
         if not (isinstance(key, str) and key):
-            raise _key_error(key)
+            raise DocumentShapeError("map keys must be non-empty" if key == ""
+                                     else f"map key {key!r} is not text")
         kept, count = _pruned_copy(item)
         if count:
             copy[key] = kept
@@ -122,11 +116,9 @@ class JsonCrdt:
     """Single-writer CRDT instance for one ledger key."""
 
     def __init__(self, key: str):
-        if not key:
-            raise ValueError("CRDT key must be non-empty")
         self.key = key
         self.clock = 0  # text leaves merged so far
-        self.document: JsonValue = {}
+        self.document: dict = {}
 
     @property
     def applied(self) -> range:
@@ -138,29 +130,23 @@ class JsonCrdt:
         pruned copy of doc and its number of text leaves, which
         merge_json(doc, checked=...) takes until the next merge."""
         copy, leaves = _pruned_copy(doc)
-        if isinstance(doc, list):
-            raise DocumentShapeError("top-level document must be a map or a string")
-        if isinstance(doc, str):
-            if isinstance(self.document, dict) and self.document:
-                raise StructuralConflictError("bare string merged into a map document")
-        elif isinstance(self.document, str):
-            raise StructuralConflictError("map document merged into a bare string")
-        else:
-            _check_union(self.document, copy)
+        if not isinstance(copy, dict):
+            raise DocumentShapeError("top-level document must be a map")
+        _check_union(self.document, copy)
         return copy, leaves
 
     def merge_json(self, doc: JsonValue, *, checked: tuple | None = None) -> None:
-        """Union doc, a map or a bare string, into the document, or raise and change nothing.
+        """Union map doc into the document, or raise and change nothing.
 
         checked, when given, is the caller's promise that it is check(doc)
         with nothing merged since; its copy is merged without walking doc
         again. Without it, doc is checked here.
         """
         copy, leaves = checked or self.check(doc)
-        self.document = copy if isinstance(copy, str) else union(self.document, copy)
+        union(self.document, copy)
         self.clock += leaves
 
-    def to_json(self) -> JsonValue:
+    def to_json(self) -> dict:
         """The merged document itself; the CRDT owns it, so callers only read it."""
         return self.document
 

@@ -69,19 +69,13 @@ def reference_union(held: dict, doc: dict) -> dict:
     return out
 
 
-def reference_merge(held, doc):
-    """The document held with doc merged in, or the error a merge raises:
-    doc's first shape error, then a top-level list, then a bare string meeting
-    a non-empty map or a map meeting a bare string, then a kind conflict."""
+def reference_merge(held: dict, doc) -> dict:
+    """The map held with doc merged in, or the error a merge raises: doc's
+    first shape error, then a top-level value that is not a map, then a kind
+    conflict."""
     copy, _ = reference_pruned_copy(doc)
-    if isinstance(doc, list):
-        raise DocumentShapeError("top-level document must be a map or a string")
-    if isinstance(doc, str):
-        if isinstance(held, dict) and held:
-            raise StructuralConflictError("bare string merged into a map document")
-        return doc
-    if isinstance(held, str):
-        raise StructuralConflictError("map document merged into a bare string")
+    if not isinstance(doc, dict):
+        raise DocumentShapeError("top-level document must be a map")
     return reference_union(held, copy)
 
 

@@ -351,6 +351,8 @@ VALID_EXPERIMENT = {"name": "x", "sweep_param": "conflict_pct", "sweep_values": 
                  "field 'name' must not hold a '/' or a NUL, not 'sub/x'", id="name-with-slash"),
     pytest.param({**VALID_EXPERIMENT, "name": "x\0y"},
                  "field 'name' must not hold a '/' or a NUL, not 'x\\x00y'", id="name-with-nul"),
+    pytest.param({**VALID_EXPERIMENT, "name": "x\ud800"},
+                 "field 'name' must be UTF-8 text, not 'x\\ud800'", id="name-with-lone-surrogate"),
 ])
 def test_load_experiment_file_names_the_file_and_the_bad_field(tmp_path, doc, field):
     path = tmp_path / "exp.json"

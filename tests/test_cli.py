@@ -451,6 +451,27 @@ def test_bench_repeated_experiment_name_fails_before_any_runs(capsys, monkeypatc
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name, message", [
+    ("x\ud800", "must be UTF-8 text, not 'x\\ud800'"),
+    ("x" * 240, "makes a table file name of 275 bytes; "),
+], ids=["lone-surrogate", "too-long"])
+def test_bench_spec_name_that_cannot_name_a_table_fails_before_any_runs(capsys, monkeypatch,
+                                                                        tmp_path, name, message):
+    # The named experiment comes first, so a check made only when writing would follow its run.
+    ran = []
+    monkeypatch.setattr("crdtsim.cli.run_experiment", ran.append)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"name": name, "sweep_param": "max_tx_count",
+                                     "sweep_values": [5]}))
+    out_dir = tmp_path / "tables"
+    code, out, err = run_cli(capsys, "bench", "--experiment", "conflict_pct", str(spec_file),
+                             "--scale", "0.002", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {spec_file}: field 'name' {message}")
+    assert ran == []
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 def test_bench_one_name_in_two_modes_writes_both(capsys, tmp_path):
     spec_file = tmp_path / "alike.json"
     spec_file.write_text(json.dumps({"name": "conflict_pct", "pipeline": {"mode": "fabric"},
@@ -568,7 +589,8 @@ def test_merge_demo_rejects_numeric_leaves(capsys, tmp_path):
     for text, message in [
         ('{"temperature": 25}', "unsupported leaf 25"),
         ('{"temperature": "15"', "not a JSON document"),
-        ('[{"temperature": "15"}]', "top-level document must be a map or a string"),
+        ('[{"temperature": "15"}]', "top-level document must be a map"),
+        ('"15"', "top-level document must be a map"),
         ('{"temperature": ["15"]}', "is a leaf"),  # structural conflict with good.json
         ('{"a":' * 990 + '"x"' + '}' * 990, "maximum recursion depth exceeded"),
     ]:

@@ -36,9 +36,11 @@ def test_init_accepts_bare_string_sample():
     assert crdt.to_json() == {}
 
 
-def test_init_rejects_empty_key():
-    with pytest.raises(ValueError):
-        init_empty_crdt("", TX1)
+def test_init_accepts_empty_key():
+    crdt = init_empty_crdt("", TX1)
+    crdt.merge_json(TX1)
+    crdt.merge_json(TX2)
+    assert (crdt.key, crdt.to_json(), crdt.clock) == ("", MERGED, 2)
 
 
 def test_init_rejects_non_text_leaves():
@@ -126,23 +128,16 @@ def test_merge_rejects_empty_map_keys():
         crdt.merge_json({"": "x"})
 
 
-def test_bare_string_document_round_trips():
+@pytest.mark.parametrize("held", [{}, {"a": "1"}], ids=["empty", "map"])
+def test_bare_string_document_is_a_shape_error(held):
     crdt = init_empty_crdt("k", "s")
-    crdt.merge_json("hello")
-    assert crdt.to_json() == "hello"
-    crdt.merge_json("world")
-    assert crdt.to_json() == "world"  # later insert wins the register
-
-
-def test_bare_string_and_map_documents_conflict():
-    crdt = init_empty_crdt("k", "s")
-    crdt.merge_json("hello")
-    with pytest.raises(StructuralConflictError):
-        crdt.merge_json({"a": "1"})
-    other = init_empty_crdt("k", "s")
-    other.merge_json({"a": "1"})
-    with pytest.raises(StructuralConflictError):
-        other.merge_json("hello")
+    crdt.merge_json(held)
+    for doc in ("hello", ""):
+        with pytest.raises(DocumentShapeError, match="^top-level document must be a map$"):
+            crdt.check(doc)
+        with pytest.raises(DocumentShapeError, match="^top-level document must be a map$"):
+            crdt.merge_json(doc)
+        assert (crdt.to_json(), crdt.clock) == (held, len(held))
 
 
 def test_same_map_key_string_resolves_last_writer_wins():
@@ -170,8 +165,7 @@ def test_containers_without_text_leaves_are_dropped():
     assert crdt.to_json() == {"a": "v", "l": ["1"]}
     empty = init_empty_crdt("k", "s")
     empty.merge_json({"m": {}})
-    empty.merge_json("bare")  # nothing was kept, so a bare string still fits
-    assert empty.to_json() == "bare"
+    assert (empty.to_json(), empty.clock) == ({}, 0)
 
 
 def test_insert_cannot_target_a_map_node():
@@ -403,8 +397,8 @@ def test_property_merge_order_keeps_list_contents_as_multisets(d1, d2):
     assert under_lists(first.to_json()) == under_lists(second.to_json())
 
 
-# Unlike DOCS: empty containers, bare strings, few keys (so kinds clash) and
-# shape errors (top-level lists, null leaves, empty keys).
+# Unlike DOCS: empty containers, few keys (so kinds clash) and shape errors
+# (top-level lists and strings, null leaves, empty keys).
 FEW_KEYS = st.sampled_from("ab")
 NESTED = st.recursive(
     st.sampled_from(["", "x", "y"]),

@@ -110,7 +110,7 @@ def test_fabric_valid_transactions_re_execute_serially_to_the_run(pipeline, work
     assert reference_digest(state) == outcome.ws.digest()
 
 
-KEYS = st.sampled_from("abc")
+KEYS = st.sampled_from(["a", "b", "c", ""])
 VERSIONS = st.builds(Version, st.integers(0, 1), st.integers(0, 1))
 VALUES = st.sampled_from([b'{"r":["1"]}', b'{"r":"flat","e":{}}', b'{"r":{"m":"1"}}', b'{"r":["2"],"s":"x"}',
                           b'"bare"', b"{not json", b'{"n":1}', b'["top"]'])

@@ -419,20 +419,21 @@ def replay_stub(height):
                   "invalid start byte"),
     (b"{not json", "not a JSON document: Expecting property name enclosed in double quotes: "
                    "line 1 column 2 (char 1)"),
-    (b'["top","level"]', "top-level document must be a map or a string"),
+    (b'["top","level"]', "top-level document must be a map"),
+    (b'"plain"', "top-level document must be a map"),
     (b"42", "unsupported leaf 42; encode scalars as text"),
     (b'{"temperature":25}', "unsupported leaf 25; encode scalars as text"),
-], ids=["not-utf8", "not-json", "top-level-list", "bare-number", "numeric-leaf"])
+], ids=["not-utf8", "not-json", "top-level-list", "bare-string", "bare-number", "numeric-leaf"])
 def test_undecodable_payload_is_a_decode_verdict_and_a_merge_demo_error(payload, message,
                                                                         capsys, tmp_path):
-    # A map and a bare string still decode, on the failed write's key and beside it.
+    # Maps still decode, on the failed write's key and beside it.
     block = Block(0, (make_tx("t1", writes=[Write("k", payload, True)]),
                       make_tx("t2", writes=[Write("k", jbytes({"a": "1"}), True),
-                                            Write("s", jbytes("plain"), True)])), "count")
+                                            Write("s", jbytes({"p": "plain"}), True)])), "count")
     vblock = validate_merge_block(block, WorldState(), CRDT, ORGS)
     assert [v.reason for v in vblock.validity] == [INVALID_DECODE, VALID]
     assert [json.loads(w.value) for w in vblock.transactions[1].rwset.writes] == [{"a": "1"},
-                                                                                 "plain"]
+                                                                                 {"p": "plain"}]
 
     path = tmp_path / "doc.json"
     path.write_bytes(payload)
