@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from binascii import a2b_base64, b2a_base64
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -69,14 +70,6 @@ CUT_REASONS = ("count", "bytes", "timeout")
 
 # The orgs that endorse every proposal of a run.
 ENDORSERS = frozenset({"org1", "org2", "org3"})
-
-
-class PipelineError(Exception):
-    pass
-
-
-class DuplicateTransactionError(PipelineError):
-    pass
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +214,9 @@ def _size_bound(tx: Transaction) -> int:
 class Orderer:
     """Deterministic FIFO orderer cutting blocks by count, bytes, or timeout.
 
+    A block holds the oldest queued transactions in submit order; no table is
+    kept by transaction id, and ids are not checked for uniqueness.
+
     A transaction is sized exactly only once the queue's bounded size
     reaches max_bytes, so a byte cut is possible; each is sized at most once.
     """
@@ -236,7 +232,6 @@ class Orderer:
         self._queue: list = []
         self._exact = 0
         self._queued_bytes = 0
-        self._seen_tx_ids: set = set()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -254,9 +249,6 @@ class Orderer:
 
     def submit(self, tx: Transaction) -> None:
         """Enqueue tx at its submit time."""
-        if tx.tx_id in self._seen_tx_ids:
-            raise DuplicateTransactionError(f"duplicate transaction id {tx.tx_id!r}")
-        self._seen_tx_ids.add(tx.tx_id)
         size = _size_bound(tx)
         self._queue.append((tx, size))
         self._queued_bytes += size
@@ -509,7 +501,8 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     Single-threaded and deterministic: proposals are processed in submit-time
     order, timeout cuts fire at their exact simulated instant, and count or
     byte cuts fire at the triggering submit. Commit time of a block is its
-    cut time.
+    cut time. The orderer is FIFO, so a block of k transactions settles the
+    k oldest pending records; no table is keyed by transaction id.
     """
     config.validate()
     ws = ws if ws is not None else WorldState()
@@ -518,13 +511,13 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
     orderer = Orderer(config.max_tx_count, config.max_bytes, timeout_s,
                       first_height=log.next_height)
     report = RunReport()
-    by_tx_id: dict = {}
+    pending: deque = deque()  # records of the submitted, unsettled transactions
 
     def settle(block: Block, now: float) -> None:
         block = validate_merge_block(block, ws, config.mode, ENDORSERS)
         commit_block(ws, log, block)
-        for tx, verdict in zip(block.transactions, block.validity):
-            record = by_tx_id[tx.tx_id]
+        for verdict in block.validity:
+            record = pending.popleft()
             record.commit_time = now
             record.validity = verdict.reason
             record.block_height = block.height
@@ -544,7 +537,6 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
         tx_id = f"{prop.client_id}-{counter:06d}"
         record = TxRecord(tx_id, prop.client_id, now, None, "", None)
         report.txs.append(record)
-        by_tx_id[tx_id] = record
         try:
             rwset = chaincode.fn(prop.args, snap)
         except Exception:
@@ -554,6 +546,7 @@ def run_pipeline(config: PipelineConfig, proposals: Iterable[Proposal], chaincod
             record.validity = READ_ONLY  # nothing to order
             continue
         orderer.submit(Transaction(tx_id, rwset, ENDORSERS, now))
+        pending.append(record)
         while (block := orderer.cut_block(now)) is not None:
             settle(block, now)
     fire_timeouts(math.inf)
